@@ -43,12 +43,12 @@ class SearchConfig:
     tol: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.d_max <= 0.0:
-            raise ValueError("d_max must be positive")
+        if not (math.isfinite(self.d_max) and self.d_max > 0.0):
+            raise ValueError("d_max must be finite and positive")
         if self.grid_points < 3:
             raise ValueError("grid_points must be >= 3")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -217,8 +217,7 @@ def point_errors(cfg: ExperimentConfig, value: float, nodes: np.ndarray | None =
     n_anchors = axy.shape[0]
     s = cfg.samples_per_anchor
 
-    xi_parts, pos_parts = [], []
-    n_nonconverged = 0
+    xi_parts, pts_parts, r_hat_parts = [], [], []
     n_boundary = 0
     for trial in range(cfg.trials):
         pts = _trial_nodes(cfg, trial) if nodes is None else np.asarray(nodes, dtype=float)
@@ -237,12 +236,16 @@ def point_errors(cfg: ExperimentConfig, value: float, nodes: np.ndarray | None =
         n_boundary += int(np.count_nonzero(boundary))
 
         xi_parts.append(np.linalg.norm(r_hat - r_true, axis=1))
-        p, _, conv = multilaterate_batch(axy, r_hat, cfg.solver)
-        pos_parts.append(np.linalg.norm(p - pts, axis=1))
-        n_nonconverged += int(np.count_nonzero(~conv))
+        pts_parts.append(pts)
+        r_hat_parts.append(r_hat)
 
-    return (np.concatenate(xi_parts), np.concatenate(pos_parts),
-            n_nonconverged, n_boundary)
+    # Ranging stays per trial: its golden-section iteration count depends on
+    # the whole batch. Each position fix depends only on its own row, so all
+    # trials share one anchor set and one solver call with identical results.
+    pts = np.concatenate(pts_parts)
+    p, _, conv = multilaterate_batch(axy, np.concatenate(r_hat_parts), cfg.solver)
+    return (np.concatenate(xi_parts), np.linalg.norm(p - pts, axis=1),
+            int(np.count_nonzero(~conv)), n_boundary)
 
 
 @dataclass(frozen=True)

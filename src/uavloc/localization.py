@@ -41,12 +41,13 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.step_tol <= 0.0:
-            raise ValueError("step_tol must be positive")
-        if self.damping0 <= 0.0:
-            raise ValueError("damping0 must be positive")
-        if self.grid_radius is not None and self.grid_radius <= 0.0:
-            raise ValueError("grid_radius must be positive")
+        if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
+            raise ValueError("step_tol must be finite and positive")
+        if not (math.isfinite(self.damping0) and self.damping0 > 0.0):
+            raise ValueError("damping0 must be finite and positive")
+        if self.grid_radius is not None and not (
+                math.isfinite(self.grid_radius) and self.grid_radius > 0.0):
+            raise ValueError("grid_radius must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -86,17 +87,26 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
     axy is (N, 2); rhat and p0 are (L, N) and (L, 2). Returns position,
     objective, convergence flags and whether any step was ever accepted.
     Accepted steps strictly decrease the objective.
+
+    Every quantity a row's iteration computes (normal equations, step,
+    accept test, damping) depends on that row alone. So a row that
+    converges or passes the damping cap is written back once and dropped
+    from the working arrays, and the rows left take bit-for-bit the path
+    they would take in the full batch; only the work shrinks.
     """
+    L = p0.shape[0]
+    p_out = np.empty_like(p0)
+    obj_out = np.empty(L)
+    converged = np.zeros(L, dtype=bool)
+    descended = np.zeros(L, dtype=bool)
+
+    rows = np.arange(L)
     p = p0.copy()
-    L = p.shape[0]
     lam = np.full(L, solver.damping0)
     diff = p[:, None, :] - axy[None, :, :]
     dist = np.maximum(np.linalg.norm(diff, axis=2), _DIST_FLOOR)
     err = dist - rhat
     obj = (err ** 2).sum(axis=1)
-    active = np.ones(L, dtype=bool)
-    converged = np.zeros(L, dtype=bool)
-    descended = np.zeros(L, dtype=bool)
 
     for _ in range(solver.max_iter):
         u = diff / dist[:, :, None]
@@ -117,27 +127,32 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
         err_new = dist_new - rhat
         obj_new = (err_new ** 2).sum(axis=1)
 
-        improved = obj_new < obj
-        accept = active & improved
+        accept = obj_new < obj
         p[accept] = p_new[accept]
         diff[accept] = diff_new[accept]
         dist[accept] = dist_new[accept]
         err[accept] = err_new[accept]
         obj[accept] = obj_new[accept]
-        descended |= accept
-        lam[accept] = np.maximum(lam[accept] / 3.0, _DAMPING_MIN)
-        reject = active & ~improved
-        lam[reject] = lam[reject] * 10.0
+        descended[rows[accept]] = True
+        lam = np.where(accept, np.maximum(lam / 3.0, _DAMPING_MIN), lam * 10.0)
 
         # A vanishing damped step means a stationary point, accepted or not.
-        done = active & (step_norm < solver.step_tol)
-        converged |= done
-        active &= ~done
-        active &= lam <= _DAMPING_MAX
-        if not active.any():
-            break
+        done = step_norm < solver.step_tol
+        leave = done | (lam > _DAMPING_MAX)
+        if leave.any():
+            gone = rows[leave]
+            p_out[gone] = p[leave]
+            obj_out[gone] = obj[leave]
+            converged[gone] = done[leave]
+            keep = ~leave
+            rows, p, diff, dist, err, obj, lam, rhat = (
+                a[keep] for a in (rows, p, diff, dist, err, obj, lam, rhat))
+            if rows.size == 0:
+                break
 
-    return p, obj, converged, descended
+    p_out[rows] = p
+    obj_out[rows] = obj
+    return p_out, obj_out, converged, descended
 
 
 def _grid_minimum(axy: np.ndarray, rhat: np.ndarray, center: np.ndarray,
@@ -168,27 +183,15 @@ def _check_geometry(axy: np.ndarray) -> None:
 def multilaterate(anchors, r_hats, solver: SolverConfig | None = None) -> PositionFix:
     """Least-squares position fix from anchors and estimated planar ranges.
 
-    Starts the damped Gauss-Newton iteration at the anchor-projection
-    centroid; if damping never produces a descent the objective is scanned
-    on a coarse grid and the iteration restarts from the grid minimum.
+    Validates the ranges, then solves them as a one-row `multilaterate_batch`.
     """
-    solver = solver or SolverConfig()
     axy = anchors_xy(anchors)
     rhat = np.asarray(r_hats, dtype=float)
     if rhat.ndim != 1 or rhat.size != axy.shape[0]:
         raise ValueError("r_hats must be 1-D with one entry per anchor")
     if np.any(rhat < 0.0) or not np.all(np.isfinite(rhat)):
         raise ValueError("estimated ranges must be finite and >= 0")
-    _check_geometry(axy)
-
-    center = axy.mean(axis=0)
-    p, obj, conv, desc = _lm_descend(axy, rhat[None, :], center[None, :], solver)
-    if not desc[0] and not conv[0]:
-        radius = solver.grid_radius or _default_grid_radius(axy, rhat, center)
-        start = _grid_minimum(axy, rhat, center, radius)
-        p2, obj2, conv2, _ = _lm_descend(axy, rhat[None, :], start[None, :], solver)
-        if obj2[0] < obj[0]:
-            p, obj, conv = p2, obj2, conv2
+    p, obj, conv = multilaterate_batch(axy, rhat[None, :], solver)
     return PositionFix(x_hat=float(p[0, 0]), y_hat=float(p[0, 1]),
                        residual=float(obj[0]), converged=bool(conv[0]))
 
@@ -197,8 +200,10 @@ def multilaterate_batch(axy: np.ndarray, rhat: np.ndarray,
                         solver: SolverConfig | None = None):
     """Position fixes for many range vectors against one shared anchor set.
 
-    Returns (positions (L, 2), residuals (L,), converged (L,)). Rows where
-    damping never descends are retried from a coarse-grid restart.
+    Starts the damped Gauss-Newton iteration at the anchor-projection
+    centroid. Returns (positions (L, 2), residuals (L,), converged (L,)).
+    Rows where damping never descends are scanned on a coarse grid and
+    retried from its minimum; the retry is kept if it lowers the objective.
     """
     solver = solver or SolverConfig()
     _check_geometry(axy)

@@ -172,6 +172,21 @@ class TestErrorPaths:
         assert code == 3
         assert "h_min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("solver", "step_tol", ".nan"),
+        ("search", "tol", ".nan"),
+        ("solver", "damping0", ".inf"),
+    ])
+    def test_non_finite_setting_exits_3(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"node_count: 20\nsweep:\n  values: [300, 900]\n"
+                       f"{section}:\n  {key}: {value}\n")
+        code = cli.main(["altitude-sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == cli.EXIT_CONFIG == 3
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_config_file_exits_3(self, tmp_path):
         code = cli.main(["altitude-sweep", "--config",
                          str(tmp_path / "absent.yaml"),

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 import uavloc as u
+from uavloc import localization as loc
 
 
 def triangle_anchors(side=500.0, h=1000.0, centroid=(0.0, 0.0)):
@@ -16,6 +17,65 @@ def triangle_anchors(side=500.0, h=1000.0, centroid=(0.0, 0.0)):
 def true_ranges(anchors, node_xy):
     return np.array([math.hypot(node_xy[0] - a.x, node_xy[1] - a.y)
                      for a in anchors])
+
+
+def _lm_descend_full_batch(axy, rhat, p0, solver):
+    """The damped Gauss-Newton loop as it was before row compaction.
+
+    Every row stays in every iteration until all have left. Returns the
+    final active mask as a fifth value, so a test can tell rows that left
+    through the damping cap from rows that never left.
+    """
+    p = p0.copy()
+    L = p.shape[0]
+    lam = np.full(L, solver.damping0)
+    diff = p[:, None, :] - axy[None, :, :]
+    dist = np.maximum(np.linalg.norm(diff, axis=2), loc._DIST_FLOOR)
+    err = dist - rhat
+    obj = (err ** 2).sum(axis=1)
+    active = np.ones(L, dtype=bool)
+    converged = np.zeros(L, dtype=bool)
+    descended = np.zeros(L, dtype=bool)
+
+    for _ in range(solver.max_iter):
+        u_ = diff / dist[:, :, None]
+        jtj = np.einsum("lni,lnj->lij", u_, u_)
+        g = np.einsum("lni,ln->li", u_, err)
+        a11 = jtj[:, 0, 0] + lam
+        a22 = jtj[:, 1, 1] + lam
+        a12 = jtj[:, 0, 1]
+        det = np.maximum(a11 * a22 - a12 ** 2, 1e-300)
+        dx = -(a22 * g[:, 0] - a12 * g[:, 1]) / det
+        dy = -(a11 * g[:, 1] - a12 * g[:, 0]) / det
+        step = np.stack([dx, dy], axis=1)
+        step_norm = np.hypot(dx, dy)
+
+        p_new = p + step
+        diff_new = p_new[:, None, :] - axy[None, :, :]
+        dist_new = np.maximum(np.linalg.norm(diff_new, axis=2), loc._DIST_FLOOR)
+        err_new = dist_new - rhat
+        obj_new = (err_new ** 2).sum(axis=1)
+
+        improved = obj_new < obj
+        accept = active & improved
+        p[accept] = p_new[accept]
+        diff[accept] = diff_new[accept]
+        dist[accept] = dist_new[accept]
+        err[accept] = err_new[accept]
+        obj[accept] = obj_new[accept]
+        descended |= accept
+        lam[accept] = np.maximum(lam[accept] / 3.0, loc._DAMPING_MIN)
+        reject = active & ~improved
+        lam[reject] = lam[reject] * 10.0
+
+        done = active & (step_norm < solver.step_tol)
+        converged |= done
+        active &= ~done
+        active &= lam <= loc._DAMPING_MAX
+        if not active.any():
+            break
+
+    return p, obj, converged, descended, active
 
 
 def objective(p, axy, rhat):
@@ -162,3 +222,86 @@ class TestMultilaterateBatch:
         axy = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(u.DegenerateGeometryError):
             u.multilaterate_batch(axy, np.ones((2, 3)))
+
+
+class TestCompactedDescent:
+    @pytest.mark.parametrize("n_anchors,base_side", [(3, 500.0), (30, 100.0)])
+    def test_byte_equal_to_full_batch(self, n_anchors, base_side):
+        # Shapes of the altitude study (3 anchors) and the largest count
+        # study (30); range noise spans what ranging yields from low to high
+        # altitude. step_tol=1e-30 keeps rows at the numerical minimum
+        # rejecting steps until they leave through the damping cap.
+        spec = u.ConstellationSpec(n_anchors=n_anchors, base_side=base_side,
+                                   altitude=100.0, side_increment=20.0)
+        axy = u.anchors_xy(u.build_constellation(spec))
+        rng = np.random.default_rng(n_anchors)
+        solvers = (u.SolverConfig(), u.SolverConfig(max_iter=5),
+                   u.SolverConfig(step_tol=1e-30))
+        exits = {"step_tol": 0, "damping_cap": 0, "never": 0}
+        for sigma in (1.0, 30.0, 300.0, 1500.0):
+            nodes = rng.uniform(-1500.0, 1500.0, size=(200, 2))
+            rhat = np.linalg.norm(nodes[:, None, :] - axy[None, :, :], axis=2)
+            rhat = np.maximum(rhat + rng.normal(0.0, sigma, size=rhat.shape), 0.0)
+            p0 = np.tile(axy.mean(axis=0), (rhat.shape[0], 1))
+            for solver in solvers:
+                *ref, active = _lm_descend_full_batch(axy, rhat, p0, solver)
+                got = loc._lm_descend(axy, rhat, p0, solver)
+                for want, have in zip(ref, got):
+                    assert want.dtype == have.dtype and want.shape == have.shape
+                    assert want.tobytes() == have.tobytes()
+                conv = ref[2]
+                exits["step_tol"] += int(conv.sum())
+                exits["damping_cap"] += int((~conv & ~active).sum())
+                exits["never"] += int(active.sum())
+        assert min(exits.values()) > 0, exits
+
+    def test_grid_restart_applies_to_exactly_the_stuck_rows(self, monkeypatch):
+        # An irregular triangle: from its centroid, the first damped step
+        # for one long range and two zero ranges is rejected. Exact ranges
+        # from the centroid give a zero step: converged, never descended.
+        axy = np.array([[-238.0, -202.0], [314.0, -408.0], [100.0, 229.0]])
+        center = axy.mean(axis=0)
+        at_center = np.linalg.norm(center - axy, axis=1)
+        nodes = np.random.default_rng(5).uniform(-700.0, 700.0, size=(3, 2))
+        consistent = np.linalg.norm(nodes[:, None, :] - axy[None, :, :], axis=2)
+        rhat = np.array([
+            [1266.0, 0.0, 0.0],
+            at_center,
+            consistent[0],
+            [344.0, 0.0, 0.0],
+            at_center,
+            consistent[1],
+            [771.0, 0.0, 0.0],
+            consistent[2],
+        ])
+        solver = u.SolverConfig(max_iter=1)
+        p0 = np.tile(center, (rhat.shape[0], 1))
+        _, obj0, conv0, desc0, _ = _lm_descend_full_batch(axy, rhat, p0, solver)
+        stuck = ~conv0 & ~desc0
+        # Stuck rows sit between rows that leave the loop early (converged)
+        # and rows that stay, so their working index moves on compaction.
+        assert list(np.nonzero(stuck)[0]) == [0, 3, 6]
+        assert (conv0 & ~desc0)[[1, 4]].all() and desc0[[2, 5, 7]].all()
+
+        calls = []
+        grid_minimum = loc._grid_minimum
+
+        def spy(axy_, rhat_, center_, radius):
+            calls.append(rhat_.copy())
+            return grid_minimum(axy_, rhat_, center_, radius)
+
+        monkeypatch.setattr(loc, "_grid_minimum", spy)
+        p, obj, conv = u.multilaterate_batch(axy, rhat, solver)
+
+        np.testing.assert_array_equal(np.array(calls), rhat[stuck])
+        for i in range(rhat.shape[0]):
+            if stuck[i]:
+                radius = loc._default_grid_radius(axy, rhat[i], center)
+                start = grid_minimum(axy, rhat[i], center, radius)
+                want = _lm_descend_full_batch(axy, rhat[i:i + 1], start[None, :], solver)
+                # The restart beats staying at the centroid.
+                assert want[1][0] < obj0[i]
+            else:
+                want = _lm_descend_full_batch(axy, rhat[i:i + 1], p0[i:i + 1], solver)
+            assert p[i].tobytes() == want[0][0].tobytes()
+            assert obj[i] == want[1][0] and conv[i] == want[2][0]
