@@ -8,7 +8,7 @@ from any thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -62,6 +62,9 @@ class EnvironmentParams:
     d_o: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         # a_los/a_nlos may be zero to model a shadowing-free diagnostic
         # environment; negative amplitudes are meaningless.
         if self.a_los < 0.0 or self.a_nlos < 0.0:

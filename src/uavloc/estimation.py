@@ -176,6 +176,11 @@ def fisher_information_numeric(geom: LinkGeometry, env: EnvironmentParams,
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
+#: Rows of the (links x grid) log-likelihood built at a time. With the
+#: default 256-point grid one block is a 2 MB buffer that stays in a core's
+#: L2 cache; the whole array would be 20 MB per 10^4 links.
+_BRACKET_ROWS = 1024
+
 
 def _suffstats(samples_2d: np.ndarray):
     """Per-row sufficient statistics (sum, sum of squares) of the samples."""
@@ -197,13 +202,25 @@ def mle_distance_batch(samples_2d: np.ndarray, h: float, env: EnvironmentParams,
     `samples_2d` holds one link per row. Returns arrays (d_hat, r_hat,
     log_likelihood, boundary) with one entry per row. Ties on the likelihood
     grid resolve toward the smaller distance.
+
+    The grid log-likelihood is built `_BRACKET_ROWS` rows at a time in one
+    reused buffer. Blocks split rows, never grid columns, so each row's
+    argmax and its first-maximum tie rule are those of the whole array;
+    s1 * (2 mu) equals 2 * (s1 * mu) bit for bit, because scaling by 2 is
+    exact in IEEE arithmetic, and the other operations keep their order.
+    Each golden-section step evaluates the likelihood once per row, at the
+    one interior point that is new on that row. Every value comes from the
+    same element-wise operations on its own row, so the result equals
+    evaluating both points and discarding one.
     """
     search = search or SearchConfig()
     samples_2d = np.asarray(samples_2d, dtype=float)
     if samples_2d.ndim != 2 or samples_2d.shape[1] < 1:
         raise ValueError("samples_2d must be (links, samples) with >= 1 sample")
-    if h <= 0.0:
-        raise ValueError("anchor altitude h must be > 0")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError("anchor altitude h must be finite and > 0")
+    if not np.all(np.isfinite(samples_2d)):
+        raise ValueError("RSS samples must be finite")
     lo = max(h, env.d_o)
     hi = search.d_max
     if hi <= lo:
@@ -212,20 +229,32 @@ def mle_distance_batch(samples_2d: np.ndarray, h: float, env: EnvironmentParams,
     n = samples_2d.shape[1]
     s1, s2 = _suffstats(samples_2d)
 
-    def loglik_at(d_vec: np.ndarray, s1v: np.ndarray, s2v: np.ndarray) -> np.ndarray:
+    def loglik_at(d_vec: np.ndarray) -> np.ndarray:
         mu, sigma = _model_moments(d_vec, h, env)
-        return _loglik_from_stats(mu, sigma ** 2, s1v, s2v, n)
+        return _loglik_from_stats(mu, sigma ** 2, s1, s2, n)
 
     # Coarse bracketing on a shared log-spaced grid.
     grid = np.geomspace(lo, hi, search.grid_points)
     grid[0], grid[-1] = lo, hi
     mu_g, sigma_g = _model_moments(grid, h, env)
     var_g = sigma_g ** 2
-    # (links, grid) joint log-density via the sufficient statistics.
-    ll = (-0.5 * n * np.log(2.0 * math.pi * var_g)[None, :]
-          - (s2[:, None] - 2.0 * np.outer(s1, mu_g) + n * mu_g[None, :] ** 2)
-          / (2.0 * var_g[None, :]))
-    best = np.argmax(ll, axis=1)
+    c0 = -0.5 * n * np.log(2.0 * math.pi * var_g)
+    two_mu = 2.0 * mu_g
+    n_mu2 = n * mu_g ** 2
+    two_var = 2.0 * var_g
+    links = s1.size
+    best = np.empty(links, dtype=np.intp)
+    buf = np.empty((min(links, _BRACKET_ROWS), grid.size))
+    for i in range(0, links, _BRACKET_ROWS):
+        j = min(i + _BRACKET_ROWS, links)
+        ll = buf[:j - i]
+        # (rows, grid) joint log-density via the sufficient statistics.
+        np.multiply(s1[i:j, None], two_mu, out=ll)
+        np.subtract(s2[i:j, None], ll, out=ll)
+        ll += n_mu2
+        ll /= two_var
+        np.subtract(c0, ll, out=ll)
+        np.argmax(ll, axis=1, out=best[i:j])
 
     a = grid[np.maximum(best - 1, 0)]
     b = grid[np.minimum(best + 1, search.grid_points - 1)]
@@ -234,9 +263,10 @@ def mle_distance_batch(samples_2d: np.ndarray, h: float, env: EnvironmentParams,
     span = b - a
     x1 = a + _INVPHI2 * span
     x2 = a + _INVPHI * span
-    f1 = loglik_at(x1, s1, s2)
-    f2 = loglik_at(x2, s1, s2)
-    n_iter = int(math.ceil(math.log(max(span.max() / search.tol, 1.0)) / -math.log(_INVPHI))) + 1
+    f1 = loglik_at(x1)
+    f2 = loglik_at(x2)
+    widest = span.max(initial=0.0)  # 0 for an empty batch
+    n_iter = int(math.ceil(math.log(max(widest / search.tol, 1.0)) / -math.log(_INVPHI))) + 1
     for _ in range(n_iter):
         left = f1 >= f2  # ties shrink toward the smaller distance
         b = np.where(left, x2, b)
@@ -244,9 +274,9 @@ def mle_distance_batch(samples_2d: np.ndarray, h: float, env: EnvironmentParams,
         span = b - a
         x1n = a + _INVPHI2 * span
         x2n = a + _INVPHI * span
-        # Reuse the interior point that survives on each side.
-        f1, f2 = np.where(left, loglik_at(x1n, s1, s2), f2), \
-            np.where(left, f1, loglik_at(x2n, s1, s2))
+        # The other interior point survives on each side; keep its value.
+        f_new = loglik_at(np.where(left, x1n, x2n))
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
         x1, x2 = x1n, x2n
 
     d_hat = np.where(f1 >= f2, x1, x2)
@@ -255,7 +285,7 @@ def mle_distance_batch(samples_2d: np.ndarray, h: float, env: EnvironmentParams,
     boundary = (d_hat <= lo + search.tol) | (d_hat >= hi - search.tol)
     d_hat = np.where(d_hat <= lo + search.tol, lo, d_hat)
     r_hat = np.sqrt(np.maximum(d_hat ** 2 - h ** 2, 0.0))
-    ll_hat = loglik_at(d_hat, s1, s2)
+    ll_hat = loglik_at(d_hat)
     return d_hat, r_hat, ll_hat, boundary
 
 

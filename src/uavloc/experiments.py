@@ -61,6 +61,8 @@ class SweepSpec:
         vals = tuple(float(v) for v in self.values)
         if len(vals) == 0:
             raise ValueError("sweep grid must be nonempty")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("sweep values must be finite")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep grid must be strictly increasing")
         if self.variable == "altitude" and vals[0] < MIN_ALTITUDE_M:
@@ -116,14 +118,14 @@ class ExperimentConfig:
             raise ValueError("node_count must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.deployment_radius <= 0.0:
-            raise ValueError("deployment_radius must be > 0")
+        if not (math.isfinite(self.deployment_radius) and self.deployment_radius > 0.0):
+            raise ValueError("deployment_radius must be finite and > 0")
         if self.samples_per_anchor < 1:
             raise ValueError("samples_per_anchor must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.eval_distance <= 0.0:
-            raise ValueError("eval_distance must be > 0")
+        if not (math.isfinite(self.eval_distance) and self.eval_distance > 0.0):
+            raise ValueError("eval_distance must be finite and > 0")
         if self.eval_azimuths < 1:
             raise ValueError("eval_azimuths must be >= 1")
 

@@ -183,14 +183,12 @@ def _check_geometry(axy: np.ndarray) -> None:
 def multilaterate(anchors, r_hats, solver: SolverConfig | None = None) -> PositionFix:
     """Least-squares position fix from anchors and estimated planar ranges.
 
-    Validates the ranges, then solves them as a one-row `multilaterate_batch`.
+    Solves the ranges as a one-row `multilaterate_batch`, which validates them.
     """
     axy = anchors_xy(anchors)
     rhat = np.asarray(r_hats, dtype=float)
-    if rhat.ndim != 1 or rhat.size != axy.shape[0]:
+    if rhat.ndim != 1:
         raise ValueError("r_hats must be 1-D with one entry per anchor")
-    if np.any(rhat < 0.0) or not np.all(np.isfinite(rhat)):
-        raise ValueError("estimated ranges must be finite and >= 0")
     p, obj, conv = multilaterate_batch(axy, rhat[None, :], solver)
     return PositionFix(x_hat=float(p[0, 0]), y_hat=float(p[0, 1]),
                        residual=float(obj[0]), converged=bool(conv[0]))
@@ -204,9 +202,15 @@ def multilaterate_batch(axy: np.ndarray, rhat: np.ndarray,
     centroid. Returns (positions (L, 2), residuals (L,), converged (L,)).
     Rows where damping never descends are scanned on a coarse grid and
     retried from its minimum; the retry is kept if it lowers the objective.
+    Ranges must be finite and >= 0, one column per anchor.
     """
     solver = solver or SolverConfig()
     _check_geometry(axy)
+    rhat = np.asarray(rhat, dtype=float)
+    if rhat.ndim != 2 or rhat.shape[1] != axy.shape[0]:
+        raise ValueError("ranges must be (L, N) with one column per anchor")
+    if np.any(rhat < 0.0) or not np.all(np.isfinite(rhat)):
+        raise ValueError("estimated ranges must be finite and >= 0")
     center = axy.mean(axis=0)
     p0 = np.tile(center, (rhat.shape[0], 1))
     p, obj, conv, desc = _lm_descend(axy, rhat, p0, solver)

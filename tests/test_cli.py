@@ -1,9 +1,11 @@
+import math
 import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import yaml
 
 import uavloc as u
 from uavloc import cli
@@ -172,15 +174,24 @@ class TestErrorPaths:
         assert code == 3
         assert "h_min" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section,key,value", [
-        ("solver", "step_tol", ".nan"),
-        ("search", "tol", ".nan"),
-        ("solver", "damping0", ".inf"),
+    @pytest.mark.parametrize("override,key", [
+        pytest.param({"solver": {"step_tol": math.nan}}, "step_tol",
+                     id="solver-step_tol-.nan"),
+        pytest.param({"search": {"tol": math.nan}}, "tol", id="search-tol-.nan"),
+        pytest.param({"solver": {"damping0": math.inf}}, "damping0",
+                     id="solver-damping0-.inf"),
+        pytest.param({"environment": {"preset": "urban", "a_los": math.nan}},
+                     "a_los", id="environment-a_los-.nan"),
+        pytest.param({"deployment_radius": math.nan}, "deployment_radius",
+                     id="deployment_radius-.nan"),
+        pytest.param({"sweep": {"values": [100.0, math.inf]}}, "values",
+                     id="sweep-values-.inf"),
     ])
-    def test_non_finite_setting_exits_3(self, tmp_path, capsys, section, key, value):
+    def test_non_finite_setting_exits_3(self, tmp_path, capsys, override, key):
         cfg = tmp_path / "bad.yaml"
-        cfg.write_text(f"node_count: 20\nsweep:\n  values: [300, 900]\n"
-                       f"{section}:\n  {key}: {value}\n")
+        cfg.write_text(yaml.safe_dump({"node_count": 20,
+                                       "sweep": {"values": [300.0, 900.0]},
+                                       **override}))
         code = cli.main(["altitude-sweep", "--config", str(cfg),
                          "--out", str(tmp_path / "o.csv")])
         assert code == cli.EXIT_CONFIG == 3

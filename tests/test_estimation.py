@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import uavloc as u
+from uavloc import estimation as est
 from uavloc._streams import TAG_MISC, substream
 
 from conftest import ORACLE
@@ -23,6 +24,78 @@ def make_samples(geom, env, n, rng):
     mu = u.mean_rss(geom.d, geom.theta, env)
     sigma = u.shadowing_sigma(geom.theta, env)
     return mu - sigma * rng.standard_normal(n)
+
+
+def mle_distance_batch_reference(samples_2d, h, env, search=None):
+    """The search before row-blocked bracketing and single evaluation.
+
+    Builds the whole (links x grid) log-likelihood at once and evaluates
+    both new golden-section points per step, discarding one.
+    """
+    search = search or u.SearchConfig()
+    samples_2d = np.asarray(samples_2d, dtype=float)
+    lo = max(h, env.d_o)
+    hi = search.d_max
+    n = samples_2d.shape[1]
+    s1, s2 = est._suffstats(samples_2d)
+
+    def loglik_at(d_vec, s1v, s2v):
+        mu, sigma = est._model_moments(d_vec, h, env)
+        return est._loglik_from_stats(mu, sigma ** 2, s1v, s2v, n)
+
+    grid = np.geomspace(lo, hi, search.grid_points)
+    grid[0], grid[-1] = lo, hi
+    mu_g, sigma_g = est._model_moments(grid, h, env)
+    var_g = sigma_g ** 2
+    ll = (-0.5 * n * np.log(2.0 * math.pi * var_g)[None, :]
+          - (s2[:, None] - 2.0 * np.outer(s1, mu_g) + n * mu_g[None, :] ** 2)
+          / (2.0 * var_g[None, :]))
+    best = np.argmax(ll, axis=1)
+
+    a = grid[np.maximum(best - 1, 0)]
+    b = grid[np.minimum(best + 1, search.grid_points - 1)]
+
+    span = b - a
+    x1 = a + est._INVPHI2 * span
+    x2 = a + est._INVPHI * span
+    f1 = loglik_at(x1, s1, s2)
+    f2 = loglik_at(x2, s1, s2)
+    n_iter = int(math.ceil(math.log(max(span.max() / search.tol, 1.0))
+                           / -math.log(est._INVPHI))) + 1
+    for _ in range(n_iter):
+        left = f1 >= f2
+        b = np.where(left, x2, b)
+        a = np.where(left, a, x1)
+        span = b - a
+        x1n = a + est._INVPHI2 * span
+        x2n = a + est._INVPHI * span
+        f1, f2 = np.where(left, loglik_at(x1n, s1, s2), f2), \
+            np.where(left, f1, loglik_at(x2n, s1, s2))
+        x1, x2 = x1n, x2n
+
+    d_hat = np.where(f1 >= f2, x1, x2)
+    d_hat = np.clip(d_hat, lo, hi)
+    boundary = (d_hat <= lo + search.tol) | (d_hat >= hi - search.tol)
+    d_hat = np.where(d_hat <= lo + search.tol, lo, d_hat)
+    r_hat = np.sqrt(np.maximum(d_hat ** 2 - h ** 2, 0.0))
+    ll_hat = loglik_at(d_hat, s1, s2)
+    return d_hat, r_hat, ll_hat, boundary
+
+
+def ranging_batch(env, rows, n, h, seed):
+    """Samples for `rows` links at random ranges; with two or more rows the
+    first is pinned at d = h and the last at d_max."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.0, 3000.0, rows)
+    theta = np.arctan2(h, r)
+    mu = u.mean_rss(np.hypot(r, h), theta, env)
+    sigma = u.shadowing_sigma(theta, env)
+    w = mu[:, None] - sigma[:, None] * rng.standard_normal((rows, n))
+    if rows > 1:
+        # Slightly above the overhead-link mean: implies a distance below h.
+        w[0] = u.mean_rss(h, math.pi / 2.0, env) + 0.02
+        w[-1] = -400.0
+    return w
 
 
 class TestThetaFromDistance:
@@ -338,3 +411,69 @@ class TestMleDistance:
         with pytest.raises(ValueError):
             u.mle_distance_batch(np.zeros((1, 5)), 100.0, ENV,
                                  u.SearchConfig(d_max=50.0))
+
+    def test_zero_links_give_empty_results(self):
+        out = u.mle_distance_batch(np.zeros((0, 5)), 100.0, ENV)
+        assert [a.shape for a in out] == [(0,)] * 4
+        assert out[3].dtype == bool
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_altitude(self, h):
+        with pytest.raises(ValueError, match="altitude h must be finite"):
+            u.mle_distance_batch(np.full((2, 5), -80.0), h, ENV)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        w = np.full((3, 5), -80.0)
+        w[1] = bad  # a whole row, as a dropped link would deliver it
+        with pytest.raises(ValueError, match="samples must be finite"):
+            u.mle_distance_batch(w, 100.0, ENV)
+        w = np.full((3, 5), -80.0)
+        w[2, 4] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            u.mle_distance_batch(w, 100.0, ENV)
+
+
+class TestSearchMatchesReference:
+    """Row-blocked bracketing and one evaluation per golden-section step
+    reproduce the full-grid, two-evaluation search byte for byte."""
+
+    @pytest.mark.parametrize("env", [u.URBAN, u.SUBURBAN, u.without_shadowing(u.URBAN)],
+                             ids=["urban", "suburban", "no_shadowing"])
+    @pytest.mark.parametrize("n", [1, 5, 30])
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2055])
+    def test_byte_equal(self, env, n, rows):
+        # 1024 rows fill one bracketing block exactly; 1023/1025 and 2055
+        # end on partial blocks.
+        h = 400.0
+        w = ranging_batch(env, rows, n, h, seed=rows * 31 + n)
+        got = u.mle_distance_batch(w, h, env)
+        want = mle_distance_batch_reference(w, h, env)
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert g.tobytes() == r.tobytes()
+        if rows > 1:
+            d_hat, _, _, boundary = got
+            assert boundary[0] and d_hat[0] == h
+            assert boundary[-1] and d_hat[-1] >= 20000.0 - 1.0
+
+    def test_one_evaluation_per_golden_section_step(self, monkeypatch):
+        sizes = []
+        real = est.path_loss_exponent
+
+        def spy(theta, env):
+            sizes.append(np.size(theta))
+            return real(theta, env)
+
+        monkeypatch.setattr(est, "path_loss_exponent", spy)
+        rows, h = 50, 400.0
+        w = ranging_batch(ENV, rows, 5, h, seed=3)
+        mle_distance_batch_reference(w, h, ENV)
+        ref_sizes, sizes[:] = sizes[:], []
+        u.mle_distance_batch(w, h, ENV)
+        # Reference: 1 (grid) + 2 (start) + 2 * n_iter + 1 (final).
+        n_iter = (len(ref_sizes) - 4) // 2
+        assert n_iter >= 1 and len(ref_sizes) == 4 + 2 * n_iter
+        assert len(sizes) == 1 + 2 + n_iter + 1
+        assert sizes[0] == u.SearchConfig().grid_points
+        assert sizes[1:] == [rows] * (len(sizes) - 1)

@@ -218,6 +218,21 @@ class TestMultilaterateBatch:
         np.testing.assert_allclose(p, nodes, atol=1e-3)
         assert obj.max() < 1e-6
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_batch_rejects_bad_ranges(self, bad):
+        axy = u.anchors_xy(triangle_anchors())
+        rhat = np.full((4, 3), 200.0)
+        rhat[2, 1] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            u.multilaterate_batch(axy, rhat)
+
+    def test_batch_rejects_wrong_shape(self):
+        axy = u.anchors_xy(triangle_anchors())
+        with pytest.raises(ValueError, match="one column per anchor"):
+            u.multilaterate_batch(axy, np.full((4, 2), 200.0))
+        with pytest.raises(ValueError, match="one column per anchor"):
+            u.multilaterate_batch(axy, np.full(3, 200.0))
+
     def test_batch_degenerate_geometry(self):
         axy = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(u.DegenerateGeometryError):
