@@ -52,6 +52,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentResult,
     SweepSpec,
+    WorkerPoolError,
     optimize_altitude,
     point_errors,
     read_results_csv,

@@ -16,6 +16,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .experiments import (
     ExperimentResult,
+    WorkerPoolError,
     optimize_altitude,
     run_altitude_sweep,
     run_anchor_count_sweep,
@@ -46,7 +47,8 @@ exit codes:
   0  success
   2  usage error (unknown command or flag)
   3  configuration error (unreadable file, unknown key, constraint violation)
-  4  computation error (degenerate geometry or invalid experiment input)
+  4  computation error (degenerate geometry, invalid experiment input or a
+     worker process that died)
   5  output I/O error
   1  unexpected failure
 """
@@ -174,7 +176,7 @@ def dispatch(manifest: RunManifest) -> int:
     except OSError as exc:
         print(f"uavloc: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DegenerateGeometryError, ValueError, ArithmeticError) as exc:
+    except (DegenerateGeometryError, WorkerPoolError, ValueError, ArithmeticError) as exc:
         print(f"uavloc: computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except Exception as exc:  # pragma: no cover - last-resort diagnostics

@@ -51,12 +51,22 @@ _TOP_KEYS = {"environment", "seed", "trials", "node_count", "deployment_radius",
 
 def grid_from_range(start: float, stop: float, step: float) -> tuple[float, ...]:
     """Inclusive arithmetic grid; stop is included when it lands on the step."""
+    for name, bound in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(bound):
+            raise ConfigError(f"sweep.{name} must be finite")
     if step <= 0.0:
         raise ConfigError("sweep.step must be > 0")
     if stop < start:
         raise ConfigError("sweep.stop must be >= sweep.start")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     return tuple(start + k * step for k in range(n))
+
+
+def _as_int(value, where: str) -> int:
+    """Integer setting; YAML .inf/.nan is a ConfigError, not an OverflowError."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite")
+    return int(value)
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -100,7 +110,7 @@ def _resolve_constellation(raw, variable: str) -> ConstellationSpec:
     if not (isinstance(centroid, (list, tuple)) and len(centroid) == 2):
         raise ConfigError("constellation.centroid must be a [x, y] pair")
     kwargs = {
-        "n_anchors": int(section.get("n_anchors", 3)),
+        "n_anchors": _as_int(section.get("n_anchors", 3), "constellation.n_anchors"),
         "base_side": float(section.get("base_side", _DEFAULT_BASE_SIDE[variable])),
         "altitude": float(section.get("altitude", 1000.0)),
         "side_increment": float(section.get("side_increment",
@@ -179,24 +189,28 @@ def load_config(path=None, preset: str | None = None,
     solver_sec = _as_mapping(raw.get("solver"), "solver")
     _reject_unknown(solver_sec, _SOLVER_KEYS, "solver")
 
-    seed = seed_override if seed_override is not None else int(raw.get("seed", 0))
+    seed = seed_override if seed_override is not None \
+        else _as_int(raw.get("seed", 0), "seed")
     try:
         return ExperimentConfig(
             environment=_resolve_environment(raw.get("environment"), preset),
             constellation=_resolve_constellation(raw.get("constellation"),
                                                  sweep.variable),
             sweep=sweep,
-            node_count=int(raw.get("node_count", 1000)),
+            node_count=_as_int(raw.get("node_count", 1000), "node_count"),
             deployment_radius=float(raw.get("deployment_radius", 1000.0)),
-            samples_per_anchor=int(raw.get("samples_per_anchor", 5)),
-            trials=int(raw.get("trials", 1)),
+            samples_per_anchor=_as_int(raw.get("samples_per_anchor", 5),
+                                       "samples_per_anchor"),
+            trials=_as_int(raw.get("trials", 1), "trials"),
             seed=seed,
             eval_distance=float(raw.get("eval_distance", 650.0)),
-            eval_azimuths=int(raw.get("eval_azimuths", 8)),
-            search=SearchConfig(**{k: float(v) if k != "grid_points" else int(v)
-                                   for k, v in search_sec.items()}),
-            solver=SolverConfig(**{k: int(v) if k == "max_iter" else float(v)
-                                   for k, v in solver_sec.items()}),
+            eval_azimuths=_as_int(raw.get("eval_azimuths", 8), "eval_azimuths"),
+            search=SearchConfig(**{
+                k: float(v) if k != "grid_points" else _as_int(v, "search.grid_points")
+                for k, v in search_sec.items()}),
+            solver=SolverConfig(**{
+                k: _as_int(v, "solver.max_iter") if k == "max_iter" else float(v)
+                for k, v in solver_sec.items()}),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -7,6 +7,12 @@ a sweep point can be computed anywhere, in any order, on any number of
 workers, and still produce bitwise-identical results. Sweep points reuse the
 per-trial streams, which makes curves over the sweep variable common-random-
 number smooth wherever array shapes allow it.
+
+The parallel unit is a slice of sweep points that share one anchor layout
+(all points of an altitude sweep; each point of a spacing or count sweep on
+its own). A slice ranges each trial of each point separately and fixes all
+of its nodes in one solver call. Each fix depends only on its own row, so
+neither the slicing nor the worker count changes any result bit.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -190,6 +197,10 @@ def _constellation_at(cfg: ExperimentConfig, value: float) -> ConstellationSpec:
     return replace(cfg.constellation, n_anchors=int(value))
 
 
+def _nodes_per_trial(cfg: ExperimentConfig) -> int:
+    return cfg.node_count if cfg.sweep.variable == "altitude" else cfg.eval_azimuths
+
+
 def _trial_nodes(cfg: ExperimentConfig, trial: int) -> np.ndarray:
     """(M, 2) node positions for one trial of the configured study."""
     c = cfg.constellation.centroid
@@ -205,6 +216,62 @@ def _trial_nodes(cfg: ExperimentConfig, trial: int) -> np.ndarray:
     return out
 
 
+def _layout(cfg: ExperimentConfig, value: float) -> tuple[np.ndarray, float]:
+    """Anchor projections (N, 2) and anchor altitude at one sweep point."""
+    spec = _constellation_at(cfg, value)
+    return anchors_xy(build_constellation(spec)), spec.altitude
+
+
+def _slice_errors(cfg: ExperimentConfig, values, nodes: np.ndarray | None = None):
+    """`point_errors` for several sweep points that share one anchor layout.
+
+    Returns one `point_errors` tuple per value and the seconds each point
+    spent ranging. Node positions, true ranges and shadowing draws depend on
+    the trial only, so every point of the slice uses the same ones. Ranging
+    stays per trial and point: its golden-section iteration count depends on
+    the whole batch. All points' fixes go through one solver call; each fix
+    depends only on its own row, so the results equal one call per point.
+    """
+    env = cfg.environment
+    layouts = [_layout(cfg, v) for v in values]
+    axy = layouts[0][0]
+    n_anchors = axy.shape[0]
+    s = cfg.samples_per_anchor
+    trial_pts = [_trial_nodes(cfg, trial) if nodes is None else np.asarray(nodes, dtype=float)
+                 for trial in range(cfg.trials)]
+    m = trial_pts[0].shape[0]
+    pts = np.concatenate(trial_pts)
+
+    r_hat_all = np.empty((len(values), pts.shape[0], n_anchors))
+    xi = np.empty((len(values), pts.shape[0]))
+    n_boundary = [0] * len(values)
+    ranging_s = [0.0] * len(values)
+    for trial in range(cfg.trials):
+        rows = slice(trial * m, (trial + 1) * m)
+        r_true = np.linalg.norm(trial_pts[trial][:, None, :] - axy[None, :, :], axis=2)
+        z = substream(cfg.seed, TAG_RSS, trial).standard_normal((m, n_anchors, s))
+        for k, (_, h) in enumerate(layouts):
+            t0 = time.perf_counter()
+            d_true = np.hypot(r_true, h)
+            theta = np.arctan2(h, r_true)
+            mu = mean_rss(d_true, theta, env)
+            sigma = shadowing_sigma(theta, env)
+            w = np.asarray(mu)[:, :, None] - np.asarray(sigma)[:, :, None] * z
+            _, r_hat, _, boundary = mle_distance_batch(
+                w.reshape(m * n_anchors, s), h, env, cfg.search)
+            r_hat = r_hat.reshape(m, n_anchors)
+            r_hat_all[k, rows] = r_hat
+            xi[k, rows] = np.linalg.norm(r_hat - r_true, axis=1)
+            n_boundary[k] += int(np.count_nonzero(boundary))
+            ranging_s[k] += time.perf_counter() - t0
+
+    p, _, conv = multilaterate_batch(axy, r_hat_all.reshape(-1, n_anchors), cfg.solver)
+    p, conv = p.reshape(len(values), -1, 2), conv.reshape(len(values), -1)
+    errors = [(xi[k], np.linalg.norm(p[k] - pts, axis=1), int(np.count_nonzero(~conv[k])),
+               n_boundary[k]) for k in range(len(values))]
+    return errors, ranging_s
+
+
 def point_errors(cfg: ExperimentConfig, value: float, nodes: np.ndarray | None = None):
     """Raw per-node metrics at one sweep point, concatenated over trials.
 
@@ -212,42 +279,7 @@ def point_errors(cfg: ExperimentConfig, value: float, nodes: np.ndarray | None =
     Euclidean norm of the per-anchor horizontal-range errors of each node.
     `nodes` overrides the per-trial node sets (same array every trial).
     """
-    env = cfg.environment
-    spec = _constellation_at(cfg, value)
-    axy = anchors_xy(build_constellation(spec))
-    h = spec.altitude
-    n_anchors = axy.shape[0]
-    s = cfg.samples_per_anchor
-
-    xi_parts, pts_parts, r_hat_parts = [], [], []
-    n_boundary = 0
-    for trial in range(cfg.trials):
-        pts = _trial_nodes(cfg, trial) if nodes is None else np.asarray(nodes, dtype=float)
-        m = pts.shape[0]
-        r_true = np.linalg.norm(pts[:, None, :] - axy[None, :, :], axis=2)
-        d_true = np.hypot(r_true, h)
-        theta = np.arctan2(h, r_true)
-        mu = mean_rss(d_true, theta, env)
-        sigma = shadowing_sigma(theta, env)
-        z = substream(cfg.seed, TAG_RSS, trial).standard_normal((m, n_anchors, s))
-        w = np.asarray(mu)[:, :, None] - np.asarray(sigma)[:, :, None] * z
-
-        _, r_hat, _, boundary = mle_distance_batch(
-            w.reshape(m * n_anchors, s), h, env, cfg.search)
-        r_hat = r_hat.reshape(m, n_anchors)
-        n_boundary += int(np.count_nonzero(boundary))
-
-        xi_parts.append(np.linalg.norm(r_hat - r_true, axis=1))
-        pts_parts.append(pts)
-        r_hat_parts.append(r_hat)
-
-    # Ranging stays per trial: its golden-section iteration count depends on
-    # the whole batch. Each position fix depends only on its own row, so all
-    # trials share one anchor set and one solver call with identical results.
-    pts = np.concatenate(pts_parts)
-    p, _, conv = multilaterate_batch(axy, np.concatenate(r_hat_parts), cfg.solver)
-    return (np.concatenate(xi_parts), np.linalg.norm(p - pts, axis=1),
-            int(np.count_nonzero(~conv)), n_boundary)
+    return _slice_errors(cfg, (value,), nodes)[0][0]
 
 
 @dataclass(frozen=True)
@@ -262,21 +294,35 @@ class _PointSummary:
     elapsed: float
 
 
-def _point_worker(args) -> _PointSummary:
-    cfg, value = args
+#: Most range estimates (rows x anchors) one shared fix holds, 8 MB. A
+#: slice with more is fixed in chunks of whole points, so its memory stays
+#: bounded however many points, trials and nodes it has.
+_SLICE_RANGES = 1 << 20
+
+
+def _slice_worker(args) -> list[_PointSummary]:
+    cfg, values = args
+    per_point = cfg.trials * _nodes_per_trial(cfg) * _layout(cfg, values[0])[0].shape[0]
+    step = max(1, _SLICE_RANGES // per_point)
+    return [s for i in range(0, len(values), step) for s in _summaries(cfg, values[i:i + step])]
+
+
+def _summaries(cfg: ExperimentConfig, values) -> list[_PointSummary]:
     t0 = time.perf_counter()
-    xi, pos, n_nonconverged, n_boundary = point_errors(cfg, value)
-    std = float(np.std(xi, ddof=1)) if xi.size > 1 else 0.0
-    return _PointSummary(
-        value=float(value),
-        mean=float(np.mean(xi)),
-        std=std,
-        median=float(np.median(xi)),
-        mean_position=float(np.mean(pos)),
-        n_nonconverged=n_nonconverged,
-        n_boundary=n_boundary,
-        elapsed=time.perf_counter() - t0,
-    )
+    errors, ranging_s = _slice_errors(cfg, values)
+    stats = [(float(np.mean(xi)), float(np.std(xi, ddof=1)) if xi.size > 1 else 0.0,
+              float(np.median(xi)), float(np.mean(pos)), n_nonconverged, n_boundary)
+             for xi, pos, n_nonconverged, n_boundary in errors]
+    # Ranging time is each point's own. The rest (nodes, the shared fix,
+    # these summaries) is split evenly, as every point has as many rows, so
+    # the entries sum to the time this call took.
+    shared = (time.perf_counter() - t0 - sum(ranging_s)) / len(values)
+    return [_PointSummary(float(v), *st, elapsed=r + shared)
+            for v, st, r in zip(values, stats, ranging_s)]
+
+
+class WorkerPoolError(RuntimeError):
+    """A worker process died before returning its result."""
 
 
 def _resolve_workers(threads: int) -> int:
@@ -289,18 +335,42 @@ def _map_points(worker, args_list, threads: int):
     workers = _resolve_workers(threads)
     if workers == 1 or len(args_list) == 1:
         return [worker(a) for a in args_list]
-    # Sweep points are the parallel unit; each derives its own substreams,
-    # so the schedule cannot change any result.
+    # Each task derives its own substreams, so the schedule cannot change
+    # any result.
     ctx = get_context("spawn")
-    with ProcessPoolExecutor(max_workers=min(workers, len(args_list)),
-                             mp_context=ctx) as pool:
-        return list(pool.map(worker, args_list))
+    try:
+        with ProcessPoolExecutor(max_workers=min(workers, len(args_list)),
+                                 mp_context=ctx) as pool:
+            return list(pool.map(worker, args_list))
+    except BrokenProcessPool as exc:
+        raise WorkerPoolError(
+            "a worker process died before returning its result. Workers are "
+            "started with 'spawn' and import the calling script as a module, "
+            "so a script that starts a parallel run must do so under "
+            "`if __name__ == \"__main__\":`") from exc
+
+
+def _sweep_slices(cfg: ExperimentConfig, workers: int) -> list[tuple[int, ...]]:
+    """Indices of the sweep points, grouped by byte-equal anchor projections.
+
+    Each group is cut into at most `workers` interleaved slices.
+    """
+    groups: dict[bytes, list[int]] = {}
+    for i, v in enumerate(cfg.sweep.values):
+        groups.setdefault(_layout(cfg, v)[0].tobytes(), []).append(i)
+    return [tuple(idx[k::workers]) for idx in groups.values()
+            for k in range(min(workers, len(idx)))]
 
 
 def _run_sweep(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
-    args = [(cfg, v) for v in cfg.sweep.values]
-    summaries = _map_points(_point_worker, args, threads)
-    n_nodes = cfg.node_count if cfg.sweep.variable == "altitude" else cfg.eval_azimuths
+    values = cfg.sweep.values
+    slices = _sweep_slices(cfg, _resolve_workers(threads))
+    parts = _map_points(_slice_worker,
+                        [(cfg, tuple(values[i] for i in idx)) for idx in slices], threads)
+    summaries = [None] * len(values)
+    for idx, part in zip(slices, parts):
+        for i, summary in zip(idx, part):
+            summaries[i] = summary
     return ExperimentResult(
         config=cfg,
         sweep_variable=cfg.sweep.variable,
@@ -311,7 +381,7 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         mean_position_error=tuple(s.mean_position for s in summaries),
         n_nonconverged=tuple(s.n_nonconverged for s in summaries),
         n_boundary=tuple(s.n_boundary for s in summaries),
-        n_nodes=n_nodes,
+        n_nodes=_nodes_per_trial(cfg),
         n_trials=cfg.trials,
         seed=cfg.seed,
         elapsed_s=tuple(s.elapsed for s in summaries),
@@ -441,6 +511,10 @@ def write_results(result: ExperimentResult, path) -> None:
 
     The sidecar (<stem>.meta.json next to the CSV) records every resolved
     config parameter, the library version, and per-point diagnostics.
+    `per_point.elapsed_s` has one entry per point: its own ranging time plus
+    an equal share of the work it shares with the other points of its
+    slice (nodes, the shared fix), so the entries sum to the workers' busy
+    time.
     """
     from . import __version__
 

@@ -65,10 +65,10 @@ class ConstellationSpec:
     def __post_init__(self) -> None:
         if self.n_anchors < 3 or self.n_anchors % 3 != 0:
             raise ValueError("n_anchors must be a positive multiple of 3")
-        if self.base_side <= 0.0:
-            raise ValueError("base_side must be > 0")
-        if self.side_increment < 0.0:
-            raise ValueError("side_increment must be >= 0")
+        if not (math.isfinite(self.base_side) and self.base_side > 0.0):
+            raise ValueError("base_side must be finite and > 0")
+        if not (math.isfinite(self.side_increment) and self.side_increment >= 0.0):
+            raise ValueError("side_increment must be finite and >= 0")
         if not (math.isfinite(self.altitude) and self.altitude > 0.0):
             raise ValueError("altitude must be finite and > 0")
 

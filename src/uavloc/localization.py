@@ -18,6 +18,10 @@ from .geometry import NodePosition, anchors_xy
 _DIST_FLOOR = 1e-12  # keeps residual directions defined on top of an anchor
 _DAMPING_MIN = 1e-12
 _DAMPING_MAX = 1e12
+#: Rows per damped Gauss-Newton descent. Blocks bound the working arrays
+#: however many rows a caller passes; within a block, iterations that only a
+#: few slow rows still need are paid once for all of them.
+_DESCENT_ROWS = 4096
 
 
 class DegenerateGeometryError(ValueError):
@@ -92,7 +96,8 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
     accept test, damping) depends on that row alone. So a row that
     converges or passes the damping cap is written back once and dropped
     from the working arrays, and the rows left take bit-for-bit the path
-    they would take in the full batch; only the work shrinks.
+    they would take in the full batch; only the work shrinks. A zero-row
+    batch does no iteration.
     """
     L = p0.shape[0]
     p_out = np.empty_like(p0)
@@ -109,6 +114,8 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
     obj = (err ** 2).sum(axis=1)
 
     for _ in range(solver.max_iter):
+        if rows.size == 0:
+            break
         u = diff / dist[:, :, None]
         jtj = np.einsum("lni,lnj->lij", u, u)
         g = np.einsum("lni,ln->li", u, err)
@@ -128,11 +135,11 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
         obj_new = (err_new ** 2).sum(axis=1)
 
         accept = obj_new < obj
-        p[accept] = p_new[accept]
-        diff[accept] = diff_new[accept]
-        dist[accept] = dist_new[accept]
-        err[accept] = err_new[accept]
-        obj[accept] = obj_new[accept]
+        np.copyto(p, p_new, where=accept[:, None])
+        np.copyto(diff, diff_new, where=accept[:, None, None])
+        np.copyto(dist, dist_new, where=accept[:, None])
+        np.copyto(err, err_new, where=accept[:, None])
+        np.copyto(obj, obj_new, where=accept)
         descended[rows[accept]] = True
         lam = np.where(accept, np.maximum(lam / 3.0, _DAMPING_MIN), lam * 10.0)
 
@@ -144,11 +151,9 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
             p_out[gone] = p[leave]
             obj_out[gone] = obj[leave]
             converged[gone] = done[leave]
-            keep = ~leave
+            keep = np.flatnonzero(~leave)
             rows, p, diff, dist, err, obj, lam, rhat = (
-                a[keep] for a in (rows, p, diff, dist, err, obj, lam, rhat))
-            if rows.size == 0:
-                break
+                a.take(keep, axis=0) for a in (rows, p, diff, dist, err, obj, lam, rhat))
 
     p_out[rows] = p
     obj_out[rows] = obj
@@ -203,6 +208,10 @@ def multilaterate_batch(axy: np.ndarray, rhat: np.ndarray,
     Rows where damping never descends are scanned on a coarse grid and
     retried from its minimum; the retry is kept if it lowers the objective.
     Ranges must be finite and >= 0, one column per anchor.
+
+    Rows descend in blocks of `_DESCENT_ROWS`. Each row's descent depends on
+    that row alone, so the result does not depend on the block size, nor on
+    which other rows share the call.
     """
     solver = solver or SolverConfig()
     _check_geometry(axy)
@@ -212,8 +221,13 @@ def multilaterate_batch(axy: np.ndarray, rhat: np.ndarray,
     if np.any(rhat < 0.0) or not np.all(np.isfinite(rhat)):
         raise ValueError("estimated ranges must be finite and >= 0")
     center = axy.mean(axis=0)
-    p0 = np.tile(center, (rhat.shape[0], 1))
-    p, obj, conv, desc = _lm_descend(axy, rhat, p0, solver)
+    L = rhat.shape[0]
+    p, obj = np.empty((L, 2)), np.empty(L)
+    conv, desc = np.empty(L, dtype=bool), np.empty(L, dtype=bool)
+    for i in range(0, L, _DESCENT_ROWS):
+        j = min(i + _DESCENT_ROWS, L)
+        p[i:j], obj[i:j], conv[i:j], desc[i:j] = _lm_descend(
+            axy, rhat[i:j], np.tile(center, (j - i, 1)), solver)
     stuck = ~desc & ~conv
     for idx in np.nonzero(stuck)[0]:
         radius = solver.grid_radius or _default_grid_radius(axy, rhat[idx], center)

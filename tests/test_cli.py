@@ -186,6 +186,11 @@ class TestErrorPaths:
                      id="deployment_radius-.nan"),
         pytest.param({"sweep": {"values": [100.0, math.inf]}}, "values",
                      id="sweep-values-.inf"),
+        pytest.param({"node_count": math.inf}, "node_count", id="node_count-.inf"),
+        pytest.param({"constellation": {"base_side": math.nan}}, "base_side",
+                     id="constellation-base_side-.nan"),
+        pytest.param({"sweep": {"start": 100.0, "stop": math.inf, "step": 50.0}},
+                     "stop", id="sweep-stop-.inf"),
     ])
     def test_non_finite_setting_exits_3(self, tmp_path, capsys, override, key):
         cfg = tmp_path / "bad.yaml"
@@ -210,6 +215,28 @@ class TestErrorPaths:
                          "--out", str(out)])
         assert code == cli.EXIT_IO == 5
         assert "I/O error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("call,code,err", [
+        ("sys.exit(cli.main(['altitude-sweep', '--config', CFG, '--out', OUT, "
+         "'--threads', '2']))", 4, "computation error"),
+        ("run_altitude_sweep(load_config(CFG), threads=2)", 1, "WorkerPoolError"),
+    ], ids=["cli", "library"])
+    def test_unguarded_parallel_script_names_the_guard(self, alt_cfg, tmp_path,
+                                                       call, code, err):
+        # Spawned workers import the script, which starts the sweep again
+        # before they have finished starting up, so every worker dies.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import sys\n"
+            "from uavloc import cli, load_config, run_altitude_sweep\n"
+            f"CFG, OUT = {str(alt_cfg)!r}, {str(tmp_path / 'o.csv')!r}\n"
+            f"{call}\n")
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == code
+        last = proc.stderr.strip().splitlines()[-1]
+        assert err in last and "if __name__ == \"__main__\":" in last
+        assert not (tmp_path / "o.csv").exists()
 
     def test_computation_error_exits_4(self, alt_cfg, tmp_path, capsys):
         code = cli.main(["crlb", "--config", str(alt_cfg),

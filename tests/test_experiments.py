@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import uavloc as u
+from uavloc import experiments as ex
+from uavloc import localization as loc
+from uavloc._streams import TAG_RSS, substream
 from uavloc.experiments import CRLB_CSV_HEADER, _trial_nodes
 
 from conftest import tiny_altitude_config
@@ -101,6 +104,48 @@ class TestTrialNodes:
         np.testing.assert_array_equal(pts, _trial_nodes(cfg, 3))
 
 
+def _point_errors_reference(cfg, value, nodes=None):
+    """One sweep point on its own, ranged per trial and fixed in one solver
+    call: the results a slice's shared fix must reproduce."""
+    env = cfg.environment
+    spec = ex._constellation_at(cfg, value)
+    axy = u.anchors_xy(u.build_constellation(spec))
+    h = spec.altitude
+    n_anchors = axy.shape[0]
+    xi_parts, pts_parts, r_hat_parts = [], [], []
+    n_boundary = 0
+    for trial in range(cfg.trials):
+        pts = _trial_nodes(cfg, trial) if nodes is None else np.asarray(nodes, dtype=float)
+        m = pts.shape[0]
+        r_true = np.linalg.norm(pts[:, None, :] - axy[None, :, :], axis=2)
+        d_true = np.hypot(r_true, h)
+        theta = np.arctan2(h, r_true)
+        mu = u.mean_rss(d_true, theta, env)
+        sigma = u.shadowing_sigma(theta, env)
+        z = substream(cfg.seed, TAG_RSS, trial).standard_normal(
+            (m, n_anchors, cfg.samples_per_anchor))
+        w = np.asarray(mu)[:, :, None] - np.asarray(sigma)[:, :, None] * z
+        _, r_hat, _, boundary = u.mle_distance_batch(
+            w.reshape(m * n_anchors, cfg.samples_per_anchor), h, env, cfg.search)
+        r_hat = r_hat.reshape(m, n_anchors)
+        n_boundary += int(np.count_nonzero(boundary))
+        xi_parts.append(np.linalg.norm(r_hat - r_true, axis=1))
+        pts_parts.append(pts)
+        r_hat_parts.append(r_hat)
+    p, _, conv = u.multilaterate_batch(axy, np.concatenate(r_hat_parts), cfg.solver)
+    return (np.concatenate(xi_parts), np.linalg.norm(p - np.concatenate(pts_parts), axis=1),
+            int(np.count_nonzero(~conv)), n_boundary)
+
+
+def _assert_same_errors(got, want):
+    (xi, pos, n_nc, n_bd), (xi_w, pos_w, n_nc_w, n_bd_w) = got, want
+    assert xi.dtype == xi_w.dtype and xi.shape == xi_w.shape
+    assert xi.tobytes() == xi_w.tobytes()
+    assert pos.dtype == pos_w.dtype and pos.shape == pos_w.shape
+    assert pos.tobytes() == pos_w.tobytes()
+    assert (n_nc, n_bd) == (n_nc_w, n_bd_w)
+
+
 class TestPointErrors:
     def test_summary_columns_recomputable(self):
         cfg = tiny_altitude_config(trials=2)
@@ -138,6 +183,63 @@ class TestPointErrors:
         assert xi1.shape == (3,)
         np.testing.assert_array_equal(xi1, xi2)
         np.testing.assert_array_equal(pos1, pos2)
+
+    @pytest.mark.parametrize("variable,values,trials", [
+        ("altitude", (50.0, 300.0, 900.0, 2000.0), 2),
+        ("anchor_count", (3.0, 30.0), 5),
+    ])
+    def test_shared_fix_equals_points_alone(self, variable, values, trials):
+        # Low altitudes and many anchors add non-converged and boundary-
+        # pinned rows to the shared fix.
+        cfg = u.default_config(variable=variable, trials=trials, node_count=40, seed=3,
+                               sweep=u.SweepSpec(variable, values))
+        cfg = replace(cfg, constellation=replace(cfg.constellation, altitude=50.0))
+        for idx in ex._sweep_slices(cfg, 1):
+            slice_values = [values[i] for i in idx]
+            errors, _ = ex._slice_errors(cfg, slice_values)
+            for v, got in zip(slice_values, errors):
+                want = _point_errors_reference(cfg, v)
+                _assert_same_errors(got, want)
+                _assert_same_errors(u.point_errors(cfg, v), want)
+        assert sum(u.point_errors(cfg, v)[2] for v in values) > 0
+
+    def test_shared_fix_with_explicit_nodes(self):
+        cfg = tiny_altitude_config(trials=2)
+        nodes = np.array([[100.0, 0.0], [0.0, 350.0], [-420.0, -80.0]])
+        errors, _ = ex._slice_errors(cfg, cfg.sweep.values, nodes=nodes)
+        for v, got in zip(cfg.sweep.values, errors):
+            _assert_same_errors(got, _point_errors_reference(cfg, v, nodes=nodes))
+
+    def test_one_descent_per_block_not_per_point(self, monkeypatch):
+        cfg = tiny_altitude_config(trials=2)  # 3 points x 2 trials x 40 nodes
+        sizes = []
+        lm_descend = loc._lm_descend
+
+        def spy(axy, rhat, p0, solver):
+            sizes.append(rhat.shape[0])
+            return lm_descend(axy, rhat, p0, solver)
+
+        monkeypatch.setattr(loc, "_lm_descend", spy)
+        monkeypatch.setattr(loc, "_DESCENT_ROWS", 100)
+        u.run_altitude_sweep(cfg)
+        # Grid restarts of stuck rows follow the blocks, one row each.
+        assert sizes[:3] == [100, 100, 40]
+        assert all(n == 1 for n in sizes[3:])
+
+    def test_large_slices_fix_in_chunks_of_whole_points(self, monkeypatch):
+        cfg = tiny_altitude_config(trials=2)  # 240 range estimates per point
+        whole = u.run_altitude_sweep(cfg)
+        rows = []
+        multilaterate_batch = ex.multilaterate_batch
+
+        def spy(axy, rhat, solver):
+            rows.append(rhat.shape[0])
+            return multilaterate_batch(axy, rhat, solver)
+
+        monkeypatch.setattr(ex, "multilaterate_batch", spy)
+        monkeypatch.setattr(ex, "_SLICE_RANGES", 2 * 240 + 239)
+        assert u.run_altitude_sweep(cfg) == whole
+        assert rows == [160, 80]
 
     def test_xi_is_norm_of_per_anchor_range_errors(self):
         # Zero shadowing: every per-anchor range error is below the search
@@ -178,9 +280,19 @@ class TestSweepRunners:
     def test_thread_count_invariance(self):
         cfg = tiny_altitude_config(node_count=30)
         serial = u.run_altitude_sweep(cfg, threads=1)
-        parallel = u.run_altitude_sweep(cfg, threads=2)
-        # elapsed_s is excluded from equality; all science fields must match.
-        assert serial == parallel
+        # Three points on two workers split unevenly; elapsed_s is excluded
+        # from equality, all science fields must match.
+        for threads in (2, 3):
+            assert u.run_altitude_sweep(cfg, threads=threads) == serial
+
+    def test_slices_group_points_by_anchor_layout(self):
+        alt = tiny_altitude_config(sweep=u.SweepSpec("altitude", (100, 200, 300, 400, 500)))
+        assert ex._sweep_slices(alt, 1) == [(0, 1, 2, 3, 4)]
+        assert ex._sweep_slices(alt, 2) == [(0, 2, 4), (1, 3)]
+        assert ex._sweep_slices(alt, 8) == [(0,), (1,), (2,), (3,), (4,)]
+        count = u.default_config(variable="anchor_count",
+                                 sweep=u.SweepSpec("anchor_count", (3.0, 6.0, 9.0)))
+        assert ex._sweep_slices(count, 1) == ex._sweep_slices(count, 2) == [(0,), (1,), (2,)]
 
     def test_zero_noise_collapse(self):
         cfg = tiny_altitude_config(trials=1, node_count=25,

@@ -320,3 +320,63 @@ class TestCompactedDescent:
                 want = _lm_descend_full_batch(axy, rhat[i:i + 1], p0[i:i + 1], solver)
             assert p[i].tobytes() == want[0][0].tobytes()
             assert obj[i] == want[1][0] and conv[i] == want[2][0]
+
+
+class TestBlockedDescent:
+    B = 7
+
+    @staticmethod
+    def _rows():
+        # Noisy ranges on the irregular triangle of the grid-restart test,
+        # with one long range and two zero ranges on each side of both block
+        # boundaries (rows 0, 6, 7 and 14 of 15 at a block size of 7).
+        axy = np.array([[-238.0, -202.0], [314.0, -408.0], [100.0, 229.0]])
+        rng = np.random.default_rng(7)
+        nodes = rng.uniform(-900.0, 900.0, size=(2 * TestBlockedDescent.B + 1, 2))
+        rhat = np.linalg.norm(nodes[:, None, :] - axy[None, :, :], axis=2)
+        rhat = np.maximum(rhat + rng.normal(0.0, 200.0, size=rhat.shape), 0.0)
+        for i, far in zip((0, 6, 7, 14), (1266.0, 344.0, 771.0, 980.0)):
+            rhat[i] = (far, 0.0, 0.0)
+        return axy, rhat
+
+    def test_any_block_size_equals_rows_alone(self, monkeypatch):
+        axy, rhat = self._rows()
+        p0 = np.tile(axy.mean(axis=0), (rhat.shape[0], 1))
+        monkeypatch.setattr(loc, "_DESCENT_ROWS", self.B)
+        exits = {"step_tol": 0, "damping_cap": 0, "grid_restart": 0}
+        for solver in (u.SolverConfig(), u.SolverConfig(step_tol=1e-30),
+                       u.SolverConfig(max_iter=1)):
+            _, _, conv, desc, active = _lm_descend_full_batch(axy, rhat, p0, solver)
+            exits["step_tol"] += int(conv.sum())
+            exits["damping_cap"] += int((~conv & ~active).sum())
+            exits["grid_restart"] += int((~conv & ~desc).sum())
+            for n in (self.B - 1, self.B, self.B + 1, 2 * self.B + 1):
+                p, obj, conv = u.multilaterate_batch(axy, rhat[:n], solver)
+                for i in range(n):
+                    want = u.multilaterate_batch(axy, rhat[i:i + 1], solver)
+                    assert p[i].tobytes() == want[0][0].tobytes()
+                    assert obj[i].tobytes() == want[1][0].tobytes()
+                    assert conv[i] == want[2][0]
+        assert min(exits.values()) > 0, exits
+
+    def test_zero_rows_do_no_descent(self, monkeypatch):
+        axy, _ = self._rows()
+        descents, einsums = [], []
+        lm_descend, einsum = loc._lm_descend, np.einsum
+
+        def spy_descend(axy_, rhat_, p0_, solver_):
+            descents.append(rhat_.shape[0])
+            return lm_descend(axy_, rhat_, p0_, solver_)
+
+        def spy_einsum(*args, **kwargs):
+            einsums.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(loc, "_lm_descend", spy_descend)
+        monkeypatch.setattr(np, "einsum", spy_einsum)
+        p, obj, conv = u.multilaterate_batch(axy, np.empty((0, 3)))
+        assert descents == []
+        assert p.shape == (0, 2) and obj.shape == (0,) and conv.shape == (0,)
+        out = lm_descend(axy, np.empty((0, 3)), np.empty((0, 2)), u.SolverConfig())
+        assert einsums == []
+        assert [a.shape for a in out] == [(0, 2), (0,), (0,), (0,)]
