@@ -63,10 +63,32 @@ def grid_from_range(start: float, stop: float, step: float) -> tuple[float, ...]
 
 
 def _as_int(value, where: str) -> int:
-    """Integer setting; YAML .inf/.nan is a ConfigError, not an OverflowError."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite")
-    return int(value)
+    """Integer setting; anything else is a ConfigError naming the key.
+
+    YAML .inf/.nan, non-integral floats and booleans are rejected, not
+    converted.
+    """
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite")
+        if not value.is_integer():
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be an integer, got {value!r}") from None
+
+
+def _as_float(value, where: str) -> float:
+    """Real-valued setting; a non-number is a ConfigError naming the key."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -92,7 +114,8 @@ def _resolve_environment(raw, preset: str | None) -> EnvironmentParams:
     section = _as_mapping(raw, "environment")
     _reject_unknown(section, _ENVIRONMENT_KEYS, "environment")
     base = section.get("preset")
-    overrides = {k: float(v) for k, v in section.items() if k != "preset"}
+    overrides = {k: _as_float(v, f"environment.{k}")
+                 for k, v in section.items() if k != "preset"}
     if base is not None:
         return replace(environment_preset(str(base)), **overrides)
     missing = {"a_los", "b_los", "a_nlos", "b_nlos", "a_o", "b_o", "a_1", "b_1"} \
@@ -111,14 +134,18 @@ def _resolve_constellation(raw, variable: str) -> ConstellationSpec:
         raise ConfigError("constellation.centroid must be a [x, y] pair")
     kwargs = {
         "n_anchors": _as_int(section.get("n_anchors", 3), "constellation.n_anchors"),
-        "base_side": float(section.get("base_side", _DEFAULT_BASE_SIDE[variable])),
-        "altitude": float(section.get("altitude", 1000.0)),
-        "side_increment": float(section.get("side_increment",
-                                            _DEFAULT_SIDE_INCREMENT[variable])),
-        "centroid": NodePosition(float(centroid[0]), float(centroid[1])),
+        "base_side": _as_float(section.get("base_side", _DEFAULT_BASE_SIDE[variable]),
+                               "constellation.base_side"),
+        "altitude": _as_float(section.get("altitude", 1000.0), "constellation.altitude"),
+        "side_increment": _as_float(section.get("side_increment",
+                                                _DEFAULT_SIDE_INCREMENT[variable]),
+                                    "constellation.side_increment"),
+        "centroid": NodePosition(_as_float(centroid[0], "constellation.centroid"),
+                                 _as_float(centroid[1], "constellation.centroid")),
     }
     if "coverage_radius" in section:
-        kwargs["coverage_radius"] = float(section["coverage_radius"])
+        kwargs["coverage_radius"] = _as_float(section["coverage_radius"],
+                                              "constellation.coverage_radius")
     return ConstellationSpec(**kwargs)
 
 
@@ -139,12 +166,14 @@ def _resolve_sweep(raw, variable: str | None) -> SweepSpec:
     if has_values and has_range:
         raise ConfigError("sweep accepts either values or start/stop/step, not both")
     if has_values:
-        values = tuple(float(v) for v in section["values"])
+        if not isinstance(section["values"], (list, tuple)):
+            raise ConfigError("sweep.values must be a list")
+        values = tuple(_as_float(v, "sweep.values") for v in section["values"])
     elif has_range:
         try:
-            start = float(section["start"])
-            stop = float(section["stop"])
-            step = float(section["step"])
+            start = _as_float(section["start"], "sweep.start")
+            stop = _as_float(section["stop"], "sweep.stop")
+            step = _as_float(section["step"], "sweep.step")
         except KeyError as exc:
             raise ConfigError(f"sweep range needs start, stop and step "
                               f"(missing {exc.args[0]!r})") from None
@@ -183,36 +212,36 @@ def load_config(path=None, preset: str | None = None,
         raw = _as_mapping(loaded, str(path))
     _reject_unknown(raw, _TOP_KEYS, "")
 
-    sweep = _resolve_sweep(raw.get("sweep"), variable)
     search_sec = _as_mapping(raw.get("search"), "search")
     _reject_unknown(search_sec, _SEARCH_KEYS, "search")
     solver_sec = _as_mapping(raw.get("solver"), "solver")
     _reject_unknown(solver_sec, _SOLVER_KEYS, "solver")
 
-    seed = seed_override if seed_override is not None \
-        else _as_int(raw.get("seed", 0), "seed")
     try:
+        sweep = _resolve_sweep(raw.get("sweep"), variable)
         return ExperimentConfig(
             environment=_resolve_environment(raw.get("environment"), preset),
             constellation=_resolve_constellation(raw.get("constellation"),
                                                  sweep.variable),
             sweep=sweep,
             node_count=_as_int(raw.get("node_count", 1000), "node_count"),
-            deployment_radius=float(raw.get("deployment_radius", 1000.0)),
+            deployment_radius=_as_float(raw.get("deployment_radius", 1000.0),
+                                        "deployment_radius"),
             samples_per_anchor=_as_int(raw.get("samples_per_anchor", 5),
                                        "samples_per_anchor"),
             trials=_as_int(raw.get("trials", 1), "trials"),
-            seed=seed,
-            eval_distance=float(raw.get("eval_distance", 650.0)),
+            seed=seed_override if seed_override is not None
+            else _as_int(raw.get("seed", 0), "seed"),
+            eval_distance=_as_float(raw.get("eval_distance", 650.0), "eval_distance"),
             eval_azimuths=_as_int(raw.get("eval_azimuths", 8), "eval_azimuths"),
             search=SearchConfig(**{
-                k: float(v) if k != "grid_points" else _as_int(v, "search.grid_points")
-                for k, v in search_sec.items()}),
+                k: _as_int(v, f"search.{k}") if k == "grid_points"
+                else _as_float(v, f"search.{k}") for k, v in search_sec.items()}),
             solver=SolverConfig(**{
-                k: _as_int(v, "solver.max_iter") if k == "max_iter" else float(v)
-                for k, v in solver_sec.items()}),
+                k: _as_int(v, f"solver.{k}") if k == "max_iter"
+                else _as_float(v, f"solver.{k}") for k, v in solver_sec.items()}),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

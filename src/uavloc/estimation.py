@@ -68,19 +68,26 @@ class RangeEstimate:
     boundary: bool = False
 
 
-def theta_from_distance(d, h: float):
-    """Elevation angle asin(h / d) implied by slant distance d and altitude h."""
+def theta_from_distance(d, h):
+    """Elevation angle asin(h / d) implied by slant distance d and altitude h.
+
+    `h` may be a scalar or an array that broadcasts against `d`.
+    """
     dd = np.asarray(d, dtype=float)
-    if h <= 0.0:
+    hh = np.asarray(h, dtype=float)
+    if (hh <= 0.0).any():
         raise ValueError("anchor altitude h must be > 0")
-    if np.any(dd < h):
+    if (dd < hh).any():
         raise ValueError("slant distance must be >= anchor altitude")
-    out = np.arcsin(np.clip(h / dd, -1.0, 1.0))
+    out = np.arcsin(np.clip(hh / dd, -1.0, 1.0))
     return float(out) if out.ndim == 0 else out
 
 
-def _model_moments(d, h: float, env: EnvironmentParams):
-    """Mean RSS (dBm) and shadowing sigma (dB) at distance d via theta(d)."""
+def _model_moments(d, h, env: EnvironmentParams):
+    """Mean RSS (dBm) and shadowing sigma (dB) at distance d via theta(d).
+
+    `h` is the anchor altitude, a scalar or one per element of `d`.
+    """
     theta = theta_from_distance(d, h)
     alpha = path_loss_exponent(theta, env)
     mu = env.c_offset - env.k_ref - 10.0 * np.asarray(alpha) * np.log10(np.asarray(d, dtype=float))
@@ -195,79 +202,144 @@ def _loglik_from_stats(mu, var, s1, s2, n: int):
             - (s2 - 2.0 * mu * s1 + n * mu ** 2) / (2.0 * var))
 
 
-def mle_distance_batch(samples_2d: np.ndarray, h: float, env: EnvironmentParams,
-                       search: SearchConfig | None = None):
-    """Vectorized ML ranging for many links sharing one anchor altitude.
+def _grid_terms(h: float, n: int, env: EnvironmentParams, search: SearchConfig):
+    """The bracketing grid at altitude `h` and its per-column terms."""
+    lo = max(h, env.d_o)
+    grid = np.geomspace(lo, search.d_max, search.grid_points)
+    grid[0], grid[-1] = lo, search.d_max
+    mu_g, sigma_g = _model_moments(grid, h, env)
+    var_g = sigma_g ** 2
+    return grid, -0.5 * n * np.log(2.0 * math.pi * var_g), 2.0 * mu_g, n * mu_g ** 2, 2.0 * var_g
 
-    `samples_2d` holds one link per row. Returns arrays (d_hat, r_hat,
+
+def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
+                       search: SearchConfig | None = None, *, offsets=None):
+    """Vectorized ML ranging for one or more batches of links.
+
+    `samples_2d` holds one link per row. Without `offsets` all rows form one
+    batch at anchor altitude `h`. With `offsets`, rows
+    offsets[i]:offsets[i + 1] form batch i, ranged at altitude h[i] (a
+    scalar `h` is shared by every batch); the offsets rise from 0 to the row
+    count and empty batches are allowed. Returns arrays (d_hat, r_hat,
     log_likelihood, boundary) with one entry per row. Ties on the likelihood
     grid resolve toward the smaller distance.
 
+    Each batch's golden-section iteration count comes from the widest
+    bracket in that batch, so a row's result depends on the other rows of
+    its batch, and ranging batches together gives every row the result of
+    its batch ranged alone, byte for byte. That batch dependence is kept on
+    purpose: making the count per row is a change of its own, because it
+    moves results. All batches step in
+    lockstep: rows are ordered by iteration count, largest first, so the
+    rows still refining are always a prefix, each step evaluates the
+    likelihood once on that prefix, and the order is undone at the end.
+
     The grid log-likelihood is built `_BRACKET_ROWS` rows at a time in one
-    reused buffer. Blocks split rows, never grid columns, so each row's
-    argmax and its first-maximum tie rule are those of the whole array;
-    s1 * (2 mu) equals 2 * (s1 * mu) bit for bit, because scaling by 2 is
-    exact in IEEE arithmetic, and the other operations keep their order.
-    Each golden-section step evaluates the likelihood once per row, at the
-    one interior point that is new on that row. Every value comes from the
-    same element-wise operations on its own row, so the result equals
-    evaluating both points and discarding one.
+    reused buffer, on the grid of each batch's altitude; the grid's model
+    moments are computed once per distinct altitude. Blocks split rows,
+    never grid columns, so each row's argmax and its first-maximum tie rule
+    are those of the whole array; s1 * (2 mu) equals 2 * (s1 * mu) bit for
+    bit, because scaling by 2 is exact in IEEE arithmetic, and the other
+    operations keep their order. Each golden-section step evaluates the
+    likelihood once per row, at the one interior point that is new on that
+    row. Every value comes from the same element-wise operations on its own
+    row, so the result equals evaluating both points and discarding one.
     """
     search = search or SearchConfig()
     samples_2d = np.asarray(samples_2d, dtype=float)
     if samples_2d.ndim != 2 or samples_2d.shape[1] < 1:
         raise ValueError("samples_2d must be (links, samples) with >= 1 sample")
-    if not (math.isfinite(h) and h > 0.0):
+    links, n = samples_2d.shape
+    bounds = np.asarray([0, links] if offsets is None else offsets)
+    if not (bounds.ndim == 1 and bounds.size >= 2 and bounds.dtype.kind in "iu"
+            and bounds[0] == 0 and bounds[-1] == links and np.all(np.diff(bounds) >= 0)):
+        raise ValueError("offsets must be integers rising from 0 to the row count")
+    counts = np.diff(bounds)
+    hs = np.asarray(h, dtype=float).ravel()
+    if hs.size == 1:
+        hs = np.repeat(hs, counts.size)
+    if hs.size != counts.size:
+        raise ValueError(f"got {hs.size} altitudes for {counts.size} batches")
+    if not np.all(np.isfinite(hs) & (hs > 0.0)):
         raise ValueError("anchor altitude h must be finite and > 0")
     if not np.all(np.isfinite(samples_2d)):
         raise ValueError("RSS samples must be finite")
-    lo = max(h, env.d_o)
+    hs = hs.tolist()
+    los = [max(hb, env.d_o) for hb in hs]
     hi = search.d_max
-    if hi <= lo:
-        raise ValueError(f"search upper bound d_max = {hi} must exceed {lo}")
+    if hi <= max(los):
+        raise ValueError(f"search upper bound d_max = {hi} must exceed {max(los)}")
 
-    n = samples_2d.shape[1]
     s1, s2 = _suffstats(samples_2d)
 
-    def loglik_at(d_vec: np.ndarray) -> np.ndarray:
-        mu, sigma = _model_moments(d_vec, h, env)
-        return _loglik_from_stats(mu, sigma ** 2, s1, s2, n)
-
-    # Coarse bracketing on a shared log-spaced grid.
-    grid = np.geomspace(lo, hi, search.grid_points)
-    grid[0], grid[-1] = lo, hi
-    mu_g, sigma_g = _model_moments(grid, h, env)
-    var_g = sigma_g ** 2
-    c0 = -0.5 * n * np.log(2.0 * math.pi * var_g)
-    two_mu = 2.0 * mu_g
-    n_mu2 = n * mu_g ** 2
-    two_var = 2.0 * var_g
-    links = s1.size
+    # Coarse bracketing on each batch's log-spaced grid, over runs of rows
+    # that share one altitude.
+    a = np.empty(links)
+    b = np.empty(links)
+    grids = {}
     best = np.empty(links, dtype=np.intp)
-    buf = np.empty((min(links, _BRACKET_ROWS), grid.size))
-    for i in range(0, links, _BRACKET_ROWS):
-        j = min(i + _BRACKET_ROWS, links)
-        ll = buf[:j - i]
-        # (rows, grid) joint log-density via the sufficient statistics.
-        np.multiply(s1[i:j, None], two_mu, out=ll)
-        np.subtract(s2[i:j, None], ll, out=ll)
-        ll += n_mu2
-        ll /= two_var
-        np.subtract(c0, ll, out=ll)
-        np.argmax(ll, axis=1, out=best[i:j])
+    buf = np.empty((min(links, _BRACKET_ROWS), search.grid_points))
+    run = 0
+    for k, hb in enumerate(hs):
+        if k + 1 < len(hs) and hs[k + 1] == hb:
+            continue
+        start, stop, run = bounds[run], bounds[k + 1], k + 1
+        if start == stop:
+            continue
+        if hb not in grids:
+            grids[hb] = _grid_terms(hb, n, env, search)
+        grid, c0, two_mu, n_mu2, two_var = grids[hb]
+        for i in range(start, stop, _BRACKET_ROWS):
+            j = min(i + _BRACKET_ROWS, stop)
+            ll = buf[:j - i]
+            # (rows, grid) joint log-density via the sufficient statistics.
+            np.multiply(s1[i:j, None], two_mu, out=ll)
+            np.subtract(s2[i:j, None], ll, out=ll)
+            ll += n_mu2
+            ll /= two_var
+            np.subtract(c0, ll, out=ll)
+            np.argmax(ll, axis=1, out=best[i:j])
+        a[start:stop] = grid[np.maximum(best[start:stop] - 1, 0)]
+        b[start:stop] = grid[np.minimum(best[start:stop] + 1, search.grid_points - 1)]
 
-    a = grid[np.maximum(best - 1, 0)]
-    b = grid[np.minimum(best + 1, search.grid_points - 1)]
-
-    # Golden-section refinement, run in lockstep across links.
+    # Each batch's iteration count, from its widest bracket.
     span = b - a
+    n_iter = [int(math.ceil(math.log(max(span[i:j].max(initial=0.0) / search.tol, 1.0))
+                            / -math.log(_INVPHI))) + 1
+              for i, j in zip(bounds[:-1], bounds[1:])]
+    row_iter = np.repeat(n_iter, counts)
+    # Largest count first; batches already in that order are not moved.
+    order = slice(None) if n_iter == sorted(n_iter, reverse=True) \
+        else np.argsort(-row_iter, kind="stable")
+    row_iter = row_iter[order]
+    # Rows still refining before step t: the first active[t] rows.
+    active = np.searchsorted(-row_iter, -np.arange(row_iter[0] if links else 0), "left")
+    s1, s2, a, b, span = s1[order], s2[order], a[order], b[order], span[order]
+
+    def per_row(values):
+        # One altitude (the common case) keeps scalars: no per-row arrays.
+        return np.repeat(values, counts)[order] if len(set(hs)) > 1 else values[0]
+
+    h_row, lo_row, h2_row = per_row(hs), per_row(los), per_row([hb ** 2 for hb in hs])
+
+    def loglik_at(d_vec, sum1, sum2, h):
+        mu, sigma = _model_moments(d_vec, h, env)
+        return _loglik_from_stats(mu, sigma ** 2, sum1, sum2, n)
+
+    # Golden-section refinement, run in lockstep across links. Rows whose
+    # batch has taken its steps leave the prefix, and their estimates are
+    # taken then.
     x1 = a + _INVPHI2 * span
     x2 = a + _INVPHI * span
-    f1 = loglik_at(x1)
-    f2 = loglik_at(x2)
-    widest = span.max(initial=0.0)  # 0 for an empty batch
-    n_iter = int(math.ceil(math.log(max(widest / search.tol, 1.0)) / -math.log(_INVPHI))) + 1
-    for _ in range(n_iter):
+    f1 = loglik_at(x1, s1, s2, h_row)
+    f2 = loglik_at(x2, s1, s2, h_row)
+    s1k, s2k, hk = s1, s2, h_row
+    tails = []
+    for k in active:
+        if k < f1.size:
+            tails.append(np.where(f1[k:] >= f2[k:], x1[k:], x2[k:]))
+            a, b, x1, x2, f1, f2, s1k, s2k = (v[:k] for v in (a, b, x1, x2, f1, f2, s1k, s2k))
+            hk = hk[:k] if np.ndim(hk) else hk
         left = f1 >= f2  # ties shrink toward the smaller distance
         b = np.where(left, x2, b)
         a = np.where(left, a, x1)
@@ -275,18 +347,20 @@ def mle_distance_batch(samples_2d: np.ndarray, h: float, env: EnvironmentParams,
         x1n = a + _INVPHI2 * span
         x2n = a + _INVPHI * span
         # The other interior point survives on each side; keep its value.
-        f_new = loglik_at(np.where(left, x1n, x2n))
+        f_new = loglik_at(np.where(left, x1n, x2n), s1k, s2k, hk)
         f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
         x1, x2 = x1n, x2n
+    d_hat = np.concatenate([np.where(f1 >= f2, x1, x2)] + tails[::-1])
 
-    d_hat = np.where(f1 >= f2, x1, x2)
     # Snap to the hard bounds when the refinement hugged an end of the range.
-    d_hat = np.clip(d_hat, lo, hi)
-    boundary = (d_hat <= lo + search.tol) | (d_hat >= hi - search.tol)
-    d_hat = np.where(d_hat <= lo + search.tol, lo, d_hat)
-    r_hat = np.sqrt(np.maximum(d_hat ** 2 - h ** 2, 0.0))
-    ll_hat = loglik_at(d_hat)
-    return d_hat, r_hat, ll_hat, boundary
+    d_hat = np.clip(d_hat, lo_row, hi)
+    low = d_hat <= lo_row + search.tol
+    boundary = low | (d_hat >= hi - search.tol)
+    d_hat = np.where(low, lo_row, d_hat)
+    r_hat = np.sqrt(np.maximum(d_hat ** 2 - h2_row, 0.0))
+    ll_hat = loglik_at(d_hat, s1, s2, h_row)
+    undo = order if isinstance(order, slice) else np.argsort(order)
+    return d_hat[undo], r_hat[undo], ll_hat[undo], boundary[undo]
 
 
 def mle_distance(samples: RssSampleSet, h: float, env: EnvironmentParams,

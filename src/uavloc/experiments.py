@@ -10,9 +10,12 @@ number smooth wherever array shapes allow it.
 
 The parallel unit is a slice of sweep points that share one anchor layout
 (all points of an altitude sweep; each point of a spacing or count sweep on
-its own). A slice ranges each trial of each point separately and fixes all
-of its nodes in one solver call. Each fix depends only on its own row, so
-neither the slicing nor the worker count changes any result bit.
+its own). Each (trial, point) pair of a slice is one ranging batch; small
+batches are packed into one ranging call, each keeping its own golden-
+section iteration count, and all of the slice's nodes are fixed in one
+solver call. Each range depends only on its own batch and each fix only on
+its own row, so neither the packing, the slicing nor the worker count
+changes any result bit.
 """
 
 from __future__ import annotations
@@ -222,15 +225,26 @@ def _layout(cfg: ExperimentConfig, value: float) -> tuple[np.ndarray, float]:
     return anchors_xy(build_constellation(spec)), spec.altitude
 
 
+#: Most links ranged in one call. Consecutive (trial, point) batches of a
+#: slice are packed up to this many rows, so the per-call cost of the
+#: golden-section steps is paid once per pack, not once per small batch; a
+#: larger batch is ranged on its own.
+_PACK_ROWS = 4096
+
+
 def _slice_errors(cfg: ExperimentConfig, values, nodes: np.ndarray | None = None):
     """`point_errors` for several sweep points that share one anchor layout.
 
     Returns one `point_errors` tuple per value and the seconds each point
     spent ranging. Node positions, true ranges and shadowing draws depend on
-    the trial only, so every point of the slice uses the same ones. Ranging
-    stays per trial and point: its golden-section iteration count depends on
-    the whole batch. All points' fixes go through one solver call; each fix
-    depends only on its own row, so the results equal one call per point.
+    the trial only, so every point of the slice uses the same ones. Each
+    (trial, point) pair is one ranging batch; consecutive batches, trial by
+    trial and point by point, are packed into calls of at most `_PACK_ROWS`
+    rows, and only one pack's samples are held at a time. Every batch keeps
+    its own golden-section iteration count, so its ranges equal ranging it
+    alone. A pack's call time is split over its batches by rows. All points'
+    fixes go through one solver call; each fix depends only on its own row,
+    so the results equal one call per point.
     """
     env = cfg.environment
     layouts = [_layout(cfg, v) for v in values]
@@ -241,29 +255,45 @@ def _slice_errors(cfg: ExperimentConfig, values, nodes: np.ndarray | None = None
                  for trial in range(cfg.trials)]
     m = trial_pts[0].shape[0]
     pts = np.concatenate(trial_pts)
+    rows = m * n_anchors
 
     r_hat_all = np.empty((len(values), pts.shape[0], n_anchors))
     xi = np.empty((len(values), pts.shape[0]))
     n_boundary = [0] * len(values)
     ranging_s = [0.0] * len(values)
+    pack = []  # (point, trial, samples, true ranges) per batch
+
+    def range_pack():
+        t0 = time.perf_counter()
+        _, r_hat, _, boundary = mle_distance_batch(
+            np.concatenate([w for _, _, w, _ in pack]), [layouts[k][1] for k, _, _, _ in pack],
+            env, cfg.search, offsets=np.arange(len(pack) + 1) * rows)
+        for i, (k, trial, _, r_true) in enumerate(pack):
+            r = r_hat[i * rows:(i + 1) * rows].reshape(m, n_anchors)
+            r_hat_all[k, trial * m:(trial + 1) * m] = r
+            xi[k, trial * m:(trial + 1) * m] = np.linalg.norm(r - r_true, axis=1)
+            n_boundary[k] += int(np.count_nonzero(boundary[i * rows:(i + 1) * rows]))
+        # Every batch has as many rows, so each gets an equal share.
+        share = (time.perf_counter() - t0) / len(pack)
+        for k, _, _, _ in pack:
+            ranging_s[k] += share
+        pack.clear()
+
     for trial in range(cfg.trials):
-        rows = slice(trial * m, (trial + 1) * m)
         r_true = np.linalg.norm(trial_pts[trial][:, None, :] - axy[None, :, :], axis=2)
         z = substream(cfg.seed, TAG_RSS, trial).standard_normal((m, n_anchors, s))
         for k, (_, h) in enumerate(layouts):
+            if pack and (len(pack) + 1) * rows > _PACK_ROWS:
+                range_pack()
             t0 = time.perf_counter()
             d_true = np.hypot(r_true, h)
             theta = np.arctan2(h, r_true)
             mu = mean_rss(d_true, theta, env)
             sigma = shadowing_sigma(theta, env)
             w = np.asarray(mu)[:, :, None] - np.asarray(sigma)[:, :, None] * z
-            _, r_hat, _, boundary = mle_distance_batch(
-                w.reshape(m * n_anchors, s), h, env, cfg.search)
-            r_hat = r_hat.reshape(m, n_anchors)
-            r_hat_all[k, rows] = r_hat
-            xi[k, rows] = np.linalg.norm(r_hat - r_true, axis=1)
-            n_boundary[k] += int(np.count_nonzero(boundary))
+            pack.append((k, trial, w.reshape(rows, s), r_true))
             ranging_s[k] += time.perf_counter() - t0
+    range_pack()
 
     p, _, conv = multilaterate_batch(axy, r_hat_all.reshape(-1, n_anchors), cfg.solver)
     p, conv = p.reshape(len(values), -1, 2), conv.reshape(len(values), -1)
@@ -313,9 +343,9 @@ def _summaries(cfg: ExperimentConfig, values) -> list[_PointSummary]:
     stats = [(float(np.mean(xi)), float(np.std(xi, ddof=1)) if xi.size > 1 else 0.0,
               float(np.median(xi)), float(np.mean(pos)), n_nonconverged, n_boundary)
              for xi, pos, n_nonconverged, n_boundary in errors]
-    # Ranging time is each point's own. The rest (nodes, the shared fix,
-    # these summaries) is split evenly, as every point has as many rows, so
-    # the entries sum to the time this call took.
+    # Ranging time is each point's own share. The rest (nodes, the shared
+    # fix, these summaries) is split evenly, as every point has as many
+    # rows, so the entries sum to the time this call took.
     shared = (time.perf_counter() - t0 - sum(ranging_s)) / len(values)
     return [_PointSummary(float(v), *st, elapsed=r + shared)
             for v, st, r in zip(values, stats, ranging_s)]
@@ -511,10 +541,11 @@ def write_results(result: ExperimentResult, path) -> None:
 
     The sidecar (<stem>.meta.json next to the CSV) records every resolved
     config parameter, the library version, and per-point diagnostics.
-    `per_point.elapsed_s` has one entry per point: its own ranging time plus
-    an equal share of the work it shares with the other points of its
-    slice (nodes, the shared fix), so the entries sum to the workers' busy
-    time.
+    `per_point.elapsed_s` has one entry per point: the time spent drawing
+    its samples, a share of each ranging call that held its batches, in
+    proportion to the rows it had there, and an equal share of the work it
+    shares with the other points of its slice (nodes, the shared fix), so
+    the entries sum to the workers' busy time.
     """
     from . import __version__
 

@@ -203,6 +203,32 @@ class TestErrorPaths:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("override,message", [
+        pytest.param({"sweep": {"values": ["abc", 200.0]}},
+                     "sweep.values must be a number", id="sweep-values-abc"),
+        pytest.param({"sweep": {"start": "abc", "stop": 300.0, "step": 50.0}},
+                     "sweep.start must be a number", id="sweep-start-abc"),
+        pytest.param({"seed": "abc"}, "seed must be an integer", id="seed-abc"),
+        pytest.param({"node_count": [1, 2]}, "node_count must be an integer",
+                     id="node_count-list"),
+        pytest.param({"trials": 2.5}, "trials must be an integer", id="trials-2.5"),
+        pytest.param({"search": {"grid_points": 2.7}},
+                     "search.grid_points must be an integer", id="search-grid_points-2.7"),
+        pytest.param({"seed": True}, "seed must be an integer", id="seed-true"),
+        pytest.param({"deployment_radius": True}, "deployment_radius must be a number",
+                     id="deployment_radius-true"),
+    ])
+    def test_wrong_type_setting_exits_3(self, tmp_path, capsys, override, message):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump({"node_count": 20,
+                                       "sweep": {"values": [300.0, 900.0]},
+                                       **override}))
+        code = cli.main(["altitude-sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == cli.EXIT_CONFIG == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_config_file_exits_3(self, tmp_path):
         code = cli.main(["altitude-sweep", "--config",
                          str(tmp_path / "absent.yaml"),

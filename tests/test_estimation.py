@@ -477,3 +477,103 @@ class TestSearchMatchesReference:
         assert len(sizes) == 1 + 2 + n_iter + 1
         assert sizes[0] == u.SearchConfig().grid_points
         assert sizes[1:] == [rows] * (len(sizes) - 1)
+
+
+def golden_steps(w, h, env=ENV):
+    """Golden-section steps the search takes on `w` as one batch."""
+    sizes = []
+    real = est.path_loss_exponent
+
+    def spy(theta, env):
+        sizes.append(np.size(theta))
+        return real(theta, env)
+
+    est.path_loss_exponent = spy
+    try:
+        u.mle_distance_batch(w, h, env)
+    finally:
+        est.path_loss_exponent = real
+    return len(sizes) - 4  # grid, two starting points, final value
+
+
+def multi_batches(env, n):
+    """(samples, h) per batch: unpinned rows, an empty batch, a batch with
+    a row pinned at d_max (so a larger iteration count), a second altitude
+    and a single row at the altitude floor."""
+    return [(ranging_batch(env, 32, n, 400.0, seed=n)[1:-1], 400.0),
+            (np.empty((0, n)), 700.0),
+            (ranging_batch(env, 20, n, 400.0, seed=n + 1), 400.0),
+            (ranging_batch(env, 27, n, 1500.0, seed=n + 2)[1:-1], 1500.0),
+            (ranging_batch(env, 1, n, 50.0, seed=n + 3), 50.0)]
+
+
+def range_together(batches, env):
+    offsets = np.cumsum([0] + [w.shape[0] for w, _ in batches])
+    out = u.mle_distance_batch(np.concatenate([w for w, _ in batches]),
+                               [h for _, h in batches], env, offsets=offsets)
+    return out, offsets
+
+
+class TestMultiBatchMatchesAlone:
+    """Several batches ranged in one call give every row the result of its
+    batch ranged alone, each batch keeping its own iteration count."""
+
+    @pytest.mark.parametrize("env", [u.URBAN, u.SUBURBAN], ids=["urban", "suburban"])
+    @pytest.mark.parametrize("n", [1, 5, 30])
+    def test_byte_equal(self, env, n):
+        batches = multi_batches(env, n)
+        steps = [golden_steps(w, h, env) for w, h in batches if w.shape[0]]
+        assert len(set(steps)) > 1  # the pack mixes iteration counts
+        got, offsets = range_together(batches, env)
+        for (w, h), i, j in zip(batches, offsets[:-1], offsets[1:]):
+            alone = u.mle_distance_batch(w, h, env)
+            wants = [alone] if w.shape[0] == 0 else \
+                [alone, mle_distance_batch_reference(w, h, env)]
+            for want in wants:
+                for g, r in zip(got, want):
+                    assert g.dtype == r.dtype and g[i:j].shape == r.shape
+                    assert g[i:j].tobytes() == r.tobytes()
+
+    def test_scalar_altitude_shared_by_every_batch(self):
+        w = ranging_batch(ENV, 40, 5, 400.0, seed=9)
+        got = u.mle_distance_batch(w, 400.0, ENV, offsets=[0, 10, 10, 40])
+        want = [np.concatenate(parts) for parts in zip(
+            u.mle_distance_batch(w[:10], 400.0, ENV), u.mle_distance_batch(w[10:], 400.0, ENV))]
+        for g, r in zip(got, want):
+            assert g.tobytes() == r.tobytes()
+
+    def test_one_evaluation_per_step_per_pack(self, monkeypatch):
+        batches = multi_batches(ENV, 5)
+        steps = [golden_steps(w, h) for w, h in batches]
+        rows = [w.shape[0] for w, _ in batches]
+        sizes = []
+        real = est.path_loss_exponent
+
+        def spy(theta, env):
+            sizes.append(np.size(theta))
+            return real(theta, env)
+
+        monkeypatch.setattr(est, "path_loss_exponent", spy)
+        range_together(batches, ENV)
+        total = sum(rows)
+        grid = u.SearchConfig().grid_points
+        # One grid per distinct altitude with rows, the two starting points,
+        # then each step on the rows whose batch still refines, and the
+        # final value.
+        active = [sum(r for r, s in zip(rows, steps) if r and s > t)
+                  for t in range(max(steps))]
+        assert sizes == [grid] * 3 + [total] * 2 + active + [total]
+        assert active[0] == total and active[-1] < total
+
+    def test_offsets_validation(self):
+        w = np.full((4, 5), -80.0)
+        for offsets in ([0, 5], [1, 4], [0, 3, 2, 4], [0], [0.0, 4.0]):
+            with pytest.raises(ValueError, match="offsets"):
+                u.mle_distance_batch(w, 100.0, ENV, offsets=offsets)
+        with pytest.raises(ValueError, match="altitudes for 2 batches"):
+            u.mle_distance_batch(w, [100.0, 200.0, 300.0], ENV, offsets=[0, 2, 4])
+        with pytest.raises(ValueError, match="altitude h must be finite"):
+            u.mle_distance_batch(w, [100.0, math.nan], ENV, offsets=[0, 2, 4])
+        with pytest.raises(ValueError, match="d_max"):
+            u.mle_distance_batch(w, [100.0, 600.0], ENV, u.SearchConfig(d_max=500.0),
+                                 offsets=[0, 2, 4])

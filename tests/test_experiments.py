@@ -203,6 +203,36 @@ class TestPointErrors:
                 _assert_same_errors(u.point_errors(cfg, v), want)
         assert sum(u.point_errors(cfg, v)[2] for v in values) > 0
 
+    @pytest.mark.parametrize("variable,values,trials,pack_rows,packs", [
+        # 8-node ring: 24 rows per trial at 3 anchors, 48 at 6; packs of
+        # whole trials cross trial boundaries.
+        ("anchor_count", (3.0, 6.0), 5, 50, [[48, 48, 24], [48] * 5]),
+        # 40 nodes x 3 anchors = 120 rows per (trial, point), points inner:
+        # packs cross point and trial boundaries.
+        ("altitude", (50.0, 300.0, 900.0, 2000.0), 2, 360, [[360, 360, 240]]),
+    ])
+    def test_packed_ranging_equals_points_alone(self, monkeypatch, variable, values,
+                                                trials, pack_rows, packs):
+        cfg = u.default_config(variable=variable, trials=trials, node_count=40, seed=3,
+                               sweep=u.SweepSpec(variable, values))
+        cfg = replace(cfg, constellation=replace(cfg.constellation, altitude=50.0))
+        calls = []
+        mle_distance_batch = ex.mle_distance_batch
+
+        def spy(samples_2d, h, env, search, offsets):
+            calls[-1].append(samples_2d.shape[0])
+            return mle_distance_batch(samples_2d, h, env, search, offsets=offsets)
+
+        monkeypatch.setattr(ex, "mle_distance_batch", spy)
+        monkeypatch.setattr(ex, "_PACK_ROWS", pack_rows)
+        for idx in ex._sweep_slices(cfg, 1):
+            calls.append([])
+            slice_values = [values[i] for i in idx]
+            errors, _ = ex._slice_errors(cfg, slice_values)
+            for v, got in zip(slice_values, errors):
+                _assert_same_errors(got, _point_errors_reference(cfg, v))
+        assert calls == packs
+
     def test_shared_fix_with_explicit_nodes(self):
         cfg = tiny_altitude_config(trials=2)
         nodes = np.array([[100.0, 0.0], [0.0, 350.0], [-420.0, -80.0]])
