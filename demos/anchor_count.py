@@ -22,7 +22,7 @@ import uavloc as u
 def main():
     high = u.default_config(variable="anchor_count", trials=30, seed=0,
                             sweep=u.SweepSpec("anchor_count", (3.0,)))
-    ref = u.run_anchor_count_sweep(high)
+    ref = u.run_sweep(high)
     print(f"reference: 3 anchors at 1000 m -> mean xi {ref.mean_error[0]:.0f} m, "
           f"mean position error {ref.mean_position_error[0]:.0f} m")
 
@@ -31,7 +31,7 @@ def main():
                                              tuple(float(n) for n
                                                    in range(3, 25, 3))))
     low = replace(low, constellation=replace(low.constellation, altitude=50.0))
-    res = u.run_anchor_count_sweep(low)
+    res = u.run_sweep(low)
 
     print("\nlow constellation (50 m altitude):")
     print("  N anchors   mean xi (m)   mean position err (m)")

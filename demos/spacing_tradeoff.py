@@ -16,7 +16,7 @@ import uavloc as u
 
 def main():
     cfg = u.default_config(variable="inter_distance", trials=30, seed=0)
-    res = u.run_inter_distance_sweep(cfg)
+    res = u.run_sweep(cfg)
 
     print("urban, h = 1000 m, ring of 8 nodes at 650 m, "
           f"{res.n_trials} trials")

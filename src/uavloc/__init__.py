@@ -6,22 +6,19 @@ multilateration, and sweep experiments over anchor altitude, spacing and
 count.
 """
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
 from .channel import (
     DEFAULT_REFERENCE_LOSS_DB,
-    DEFAULT_SAMPLES_PER_ANCHOR,
     ENVIRONMENTS,
     MIN_ALTITUDE_M,
     SUBURBAN,
     URBAN,
     EnvironmentParams,
     LinkGeometry,
-    RssSampleSet,
     environment_preset,
-    expected_path_loss,
     free_space_reference_loss,
     mean_path_loss,
     mean_rss,
@@ -29,7 +26,6 @@ from .channel import (
     prob_los,
     sample_rss,
     shadowing_sigma,
-    shadowing_sigma_component,
     without_shadowing,
 )
 from .config import ConfigError, default_config, grid_from_range, load_config
@@ -56,10 +52,8 @@ from .experiments import (
     optimize_altitude,
     point_errors,
     read_results_csv,
-    run_altitude_sweep,
-    run_anchor_count_sweep,
     run_crlb_comparison,
-    run_inter_distance_sweep,
+    run_sweep,
     write_crlb_table,
     write_results,
 )
@@ -69,19 +63,16 @@ from .geometry import (
     NodePosition,
     anchors_xy,
     build_constellation,
-    in_coverage,
-    link_geometry,
     sample_disk_xy,
-    sample_nodes_uniform_disk,
 )
 from .localization import (
     DegenerateGeometryError,
     PositionFix,
     SolverConfig,
-    localization_error,
     multilaterate,
     multilaterate_batch,
     position_error,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -20,9 +20,6 @@ HALF_PI = math.pi / 2.0
 #: approximation is valid when the ground node sits near street level.
 MIN_ALTITUDE_M = 50.0
 
-#: Default number of RSS samples an anchor collects before ranging.
-DEFAULT_SAMPLES_PER_ANCHOR = 5
-
 
 def free_space_reference_loss(frequency_hz: float = DEFAULT_FREQUENCY_HZ,
                               distance_m: float = 1.0) -> float:
@@ -130,28 +127,6 @@ class LinkGeometry:
         return math.atan2(self.h, self.r)
 
 
-@dataclass(frozen=True, eq=False)
-class RssSampleSet:
-    """Received-power samples (dBm) collected by one anchor for one node.
-
-    `anchor_altitude` is the quantity known to estimators; `geometry_truth`
-    is carried only so benchmarks can evaluate bounds at the true link.
-    """
-
-    samples: np.ndarray
-    geometry_truth: LinkGeometry
-    anchor_altitude: float
-
-    def __post_init__(self) -> None:
-        arr = np.atleast_1d(np.asarray(self.samples, dtype=float))
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("samples must be a non-empty 1-D collection")
-        object.__setattr__(self, "samples", arr)
-
-    def __len__(self) -> int:
-        return int(self.samples.size)
-
-
 def _as_theta(theta):
     th = np.asarray(theta, dtype=float)
     # The negated comparison also catches NaN.
@@ -168,18 +143,6 @@ def prob_los(theta, env: EnvironmentParams):
     """Line-of-sight probability at elevation `theta`, in (0, 1)."""
     th = _as_theta(theta)
     return _maybe_scalar(1.0 / (1.0 + env.a_o * np.exp(-env.b_o * th)))
-
-
-def shadowing_sigma_component(theta, kind: str, env: EnvironmentParams):
-    """Shadowing standard deviation (dB) of the "los" or "nlos" component."""
-    th = _as_theta(theta)
-    if kind == "los":
-        a, b = env.a_los, env.b_los
-    elif kind == "nlos":
-        a, b = env.a_nlos, env.b_nlos
-    else:
-        raise ValueError(f"kind must be 'los' or 'nlos', got {kind!r}")
-    return _maybe_scalar(a * np.exp(-b * th))
 
 
 def shadowing_sigma(theta, env: EnvironmentParams):
@@ -214,18 +177,13 @@ def mean_path_loss(d, theta, env: EnvironmentParams):
     return _maybe_scalar(env.k_ref + 10.0 * np.asarray(alpha) * np.log10(dd / env.d_o))
 
 
-def expected_path_loss(geom: LinkGeometry, env: EnvironmentParams) -> float:
-    """Mean path loss in dB for the given link geometry."""
-    return float(mean_path_loss(geom.d, geom.theta, env))
-
-
 def mean_rss(d, theta, env: EnvironmentParams):
     """Mean time-averaged received power in dBm: c_offset - mean path loss."""
     return _maybe_scalar(env.c_offset - np.asarray(mean_path_loss(d, theta, env)))
 
 
 def sample_rss(geom: LinkGeometry, env: EnvironmentParams, n: int,
-               rng: np.random.Generator) -> RssSampleSet:
+               rng: np.random.Generator) -> np.ndarray:
     """Draw `n` independent received-power samples (dBm) for one link.
 
     Each sample is the mean RSS minus a zero-mean normal shadowing term with
@@ -236,5 +194,4 @@ def sample_rss(geom: LinkGeometry, env: EnvironmentParams, n: int,
     mu = mean_rss(geom.d, geom.theta, env)
     sigma = shadowing_sigma(geom.theta, env)
     psi = rng.normal(0.0, sigma, size=n)
-    return RssSampleSet(samples=mu - psi, geometry_truth=geom,
-                        anchor_altitude=geom.h)
+    return mu - psi

@@ -15,13 +15,10 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .experiments import (
-    ExperimentResult,
     WorkerPoolError,
     optimize_altitude,
-    run_altitude_sweep,
-    run_anchor_count_sweep,
     run_crlb_comparison,
-    run_inter_distance_sweep,
+    run_sweep,
     write_crlb_table,
     write_results,
 )
@@ -33,7 +30,6 @@ EXIT_CONFIG = 3
 EXIT_COMPUTE = 4
 EXIT_IO = 5
 
-_COMMANDS = ("altitude-sweep", "distance-sweep", "count-sweep", "crlb", "optimize")
 _VARIABLE_BY_COMMAND = {
     "altitude-sweep": "altitude",
     "distance-sweep": "inter_distance",
@@ -41,6 +37,7 @@ _VARIABLE_BY_COMMAND = {
     "crlb": "altitude",
     "optimize": "altitude",
 }
+_COMMANDS = tuple(_VARIABLE_BY_COMMAND)
 
 _EPILOG = """\
 exit codes:
@@ -129,13 +126,6 @@ def manifest_from_args(args: argparse.Namespace) -> RunManifest:
     )
 
 
-def _sweep_summary(result: ExperimentResult, out: str) -> str:
-    idx = int(np.argmin(result.mean_error))
-    return (f"{result.sweep_variable} sweep: min mean error "
-            f"{result.mean_error[idx]:.3f} m at {result.sweep_variable} = "
-            f"{result.sweep_values[idx]:g}; wrote {out}")
-
-
 def dispatch(manifest: RunManifest) -> int:
     """Run the selected experiment; returns the process exit code."""
     try:
@@ -143,26 +133,16 @@ def dispatch(manifest: RunManifest) -> int:
                           preset=manifest.preset,
                           seed_override=manifest.seed_override,
                           variable=_VARIABLE_BY_COMMAND[manifest.command])
-        if manifest.command == "altitude-sweep":
-            result = run_altitude_sweep(cfg, threads=manifest.threads)
-            write_results(result, manifest.output_path)
-            print(_sweep_summary(result, manifest.output_path))
-        elif manifest.command == "distance-sweep":
-            result = run_inter_distance_sweep(cfg, threads=manifest.threads)
-            write_results(result, manifest.output_path)
-            print(_sweep_summary(result, manifest.output_path))
-        elif manifest.command == "count-sweep":
-            result = run_anchor_count_sweep(cfg, threads=manifest.threads)
-            write_results(result, manifest.output_path)
-            print(_sweep_summary(result, manifest.output_path))
-        elif manifest.command == "optimize":
+        # The library functions are looked up here, at call time, so that
+        # a caller may wrap them (`perfbench/study.py` traces them so).
+        if manifest.command == "optimize":
             opt = optimize_altitude(cfg, threads=manifest.threads)
             write_results(opt.result, manifest.output_path)
             print(f"optimize: h_opt = {opt.h_opt:g} m, error_at_opt = "
                   f"{opt.error_at_opt:.3f} m, theta_opt = "
                   f"{math.degrees(opt.theta_opt):.1f} deg; "
                   f"wrote {manifest.output_path}")
-        else:
+        elif manifest.command == "crlb":
             points = run_crlb_comparison(cfg, manifest.r_values,
                                          repetitions=manifest.repetitions,
                                          threads=manifest.threads)
@@ -170,6 +150,13 @@ def dispatch(manifest: RunManifest) -> int:
             gaps = [abs(p.mle_sigma - p.crlb_sigma) / p.crlb_sigma for p in points]
             print(f"crlb: max relative gap {max(gaps):.1%} over {len(points)} "
                   f"points; wrote {manifest.output_path}")
+        else:
+            result = run_sweep(cfg, threads=manifest.threads)
+            write_results(result, manifest.output_path)
+            idx = int(np.argmin(result.mean_error))
+            print(f"{result.sweep_variable} sweep: min mean error "
+                  f"{result.mean_error[idx]:.3f} m at {result.sweep_variable} = "
+                  f"{result.sweep_values[idx]:g}; wrote {manifest.output_path}")
     except ConfigError as exc:
         print(f"uavloc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -39,14 +39,15 @@ _DEFAULT_SIDE_INCREMENT = {"altitude": 0.0, "inter_distance": 0.0, "anchor_count
 
 _ENVIRONMENT_KEYS = {"preset", "a_los", "b_los", "a_nlos", "b_nlos",
                      "a_o", "b_o", "a_1", "b_1", "k_ref", "c_offset"}
-_CONSTELLATION_KEYS = {"n_anchors", "base_side", "altitude", "side_increment",
-                       "centroid", "coverage_radius"}
+_CONSTELLATION_KEYS = {"n_anchors", "base_side", "altitude", "side_increment", "centroid"}
 _SWEEP_KEYS = {"variable", "values", "start", "stop", "step"}
 _SEARCH_KEYS = {"d_max", "grid_points", "tol"}
 _SOLVER_KEYS = {"max_iter", "step_tol", "damping0", "grid_radius"}
-_TOP_KEYS = {"environment", "seed", "trials", "node_count", "deployment_radius",
-             "samples_per_anchor", "eval_distance", "eval_azimuths",
-             "constellation", "sweep", "search", "solver"}
+#: Top-level settings that are plain numbers, and which of them are integers.
+_SCALAR_KEYS = {"seed", "trials", "node_count", "deployment_radius",
+                "samples_per_anchor", "eval_distance", "eval_azimuths"}
+_INT_KEYS = {"seed", "trials", "node_count", "samples_per_anchor", "eval_azimuths"}
+_TOP_KEYS = _SCALAR_KEYS | {"environment", "constellation", "sweep", "search", "solver"}
 
 
 def grid_from_range(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -87,8 +88,14 @@ def _as_float(value, where: str) -> float:
         raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
+def _numbers(section: dict, int_keys: set, prefix: str = "") -> dict:
+    """The section's settings as numbers, integers where `int_keys` says."""
+    return {k: _as_int(v, prefix + k) if k in int_keys else _as_float(v, prefix + k)
+            for k, v in section.items()}
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -132,21 +139,17 @@ def _resolve_constellation(raw, variable: str) -> ConstellationSpec:
     centroid = section.get("centroid", [0.0, 0.0])
     if not (isinstance(centroid, (list, tuple)) and len(centroid) == 2):
         raise ConfigError("constellation.centroid must be a [x, y] pair")
-    kwargs = {
-        "n_anchors": _as_int(section.get("n_anchors", 3), "constellation.n_anchors"),
-        "base_side": _as_float(section.get("base_side", _DEFAULT_BASE_SIDE[variable]),
-                               "constellation.base_side"),
-        "altitude": _as_float(section.get("altitude", 1000.0), "constellation.altitude"),
-        "side_increment": _as_float(section.get("side_increment",
-                                                _DEFAULT_SIDE_INCREMENT[variable]),
-                                    "constellation.side_increment"),
-        "centroid": NodePosition(_as_float(centroid[0], "constellation.centroid"),
-                                 _as_float(centroid[1], "constellation.centroid")),
-    }
-    if "coverage_radius" in section:
-        kwargs["coverage_radius"] = _as_float(section["coverage_radius"],
-                                              "constellation.coverage_radius")
-    return ConstellationSpec(**kwargs)
+    return ConstellationSpec(
+        n_anchors=_as_int(section.get("n_anchors", 3), "constellation.n_anchors"),
+        base_side=_as_float(section.get("base_side", _DEFAULT_BASE_SIDE[variable]),
+                            "constellation.base_side"),
+        altitude=_as_float(section.get("altitude", 1000.0), "constellation.altitude"),
+        side_increment=_as_float(section.get("side_increment",
+                                             _DEFAULT_SIDE_INCREMENT[variable]),
+                                 "constellation.side_increment"),
+        centroid=NodePosition(_as_float(centroid[0], "constellation.centroid"),
+                              _as_float(centroid[1], "constellation.centroid")),
+    )
 
 
 def _resolve_sweep(raw, variable: str | None) -> SweepSpec:
@@ -219,27 +222,17 @@ def load_config(path=None, preset: str | None = None,
 
     try:
         sweep = _resolve_sweep(raw.get("sweep"), variable)
+        scalars = _numbers({k: v for k, v in raw.items() if k in _SCALAR_KEYS}, _INT_KEYS)
+        if seed_override is not None:
+            scalars["seed"] = seed_override
         return ExperimentConfig(
             environment=_resolve_environment(raw.get("environment"), preset),
             constellation=_resolve_constellation(raw.get("constellation"),
                                                  sweep.variable),
             sweep=sweep,
-            node_count=_as_int(raw.get("node_count", 1000), "node_count"),
-            deployment_radius=_as_float(raw.get("deployment_radius", 1000.0),
-                                        "deployment_radius"),
-            samples_per_anchor=_as_int(raw.get("samples_per_anchor", 5),
-                                       "samples_per_anchor"),
-            trials=_as_int(raw.get("trials", 1), "trials"),
-            seed=seed_override if seed_override is not None
-            else _as_int(raw.get("seed", 0), "seed"),
-            eval_distance=_as_float(raw.get("eval_distance", 650.0), "eval_distance"),
-            eval_azimuths=_as_int(raw.get("eval_azimuths", 8), "eval_azimuths"),
-            search=SearchConfig(**{
-                k: _as_int(v, f"search.{k}") if k == "grid_points"
-                else _as_float(v, f"search.{k}") for k, v in search_sec.items()}),
-            solver=SolverConfig(**{
-                k: _as_int(v, f"solver.{k}") if k == "max_iter"
-                else _as_float(v, f"solver.{k}") for k, v in solver_sec.items()}),
+            search=SearchConfig(**_numbers(search_sec, {"grid_points"}, "search.")),
+            solver=SolverConfig(**_numbers(solver_sec, {"max_iter"}, "solver.")),
+            **scalars,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -2,9 +2,11 @@
 
 The likelihood is maximized over the slant distance d with the elevation
 substituted as theta(d) = asin(h / d), since only the anchor altitude h is
-known to the estimator. The bound is evaluated at the true link geometry and
+known to the estimator. The estimator's input is the received-power samples
+and h alone; the bound is a separate function of the true link geometry and
 treats alpha(theta) and sigma(theta) as constants of the score, matching the
-closed form it reproduces.
+closed form it reproduces. `log_likelihood` and the search share one
+formula, written in each link's sufficient statistics.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ import numpy as np
 from .channel import (
     EnvironmentParams,
     LinkGeometry,
-    RssSampleSet,
     path_loss_exponent,
-    prob_los,
     shadowing_sigma,
 )
 
@@ -55,15 +55,11 @@ class SearchConfig:
 class RangeEstimate:
     """Result of one maximum-likelihood ranging.
 
-    `crlb_sigma` is the lower bound on the standard deviation of this
-    estimate, evaluated at the true geometry carried by the sample set and
-    scaled for the number of samples actually used. `boundary` flags a
-    maximizer pinned at an end of the search interval.
+    `boundary` flags a maximizer pinned at an end of the search interval.
     """
 
     d_hat: float
     r_hat: float
-    crlb_sigma: float
     log_likelihood: float
     boundary: bool = False
 
@@ -95,26 +91,31 @@ def _model_moments(d, h, env: EnvironmentParams):
     return mu, sigma
 
 
-def log_likelihood(d, samples: RssSampleSet, h: float, env: EnvironmentParams):
-    """Joint log-density of the sample set at candidate slant distance `d`.
+def _sample_row(samples) -> np.ndarray:
+    """One link's received-power samples as a (1, n) row."""
+    w = np.asarray(samples, dtype=float)
+    if w.ndim != 1 or w.size < 1:
+        raise ValueError("samples must be a non-empty 1-D array")
+    return w[None, :]
+
+
+def log_likelihood(d, samples, h: float, env: EnvironmentParams):
+    """Joint log-density of one link's samples at candidate slant distance `d`.
 
     Samples are treated as i.i.d. normal observations around the mean RSS at
-    `d`, with variance sigma^2(theta(d)). Accepts a scalar or array `d`.
+    `d`, with variance sigma^2(theta(d)); this is the function the range
+    search maximizes. Accepts a scalar or array `d`.
     """
     dd = np.asarray(d, dtype=float)
     if np.any(dd < h):
         raise ValueError("candidate distance below anchor altitude")
     if np.any(dd < env.d_o):
         raise ValueError("candidate distance below the reference distance d_o")
-    w = samples.samples
+    w = _sample_row(samples)
+    s1, s2 = _suffstats(w)
     mu, sigma = _model_moments(dd, h, env)
-    n = w.size
-    resid_sq = np.subtract.outer(np.atleast_1d(mu), w) ** 2  # (..., n)
-    var = np.atleast_1d(sigma) ** 2
-    ll = (-0.5 * n * np.log(2.0 * math.pi * var)
-          - resid_sq.sum(axis=-1) / (2.0 * var))
-    ll = ll.reshape(np.shape(dd)) if np.ndim(dd) else ll[0]
-    return float(ll) if np.ndim(dd) == 0 else ll
+    ll = _loglik_from_stats(mu, sigma ** 2, s1[0], s2[0], w.shape[1])
+    return float(ll) if np.ndim(ll) == 0 else ll
 
 
 def crlb_sigma_values(d, theta, env: EnvironmentParams):
@@ -363,17 +364,14 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
     return d_hat[undo], r_hat[undo], ll_hat[undo], boundary[undo]
 
 
-def mle_distance(samples: RssSampleSet, h: float, env: EnvironmentParams,
+def mle_distance(samples, h: float, env: EnvironmentParams,
                  search: SearchConfig | None = None) -> RangeEstimate:
-    """Maximum-likelihood slant distance from one sample set.
+    """Maximum-likelihood slant distance from one link's samples.
 
     Searches [h, d_max] by log-grid bracketing plus golden-section refinement
-    and derives the horizontal distance r_hat = sqrt(d_hat^2 - h^2). The
-    returned bound is evaluated at the sample set's true geometry.
+    and derives the horizontal distance r_hat = sqrt(d_hat^2 - h^2).
     """
     d_hat, r_hat, ll_hat, boundary = mle_distance_batch(
-        samples.samples[None, :], h, env, search)
-    bound = crlb_sigma(samples.geometry_truth, env, n_samples=len(samples))
+        _sample_row(samples), h, env, search)
     return RangeEstimate(d_hat=float(d_hat[0]), r_hat=float(r_hat[0]),
-                         crlb_sigma=bound, log_likelihood=float(ll_hat[0]),
-                         boundary=bool(boundary[0]))
+                         log_likelihood=float(ll_hat[0]), boundary=bool(boundary[0]))

@@ -1,5 +1,6 @@
-"""Monte Carlo studies: altitude, anchor-spacing and anchor-count sweeps,
-bound-versus-estimator comparison, and the altitude optimizer.
+"""Monte Carlo studies: altitude, anchor-spacing and anchor-count sweeps
+through one runner, `run_sweep`, the bound-versus-estimator comparison, and
+the altitude optimizer.
 
 Randomness is addressed, not sequential: every (trial) block of node
 positions and shadowing draws comes from its own counter-derived stream, so
@@ -392,7 +393,12 @@ def _sweep_slices(cfg: ExperimentConfig, workers: int) -> list[tuple[int, ...]]:
             for k in range(min(workers, len(idx)))]
 
 
-def _run_sweep(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+    """Error summaries at every point of the sweep the config names.
+
+    Altitude sweeps score the disk population; spacing and count sweeps
+    score the evaluation ring.
+    """
     values = cfg.sweep.values
     slices = _sweep_slices(cfg, _resolve_workers(threads))
     parts = _map_points(_slice_worker,
@@ -418,28 +424,9 @@ def _run_sweep(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     )
 
 
-def _require_variable(cfg: ExperimentConfig, variable: str) -> None:
-    if cfg.sweep.variable != variable:
-        raise ValueError(f"config sweeps {cfg.sweep.variable!r}, "
-                         f"expected {variable!r}")
-
-
-def run_altitude_sweep(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Mean localization error of the disk population versus anchor altitude."""
-    _require_variable(cfg, "altitude")
-    return _run_sweep(cfg, threads)
-
-
-def run_inter_distance_sweep(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Localization error of the evaluation ring versus triangle side length."""
-    _require_variable(cfg, "inter_distance")
-    return _run_sweep(cfg, threads)
-
-
-def run_anchor_count_sweep(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Localization error of the evaluation ring versus number of anchors."""
-    _require_variable(cfg, "anchor_count")
-    return _run_sweep(cfg, threads)
+def _require_altitude(cfg: ExperimentConfig) -> None:
+    if cfg.sweep.variable != "altitude":
+        raise ValueError(f"config sweeps {cfg.sweep.variable!r}, expected 'altitude'")
 
 
 def optimize_altitude(cfg: ExperimentConfig, threads: int = 1) -> AltitudeOptimum:
@@ -449,7 +436,8 @@ def optimize_altitude(cfg: ExperimentConfig, threads: int = 1) -> AltitudeOptimu
     with r_bar the mean horizontal node distance from the centroid over the
     sampled population.
     """
-    result = run_altitude_sweep(cfg, threads)
+    _require_altitude(cfg)
+    result = run_sweep(cfg, threads)
     errs = np.asarray(result.mean_error)
     idx = int(np.argmin(errs))  # first minimum = smallest altitude
     h_opt = result.sweep_values[idx]
@@ -501,7 +489,7 @@ def run_crlb_comparison(cfg: ExperimentConfig, r_values,
     compares the standard deviation of the distance estimates against the
     bound at the true geometry.
     """
-    _require_variable(cfg, "altitude")
+    _require_altitude(cfg)
     if repetitions < 2:
         raise ValueError("repetitions must be >= 2")
     rs = [float(r) for r in r_values]

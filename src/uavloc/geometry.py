@@ -1,4 +1,4 @@
-"""Anchor constellations, node sampling and link geometry bookkeeping.
+"""Anchor constellations and node sampling.
 
 Constellations are concentric equilateral triangles sharing a centroid and a
 common adjustable altitude; terrestrial nodes live in the z = 0 plane.
@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .channel import LinkGeometry
 
 # Vertex bearings (radians) shared by every triangle: first vertex due north.
 _VERTEX_ANGLES = (math.pi / 2.0, math.pi * 7.0 / 6.0, math.pi * 11.0 / 6.0)
@@ -31,20 +29,17 @@ class NodePosition:
 
 @dataclass(frozen=True)
 class Anchor:
-    """An aerial anchor: ground projection (x, y), altitude h, coverage radius."""
+    """An aerial anchor: ground projection (x, y) and altitude h."""
 
     x: float
     y: float
     h: float
-    coverage_radius: float = math.inf
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("anchor projection coordinates must be finite")
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise ValueError("anchor altitude h must be finite and > 0")
-        if not self.coverage_radius > 0.0:
-            raise ValueError("coverage_radius must be > 0 (or infinite)")
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,6 @@ class ConstellationSpec:
     altitude: float
     side_increment: float = 0.0
     centroid: NodePosition = NodePosition(0.0, 0.0)
-    coverage_radius: float = math.inf
 
     def __post_init__(self) -> None:
         if self.n_anchors < 3 or self.n_anchors % 3 != 0:
@@ -84,7 +78,6 @@ def build_constellation(spec: ConstellationSpec) -> list[Anchor]:
                 x=spec.centroid.x + circumradius * math.cos(angle),
                 y=spec.centroid.y + circumradius * math.sin(angle),
                 h=spec.altitude,
-                coverage_radius=spec.coverage_radius,
             ))
     return anchors
 
@@ -102,24 +95,6 @@ def sample_disk_xy(n: int, radius: float, center_xy, rng: np.random.Generator) -
     out[:, 0] = center_xy[0] + rr * np.cos(phi)
     out[:, 1] = center_xy[1] + rr * np.sin(phi)
     return out
-
-
-def sample_nodes_uniform_disk(n: int, radius: float, center: NodePosition,
-                              rng: np.random.Generator) -> list[NodePosition]:
-    """`n` i.i.d. node positions uniform over the disk around `center`."""
-    xy = sample_disk_xy(n, radius, (center.x, center.y), rng)
-    return [NodePosition(float(x), float(y)) for x, y in xy]
-
-
-def link_geometry(anchor: Anchor, node: NodePosition) -> LinkGeometry:
-    """Link between an anchor and a node: planar distance plus altitude."""
-    return LinkGeometry(r=math.hypot(node.x - anchor.x, node.y - anchor.y),
-                        h=anchor.h)
-
-
-def in_coverage(anchor: Anchor, node: NodePosition) -> bool:
-    """Whether the node lies within the anchor's coverage disk (inclusive)."""
-    return math.hypot(node.x - anchor.x, node.y - anchor.y) <= anchor.coverage_radius
 
 
 def anchors_xy(anchors) -> np.ndarray:

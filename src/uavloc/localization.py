@@ -64,15 +64,6 @@ class PositionFix:
     converged: bool
 
 
-def localization_error(r_hat_vec, r_true_vec) -> float:
-    """Euclidean norm of the per-anchor horizontal range errors."""
-    r_hat = np.asarray(r_hat_vec, dtype=float)
-    r_true = np.asarray(r_true_vec, dtype=float)
-    if r_hat.shape != r_true.shape or r_hat.ndim != 1 or r_hat.size < 1:
-        raise ValueError("range vectors must be 1-D, non-empty and equally long")
-    return float(np.linalg.norm(r_hat - r_true))
-
-
 def position_error(fix: PositionFix, truth: NodePosition) -> float:
     """Planar distance between the estimated and the true node position."""
     return math.hypot(fix.x_hat - truth.x, fix.y_hat - truth.y)

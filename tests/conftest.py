@@ -17,7 +17,6 @@ ORACLE = {
     "plos_urban_halfpi": 0.99999321846825,
     "plos_urban_zero": 0.0217391304347826,     # = 1 / 46
     "plos_suburban_0p5": 0.997870746694837,
-    "siglos_urban_halfpi": 0.197028729866171,
     "sigma_urban_zero": 29.3486312288913,
     "sigma_urban_halfpi": 0.197027394212971,
     "alpha_urban_zero": 3.46739130434783,

@@ -114,7 +114,7 @@ def test_criterion_5_suburban_improvement(suburban_optimum):
 def test_criterion_6_spacing_sweep():
     # Urban, h = 1000 m, evaluation ring 650 m from the centroid.
     cfg = u.default_config(variable="inter_distance", trials=50, seed=SEED)
-    res = u.run_inter_distance_sweep(cfg)
+    res = u.run_sweep(cfg)
     vals = np.asarray(res.sweep_values)
     errs = np.asarray(res.mean_error)
     e100 = errs[int(np.where(vals == 100.0)[0][0])]
@@ -136,13 +136,13 @@ def test_criterion_7_anchor_count_equivalence():
     # mean error should land in [12, 18].
     ref_cfg = u.default_config(variable="anchor_count", trials=50, seed=SEED,
                                sweep=u.SweepSpec("anchor_count", (3.0,)))
-    ref = u.run_anchor_count_sweep(ref_cfg).mean_error[0]
+    ref = u.run_sweep(ref_cfg).mean_error[0]
 
     low_cfg = u.default_config(variable="anchor_count", trials=50, seed=SEED)
     low_cfg = replace(low_cfg,
                       constellation=replace(low_cfg.constellation,
                                             altitude=50.0))
-    res = u.run_anchor_count_sweep(low_cfg)
+    res = u.run_sweep(low_cfg)
     errs = np.asarray(res.mean_error)
     reached = np.nonzero(errs <= ref)[0]
     n_star = res.sweep_values[int(reached[0])] if reached.size else None
@@ -195,8 +195,8 @@ def test_criterion_8_property_suite():
                            seed=3,
                            sweep=u.SweepSpec("altitude", (300.0, 900.0)))
     checks.append(("thread-count determinism",
-                   u.run_altitude_sweep(cfg, threads=1)
-                   == u.run_altitude_sweep(cfg, threads=2)))
+                   u.run_sweep(cfg, threads=1)
+                   == u.run_sweep(cfg, threads=2)))
 
     # Offset shift cancels from the estimator exactly.
     rng = np.random.default_rng(17)

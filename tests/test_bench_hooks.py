@@ -1,0 +1,60 @@
+"""The benchmark's tracer still finds the library functions it wraps.
+
+`perfbench/study.py` traces by replacing module globals and skips a name
+that is missing without a word, so a rename in `src/` would make its
+per-layer counts read 0. One traced, 1-worker study per command shape
+checks that every layer still reports.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("bench_hooks")
+    alt = tmp / "alt.yaml"
+    alt.write_text("node_count: 10\nsweep:\n  values: [300, 900]\n")
+    count = tmp / "count.yaml"
+    count.write_text("sweep:\n  values: [3, 6]\n")
+    out = str(tmp / "out.csv")
+    commands = {
+        "optimize": ["optimize", "--config", str(alt), "--out", out],
+        "count-sweep": ["count-sweep", "--config", str(count), "--out", out],
+        "crlb": ["crlb", "--config", str(alt), "--out", out, "--r", "400",
+                 "--repetitions", "50"],
+    }
+    spec = {"src": str(ROOT / "src"), "out": out, "argv": commands["optimize"],
+            "phases": [{"name": name, "argv": argv, "threads": 1, "trace": True, "count": 1}
+                       for name, argv in commands.items()]}
+    spec_path, result_path = tmp / "spec.json", tmp / "result.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "study.py"),
+                           str(spec_path), str(result_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    phases = json.loads(result_path.read_text(encoding="utf-8"))["phases"]
+    return {p["name"]: p["studies"][0] for p in phases}
+
+
+@pytest.mark.parametrize("command,layer", [
+    ("optimize", "localization.multilaterate_batch"),
+    ("count-sweep", "localization.multilaterate_batch"),
+    ("crlb", "experiments.crlb_cell"),
+])
+def test_every_layer_is_traced(traced, command, layer):
+    study = traced[command]
+    assert study["exit_code"] == 0 and study["error"] is None
+    names = {span[0] for span in study["spans"]}
+    assert {"config.load_config", "estimation.mle_distance_batch", layer} <= names
+    assert names & {"experiments.write_results", "experiments.write_crlb_table"}
+    assert any(name.startswith("channel.") for name in names)

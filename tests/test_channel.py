@@ -100,26 +100,18 @@ class TestLosProbability:
 
 class TestShadowing:
     def test_oracle_values(self):
-        assert u.shadowing_sigma_component(HALF_PI, "los", u.URBAN) == pytest.approx(
-            ORACLE["siglos_urban_halfpi"], rel=1e-12)
         assert u.shadowing_sigma(0.0, u.URBAN) == pytest.approx(
             ORACLE["sigma_urban_zero"], rel=1e-12)
         assert u.shadowing_sigma(HALF_PI, u.URBAN) == pytest.approx(
             ORACLE["sigma_urban_halfpi"], rel=1e-12)
-
-    def test_component_kinds(self):
-        assert u.shadowing_sigma_component(0.3, "los", u.URBAN) < \
-            u.shadowing_sigma_component(0.3, "nlos", u.URBAN)
-        with pytest.raises(ValueError):
-            u.shadowing_sigma_component(0.3, "other", u.URBAN)
 
     def test_squared_mixture_identity(self):
         # sigma^2 = P^2 sigma_los^2 + (1 - P)^2 sigma_nlos^2
         theta = np.linspace(0.0, HALF_PI, 57)
         for env in (u.URBAN, u.SUBURBAN):
             p = u.prob_los(theta, env)
-            s_los = u.shadowing_sigma_component(theta, "los", env)
-            s_nlos = u.shadowing_sigma_component(theta, "nlos", env)
+            s_los = env.a_los * np.exp(-env.b_los * theta)
+            s_nlos = env.a_nlos * np.exp(-env.b_nlos * theta)
             expect = np.sqrt(p**2 * s_los**2 + (1.0 - p) ** 2 * s_nlos**2)
             np.testing.assert_allclose(u.shadowing_sigma(theta, env), expect,
                                        rtol=1e-13)
@@ -227,12 +219,9 @@ class TestPathLossAndRss:
         s = u.sample_rss(g, env, 200_000, rng)
         mu = u.mean_rss(g.d, g.theta, env)
         sigma = u.shadowing_sigma(g.theta, env)
-        assert s.samples.shape == (200_000,)
-        assert s.samples.mean() == pytest.approx(mu, abs=5.0 * sigma / 447.0)
-        assert s.samples.std(ddof=1) == pytest.approx(sigma, rel=0.02)
-        assert s.geometry_truth == g
-        assert s.anchor_altitude == g.h
-        assert len(s) == 200_000
+        assert s.shape == (200_000,)
+        assert s.mean() == pytest.approx(mu, abs=5.0 * sigma / 447.0)
+        assert s.std(ddof=1) == pytest.approx(sigma, rel=0.02)
 
     def test_sample_rss_stream_determinism(self):
         env = u.URBAN
@@ -240,27 +229,10 @@ class TestPathLossAndRss:
         a = u.sample_rss(g, env, 64, substream(7, TAG_RSS, 0))
         b = u.sample_rss(g, env, 64, substream(7, TAG_RSS, 0))
         c = u.sample_rss(g, env, 64, substream(7, TAG_RSS, 1))
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_sample_rss_requires_positive_count(self):
         g = u.LinkGeometry(r=100.0, h=100.0)
         with pytest.raises(ValueError):
             u.sample_rss(g, u.URBAN, 0, np.random.default_rng(0))
-
-    def test_expected_path_loss_matches_mean(self):
-        g = u.LinkGeometry(r=640.0, h=480.0)
-        assert u.expected_path_loss(g, u.URBAN) == pytest.approx(
-            u.mean_path_loss(g.d, g.theta, u.URBAN), rel=1e-15)
-
-    def test_sample_set_validation(self):
-        g = u.LinkGeometry(r=100.0, h=100.0)
-        with pytest.raises(ValueError):
-            u.RssSampleSet(samples=np.empty(0), geometry_truth=g,
-                           anchor_altitude=100.0)
-        with pytest.raises(ValueError):
-            u.RssSampleSet(samples=np.zeros((2, 2)), geometry_truth=g,
-                           anchor_altitude=100.0)
-        s = u.RssSampleSet(samples=[-70.0, -71.0], geometry_truth=g,
-                           anchor_altitude=100.0)
-        assert s.samples.dtype == float and len(s) == 2

@@ -201,6 +201,12 @@ class TestRejections:
         with pytest.raises(u.ConfigError, match=r"sweep\."):
             u.load_config(p2)
 
+    def test_coverage_radius_is_unknown(self, tmp_path):
+        # It changed no result, so the key was removed.
+        p = write_yaml(tmp_path, "constellation:\n  coverage_radius: 500.0\n")
+        with pytest.raises(u.ConfigError, match=r"constellation\.'coverage_radius'"):
+            u.load_config(p)
+
     def test_yaml_syntax_error_reports_line(self, tmp_path):
         p = write_yaml(tmp_path, "trials: 2\nsweep: [unclosed\n")
         with pytest.raises(u.ConfigError, match="line"):

@@ -227,27 +227,47 @@ class TestLogLikelihood:
         # log-density is -log(sigma * sqrt(2 pi)).
         g = u.LinkGeometry(r=500.0, h=500.0)
         mu = u.mean_rss(g.d, g.theta, ENV)
-        s = u.RssSampleSet(samples=[mu], geometry_truth=g, anchor_altitude=g.h)
-        assert u.log_likelihood(g.d, s, g.h, ENV) == pytest.approx(
+        assert u.log_likelihood(g.d, [mu], g.h, ENV) == pytest.approx(
             ORACLE["logpdf_peak_rr"], rel=1e-10)
 
     def test_scalar_and_array_forms_agree(self):
         g = u.LinkGeometry(r=300.0, h=500.0)
         w = make_samples(g, ENV, 5, np.random.default_rng(2))
-        s = u.RssSampleSet(samples=w, geometry_truth=g, anchor_altitude=g.h)
         d = np.array([600.0, 700.0, 800.0])
-        arr = u.log_likelihood(d, s, g.h, ENV)
+        arr = u.log_likelihood(d, w, g.h, ENV)
         assert arr.shape == (3,)
         for k, dk in enumerate(d):
-            scalar = u.log_likelihood(float(dk), s, g.h, ENV)
+            scalar = u.log_likelihood(float(dk), w, g.h, ENV)
             assert isinstance(scalar, float)
             assert scalar == pytest.approx(arr[k], rel=1e-14)
 
     def test_domain_errors(self):
         g = u.LinkGeometry(r=300.0, h=500.0)
-        s = u.RssSampleSet(samples=[-80.0], geometry_truth=g, anchor_altitude=g.h)
         with pytest.raises(ValueError):
-            u.log_likelihood(499.0, s, g.h, ENV)
+            u.log_likelihood(499.0, [-80.0], g.h, ENV)
+
+    def test_samples_must_be_non_empty_1d(self):
+        for samples in ([], np.zeros((2, 2)), -80.0):
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                u.log_likelihood(600.0, samples, 500.0, ENV)
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                u.mle_distance(samples, 500.0, ENV)
+        # Any sequence of numbers is accepted as one link's samples.
+        assert u.log_likelihood(600.0, [-70.0, -71.0], 500.0, ENV) == \
+            u.log_likelihood(600.0, np.array([-70.0, -71.0]), 500.0, ENV)
+
+    def test_same_formula_as_the_search(self):
+        # The search's log-likelihood at its own estimate, and at the other
+        # candidates, is the public function's value bit for bit.
+        g = u.LinkGeometry(r=700.0, h=400.0)
+        w = make_samples(g, ENV, 5, np.random.default_rng(29))
+        d_hat, _, ll_hat, _ = u.mle_distance_batch(w[None, :], g.h, ENV)
+        assert u.log_likelihood(d_hat[0], w, g.h, ENV) == ll_hat[0]
+        d = np.array([g.h, 900.0, 5000.0])
+        mu, sigma = est._model_moments(d, g.h, ENV)
+        (s1,), (s2,) = est._suffstats(w[None, :])
+        want = est._loglik_from_stats(mu, sigma ** 2, s1, s2, w.size)
+        assert u.log_likelihood(d, w, g.h, ENV).tobytes() == want.tobytes()
 
     def test_truth_dominates_on_average(self):
         g = u.LinkGeometry(r=600.0, h=400.0)
@@ -257,8 +277,7 @@ class TestLogLikelihood:
         ll_true = np.empty(3000)
         ll_far = np.empty(3000)
         for i in range(3000):
-            s = u.RssSampleSet(samples=mu - sigma * z[i], geometry_truth=g,
-                               anchor_altitude=g.h)
+            s = mu - sigma * z[i]
             ll_true[i] = u.log_likelihood(g.d, s, g.h, ENV)
             ll_far[i] = u.log_likelihood(1.5 * g.d, s, g.h, ENV)
         assert ll_true.mean() > ll_far.mean() + 5.0
@@ -312,15 +331,12 @@ class TestMleDistance:
         # bounded scalar minimizer achieves.
         h = 400.0
         rng = np.random.default_rng(17)
-        rows, sets = [], []
+        rows = []
         for _ in range(20):
             g = u.LinkGeometry(r=float(rng.uniform(50.0, 2500.0)), h=h)
-            w = make_samples(g, ENV, 5, rng)
-            rows.append(w)
-            sets.append(u.RssSampleSet(samples=w, geometry_truth=g,
-                                       anchor_altitude=h))
+            rows.append(make_samples(g, ENV, 5, rng))
         _, _, ll_hat, _ = u.mle_distance_batch(np.array(rows), h, ENV)
-        for i, s in enumerate(sets):
+        for i, s in enumerate(rows):
             res = minimize_scalar(
                 lambda d: -u.log_likelihood(float(d), s, h, ENV),
                 bounds=(h, 20000.0), method="bounded",
@@ -331,8 +347,7 @@ class TestMleDistance:
         h = 400.0
         rng = np.random.default_rng(23)
         g = u.LinkGeometry(r=700.0, h=h)
-        w = make_samples(g, ENV, 5, rng)
-        s = u.RssSampleSet(samples=w, geometry_truth=g, anchor_altitude=h)
+        s = make_samples(g, ENV, 5, rng)
         est = u.mle_distance(s, h, ENV)
         assert not est.boundary
         ll0 = u.log_likelihood(est.d_hat, s, h, ENV)
@@ -388,16 +403,13 @@ class TestMleDistance:
     def test_single_set_wrapper(self):
         g = u.LinkGeometry(r=500.0, h=500.0)
         w = make_samples(g, ENV, 5, np.random.default_rng(7))
-        s = u.RssSampleSet(samples=w, geometry_truth=g, anchor_altitude=g.h)
-        est = u.mle_distance(s, g.h, ENV)
+        est = u.mle_distance(w, g.h, ENV)
         d_hat, r_hat, ll_hat, boundary = u.mle_distance_batch(
             w[None, :], g.h, ENV)
         assert est.d_hat == d_hat[0]
         assert est.r_hat == r_hat[0]
         assert est.log_likelihood == ll_hat[0]
         assert est.boundary == bool(boundary[0])
-        assert est.crlb_sigma == pytest.approx(
-            u.crlb_sigma(g, ENV, n_samples=5), rel=1e-15)
         assert est.r_hat == pytest.approx(
             math.sqrt(est.d_hat ** 2 - g.h ** 2), rel=1e-12)
 

@@ -149,7 +149,7 @@ def _assert_same_errors(got, want):
 class TestPointErrors:
     def test_summary_columns_recomputable(self):
         cfg = tiny_altitude_config(trials=2)
-        res = u.run_altitude_sweep(cfg)
+        res = u.run_sweep(cfg)
         for k, value in enumerate(res.sweep_values):
             xi, pos, n_nc, n_bd = u.point_errors(cfg, value)
             assert xi.shape == (cfg.trials * cfg.node_count,)
@@ -170,7 +170,7 @@ class TestPointErrors:
             delta = x - mean
             mean += delta / count
             m2 += delta * (x - mean)
-        res = u.run_altitude_sweep(cfg)
+        res = u.run_sweep(cfg)
         assert res.mean_error[0] == pytest.approx(mean, rel=1e-12)
         assert res.error_std[0] == pytest.approx(
             math.sqrt(m2 / (count - 1)), rel=1e-10)
@@ -251,14 +251,14 @@ class TestPointErrors:
 
         monkeypatch.setattr(loc, "_lm_descend", spy)
         monkeypatch.setattr(loc, "_DESCENT_ROWS", 100)
-        u.run_altitude_sweep(cfg)
+        u.run_sweep(cfg)
         # Grid restarts of stuck rows follow the blocks, one row each.
         assert sizes[:3] == [100, 100, 40]
         assert all(n == 1 for n in sizes[3:])
 
     def test_large_slices_fix_in_chunks_of_whole_points(self, monkeypatch):
         cfg = tiny_altitude_config(trials=2)  # 240 range estimates per point
-        whole = u.run_altitude_sweep(cfg)
+        whole = u.run_sweep(cfg)
         rows = []
         multilaterate_batch = ex.multilaterate_batch
 
@@ -268,7 +268,7 @@ class TestPointErrors:
 
         monkeypatch.setattr(ex, "multilaterate_batch", spy)
         monkeypatch.setattr(ex, "_SLICE_RANGES", 2 * 240 + 239)
-        assert u.run_altitude_sweep(cfg) == whole
+        assert u.run_sweep(cfg) == whole
         assert rows == [160, 80]
 
     def test_xi_is_norm_of_per_anchor_range_errors(self):
@@ -284,16 +284,9 @@ class TestPointErrors:
 
 
 class TestSweepRunners:
-    def test_variable_mismatch_rejected(self):
-        cfg = tiny_altitude_config()
-        with pytest.raises(ValueError):
-            u.run_inter_distance_sweep(cfg)
-        with pytest.raises(ValueError):
-            u.run_anchor_count_sweep(cfg)
-
     def test_result_metadata(self):
         cfg = tiny_altitude_config(trials=2)
-        res = u.run_altitude_sweep(cfg)
+        res = u.run_sweep(cfg)
         assert res.sweep_variable == "altitude"
         assert res.sweep_values == cfg.sweep.values
         assert res.n_nodes == cfg.node_count
@@ -304,16 +297,16 @@ class TestSweepRunners:
     def test_ring_sweeps_report_ring_size(self):
         cfg = u.default_config(variable="anchor_count", trials=2,
                                sweep=u.SweepSpec("anchor_count", (3.0, 6.0)))
-        res = u.run_anchor_count_sweep(cfg)
+        res = u.run_sweep(cfg)
         assert res.n_nodes == cfg.eval_azimuths
 
     def test_thread_count_invariance(self):
         cfg = tiny_altitude_config(node_count=30)
-        serial = u.run_altitude_sweep(cfg, threads=1)
+        serial = u.run_sweep(cfg, threads=1)
         # Three points on two workers split unevenly; elapsed_s is excluded
         # from equality, all science fields must match.
         for threads in (2, 3):
-            assert u.run_altitude_sweep(cfg, threads=threads) == serial
+            assert u.run_sweep(cfg, threads=threads) == serial
 
     def test_slices_group_points_by_anchor_layout(self):
         alt = tiny_altitude_config(sweep=u.SweepSpec("altitude", (100, 200, 300, 400, 500)))
@@ -329,7 +322,7 @@ class TestSweepRunners:
                                    sweep=u.SweepSpec("altitude",
                                                      (300.0, 1000.0)))
         cfg = replace(cfg, environment=u.without_shadowing(u.URBAN))
-        res = u.run_altitude_sweep(cfg)
+        res = u.run_sweep(cfg)
         assert max(res.mean_error) < 1.0
         assert max(res.mean_position_error) < 1.0
 
@@ -338,7 +331,7 @@ class TestSweepRunners:
                                seed=2,
                                sweep=u.SweepSpec("altitude",
                                                  (150.0, 500.0, 2500.0)))
-        res = u.run_altitude_sweep(cfg)
+        res = u.run_sweep(cfg)
         low, mid, high = res.mean_error
         assert mid < low and mid < high
 
@@ -346,7 +339,7 @@ class TestSweepRunners:
         cfg = u.default_config(variable="anchor_count", trials=30, seed=11,
                                sweep=u.SweepSpec("anchor_count",
                                                  (3.0, 12.0, 24.0)))
-        res = u.run_anchor_count_sweep(cfg)
+        res = u.run_sweep(cfg)
         pos = res.mean_position_error
         assert pos[0] > pos[1] > pos[2]
         # The range-error norm is taken over one term per anchor, so it
@@ -429,7 +422,7 @@ class TestCrlbComparison:
 class TestSerialization:
     def test_csv_header_and_roundtrip(self, tmp_path):
         cfg = tiny_altitude_config()
-        res = u.run_altitude_sweep(cfg)
+        res = u.run_sweep(cfg)
         out = tmp_path / "sweep.csv"
         u.write_results(res, out)
         text = out.read_text()
@@ -445,7 +438,7 @@ class TestSerialization:
 
     def test_rewrite_is_bitwise_identical(self, tmp_path):
         cfg = tiny_altitude_config()
-        res = u.run_altitude_sweep(cfg)
+        res = u.run_sweep(cfg)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         u.write_results(res, a)
         u.write_results(res, b)
@@ -455,7 +448,7 @@ class TestSerialization:
 
     def test_sidecar_contents(self, tmp_path):
         cfg = tiny_altitude_config(trials=2)
-        res = u.run_altitude_sweep(cfg)
+        res = u.run_sweep(cfg)
         out = tmp_path / "sweep.csv"
         u.write_results(res, out)
         meta = json.loads((tmp_path / "sweep.meta.json").read_text())
@@ -478,7 +471,7 @@ class TestSerialization:
 
     def test_write_error_names_path(self, tmp_path):
         cfg = tiny_altitude_config()
-        res = u.run_altitude_sweep(cfg)
+        res = u.run_sweep(cfg)
         missing = tmp_path / "no_such_dir" / "out.csv"
         with pytest.raises(OSError, match="no_such_dir"):
             u.write_results(res, missing)

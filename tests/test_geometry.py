@@ -31,7 +31,6 @@ class TestConstellationSpec:
         spec = u.ConstellationSpec(n_anchors=3, base_side=500.0, altitude=1000.0)
         assert spec.side_increment == 0.0
         assert spec.centroid == u.NodePosition(0.0, 0.0)
-        assert math.isinf(spec.coverage_radius)
 
 
 class TestBuildConstellation:
@@ -110,12 +109,6 @@ class TestNodeSampling:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_node_position_wrapper(self):
-        nodes = u.sample_nodes_uniform_disk(10, 100.0, u.NodePosition(5.0, 5.0),
-                                            np.random.default_rng(0))
-        assert len(nodes) == 10
-        assert all(isinstance(n, u.NodePosition) for n in nodes)
-
     def test_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -125,24 +118,9 @@ class TestNodeSampling:
 
 
 class TestLinks:
-    def test_link_geometry(self):
-        anchor = u.Anchor(x=300.0, y=400.0, h=120.0)
-        node = u.NodePosition(0.0, 0.0)
-        g = u.link_geometry(anchor, node)
-        assert g.r == pytest.approx(500.0, rel=1e-15)
-        assert g.h == 120.0
-
-    def test_in_coverage_inclusive(self):
-        anchor = u.Anchor(x=0.0, y=0.0, h=100.0, coverage_radius=50.0)
-        assert u.in_coverage(anchor, u.NodePosition(50.0, 0.0))
-        assert u.in_coverage(anchor, u.NodePosition(0.0, 0.0))
-        assert not u.in_coverage(anchor, u.NodePosition(50.0001, 0.0))
-
     def test_anchor_validation(self):
         with pytest.raises(ValueError):
             u.Anchor(x=0.0, y=0.0, h=0.0)
-        with pytest.raises(ValueError):
-            u.Anchor(x=0.0, y=0.0, h=100.0, coverage_radius=0.0)
         with pytest.raises(ValueError):
             u.Anchor(x=math.nan, y=0.0, h=100.0)
 

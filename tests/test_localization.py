@@ -84,26 +84,6 @@ def objective(p, axy, rhat):
 
 
 class TestErrorMetrics:
-    def test_localization_error_hand_value(self):
-        assert u.localization_error([3.0, 0.0], [0.0, 4.0]) == pytest.approx(5.0)
-        assert u.localization_error([10.0, 20.0, 30.0],
-                                    [10.0, 20.0, 30.0]) == 0.0
-
-    def test_localization_error_grows_with_anchor_count(self):
-        # Euclidean norm over per-anchor errors: adding anchors with the
-        # same per-anchor error inflates the metric by sqrt(N).
-        one = u.localization_error([5.0], [0.0])
-        four = u.localization_error([5.0] * 4, [0.0] * 4)
-        assert four == pytest.approx(2.0 * one, rel=1e-12)
-
-    def test_localization_error_validation(self):
-        with pytest.raises(ValueError):
-            u.localization_error([1.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            u.localization_error([], [])
-        with pytest.raises(ValueError):
-            u.localization_error(np.zeros((2, 2)), np.zeros((2, 2)))
-
     def test_position_error(self):
         fix = u.PositionFix(x_hat=3.0, y_hat=4.0, residual=0.0, converged=True)
         assert u.position_error(fix, u.NodePosition(0.0, 0.0)) == pytest.approx(5.0)
