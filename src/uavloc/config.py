@@ -50,6 +50,11 @@ _INT_KEYS = {"seed", "trials", "node_count", "samples_per_anchor", "eval_azimuth
 _TOP_KEYS = _SCALAR_KEYS | {"environment", "constellation", "sweep", "search", "solver"}
 
 
+#: Most points a start/stop/step sweep range may hold. Every point is a
+#: full Monte Carlo evaluation; the default grids hold at most 59.
+MAX_GRID_POINTS = 100_000
+
+
 def grid_from_range(start: float, stop: float, step: float) -> tuple[float, ...]:
     """Inclusive arithmetic grid; stop is included when it lands on the step."""
     for name, bound in (("start", start), ("stop", stop), ("step", step)):
@@ -59,7 +64,13 @@ def grid_from_range(start: float, stop: float, step: float) -> tuple[float, ...]
         raise ConfigError("sweep.step must be > 0")
     if stop < start:
         raise ConfigError("sweep.stop must be >= sweep.start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = stop - start
+    if not math.isfinite(span):
+        raise ConfigError("sweep.stop - sweep.start must be finite")
+    # Checked before any point is built; an overflowing quotient is inf.
+    if span / step + 1e-9 >= MAX_GRID_POINTS:
+        raise ConfigError(f"sweep range holds more than {MAX_GRID_POINTS} points")
+    n = int(math.floor(span / step + 1e-9)) + 1
     return tuple(start + k * step for k in range(n))
 
 

@@ -17,6 +17,13 @@ section iteration count, and all of the slice's nodes are fixed in one
 solver call. Each range depends only on its own batch and each fix only on
 its own row, so neither the packing, the slicing nor the worker count
 changes any result bit.
+
+Parallel slices run in worker processes forked from a fork server (fresh
+interpreters where the platform has none, as on Windows). The server starts
+on the first parallel run, imports numpy and uavloc once and lives as long
+as the calling process, so later runs pay only the fork of their workers.
+Workers still import the calling script, which must therefore start a
+parallel run under `if __name__ == "__main__":`.
 """
 
 from __future__ import annotations
@@ -25,11 +32,12 @@ import csv
 import json
 import math
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 
 import numpy as np
@@ -145,8 +153,10 @@ class ExperimentConfig:
 class ExperimentResult:
     """Per-sweep-point error summaries plus the config that produced them.
 
-    `elapsed_s` is wall-clock bookkeeping and excluded from equality; all
-    scientific fields are exactly reproducible for a given (config, seed).
+    `elapsed_s` and `workers` (the worker processes the sweep used, 1 when
+    it ran in the calling process) are run bookkeeping and excluded from
+    equality; all scientific fields are exactly reproducible for a given
+    (config, seed).
     """
 
     config: ExperimentConfig
@@ -162,6 +172,7 @@ class ExperimentResult:
     n_trials: int
     seed: int
     elapsed_s: tuple[float, ...] = field(compare=False, default=())
+    workers: int = field(compare=False, default=1)
 
 
 @dataclass(frozen=True)
@@ -362,22 +373,40 @@ def _resolve_workers(threads: int) -> int:
     return threads if threads > 0 else (os.cpu_count() or 1)
 
 
+#: How pool workers start: forked from a fork server where the platform
+#: has one, else as fresh interpreters.
+_START_METHOD = "forkserver" if "forkserver" in get_all_start_methods() else "spawn"
+
+
+def _pool_size(threads: int, tasks: int) -> int:
+    """Worker processes `_map_points` uses for `tasks` tasks; 1 is in-process."""
+    return min(_resolve_workers(threads), tasks)
+
+
 def _map_points(worker, args_list, threads: int):
-    workers = _resolve_workers(threads)
-    if workers == 1 or len(args_list) == 1:
+    workers = _pool_size(threads, len(args_list))
+    if workers <= 1:
         return [worker(a) for a in args_list]
     # Each task derives its own substreams, so the schedule cannot change
-    # any result.
-    ctx = get_context("spawn")
+    # any result. The fork server starts on the first parallel run, as a
+    # fresh interpreter running no Python threads, and lives as long as the
+    # calling process. It preloads this module, and so numpy and uavloc, but
+    # not `__main__`: an unguarded script would run inside the server.
+    # Python 3.11's server ignores the caller's runtime `sys.path` edits; if
+    # uavloc is importable only through one, the preload fails silently and
+    # each worker imports uavloc on its first task, which is still correct
+    # and cheaper than a fresh interpreter.
+    ctx = get_context(_START_METHOD)
+    if _START_METHOD == "forkserver":
+        ctx.set_forkserver_preload([__name__])
     try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(args_list)),
-                                 mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             return list(pool.map(worker, args_list))
     except BrokenProcessPool as exc:
         raise WorkerPoolError(
             "a worker process died before returning its result. Workers are "
-            "started with 'spawn' and import the calling script as a module, "
-            "so a script that starts a parallel run must do so under "
+            f"started with {_START_METHOD!r} and import the calling script as a "
+            "module, so a script that starts a parallel run must do so under "
             "`if __name__ == \"__main__\":`") from exc
 
 
@@ -421,6 +450,7 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         n_trials=cfg.trials,
         seed=cfg.seed,
         elapsed_s=tuple(s.elapsed for s in summaries),
+        workers=_pool_size(threads, len(slices)),
     )
 
 
@@ -528,7 +558,10 @@ def write_results(result: ExperimentResult, path) -> None:
     """Write one CSV row per sweep point plus a JSON metadata sidecar.
 
     The sidecar (<stem>.meta.json next to the CSV) records every resolved
-    config parameter, the library version, and per-point diagnostics.
+    config parameter, the library version, what ran the study (`runtime`:
+    the Python and numpy versions, the CPU count, the worker processes the
+    sweep used and how they were started, null when it ran in the calling
+    process), and per-point diagnostics.
     `per_point.elapsed_s` has one entry per point: the time spent drawing
     its samples, a share of each ranging call that held its batches, in
     proportion to the rows it had there, and an equal share of the work it
@@ -552,6 +585,13 @@ def write_results(result: ExperimentResult, path) -> None:
         "library": {"name": "uavloc", "version": __version__},
         "config": _jsonable(asdict(result.config)),
         "sweep_variable": result.sweep_variable,
+        "runtime": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "workers": result.workers,
+            "start_method": _START_METHOD if result.workers > 1 else None,
+        },
         "per_point": _jsonable({
             "sweep_values": result.sweep_values,
             "median_error_m": result.median_error,

@@ -191,6 +191,8 @@ class TestErrorPaths:
                      id="constellation-base_side-.nan"),
         pytest.param({"sweep": {"start": 100.0, "stop": math.inf, "step": 50.0}},
                      "stop", id="sweep-stop-.inf"),
+        pytest.param({"sweep": {"start": -1.0e+308, "stop": 1.0e+308, "step": 1.0}},
+                     "sweep.stop - sweep.start", id="sweep-span-overflow"),
     ])
     def test_non_finite_setting_exits_3(self, tmp_path, capsys, override, key):
         cfg = tmp_path / "bad.yaml"
@@ -249,8 +251,8 @@ class TestErrorPaths:
     ], ids=["cli", "library"])
     def test_unguarded_parallel_script_names_the_guard(self, alt_cfg, tmp_path,
                                                        call, code, err):
-        # Spawned workers import the script, which starts the sweep again
-        # before they have finished starting up, so every worker dies.
+        # Workers import the script, which starts the sweep again before
+        # they have finished starting up, so every worker dies.
         script = tmp_path / "unguarded.py"
         script.write_text(
             "import sys\n"

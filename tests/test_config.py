@@ -1,9 +1,10 @@
+import time
 from pathlib import Path
 
 import pytest
 
 import uavloc as u
-from uavloc.config import DEFAULT_GRIDS
+from uavloc.config import DEFAULT_GRIDS, MAX_GRID_POINTS
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "example_config.yaml"
 
@@ -31,6 +32,16 @@ class TestGridFromRange:
             u.grid_from_range(100.0, 300.0, 0.0)
         with pytest.raises(u.ConfigError):
             u.grid_from_range(300.0, 100.0, 50.0)
+        with pytest.raises(u.ConfigError, match="sweep.stop - sweep.start must be finite"):
+            u.grid_from_range(-1.0e308, 1.0e308, 1.0)
+
+    def test_point_count_capped(self):
+        assert len(u.grid_from_range(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
+        with pytest.raises(u.ConfigError, match=f"more than {MAX_GRID_POINTS} points"):
+            u.grid_from_range(0.0, float(MAX_GRID_POINTS), 1.0)
+        # A quotient that overflows is over the cap too.
+        with pytest.raises(u.ConfigError, match="points"):
+            u.grid_from_range(0.0, 1.0e10, 1.0e-300)
 
 
 class TestDefaults:
@@ -185,6 +196,15 @@ sweep:
 """)
         assert u.load_config(p, variable="altitude").sweep.values == \
             (100.0, 200.0, 300.0, 400.0)
+
+    def test_huge_sweep_range_rejected_before_it_is_built(self, tmp_path):
+        # 10**12 points would exhaust memory; the cap refuses the range
+        # before building any of them.
+        p = write_yaml(tmp_path, "sweep: {start: 0, stop: 1.0e+12, step: 1}\n")
+        t0 = time.perf_counter()
+        with pytest.raises(u.ConfigError, match="more than"):
+            u.load_config(p, variable="altitude")
+        assert time.perf_counter() - t0 < 5.0
 
 
 class TestRejections:

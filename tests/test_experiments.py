@@ -1,5 +1,9 @@
 import json
 import math
+import multiprocessing
+import os
+import platform
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +16,11 @@ from uavloc._streams import TAG_RSS, substream
 from uavloc.experiments import CRLB_CSV_HEADER, _trial_nodes
 
 from conftest import tiny_altitude_config
+
+
+def _parent_pid(_):
+    """Pool task: the pid of the process that started this worker."""
+    return os.getppid()
 
 
 class TestSweepSpec:
@@ -308,6 +317,34 @@ class TestSweepRunners:
         for threads in (2, 3):
             assert u.run_sweep(cfg, threads=threads) == serial
 
+    def test_result_counts_the_workers_used(self):
+        cfg = tiny_altitude_config(node_count=10)
+        assert u.run_sweep(cfg, threads=1).workers == 1
+        # Three points, so at most three workers however many are asked for.
+        assert u.run_sweep(cfg, threads=2).workers == 2
+        assert u.run_sweep(cfg, threads=8).workers == 3
+        one = tiny_altitude_config(node_count=10, sweep=u.SweepSpec("altitude", (500.0,)))
+        assert u.run_sweep(one, threads=2).workers == 1
+
+    @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                        reason="platform has no fork server")
+    def test_parallel_runs_fork_workers_from_one_server(self):
+        parents = []
+
+        def two_runs():
+            for _ in range(2):
+                parents.extend(ex._map_points(_parent_pid, range(6), 2))
+
+        # A daemon thread bounds the wait: a hung pool fails the test
+        # instead of stalling the suite.
+        runner = threading.Thread(target=two_runs, daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive()
+        assert len(parents) == 12
+        assert len(set(parents)) == 1
+        assert parents[0] != os.getpid()
+
     def test_slices_group_points_by_anchor_layout(self):
         alt = tiny_altitude_config(sweep=u.SweepSpec("altitude", (100, 200, 300, 400, 500)))
         assert ex._sweep_slices(alt, 1) == [(0, 1, 2, 3, 4)]
@@ -462,6 +499,18 @@ class TestSerialization:
         assert meta["per_point"]["sweep_values"] == list(res.sweep_values)
         assert meta["per_point"]["median_error_m"] == list(res.median_error)
         assert len(meta["per_point"]["elapsed_s"]) == len(res.sweep_values)
+        assert meta["runtime"] == {"python": platform.python_version(),
+                                   "numpy": np.__version__,
+                                   "cpu_count": os.cpu_count(),
+                                   "workers": 1, "start_method": None}
+
+    def test_sidecar_records_the_pool(self, tmp_path):
+        res = u.run_sweep(tiny_altitude_config(node_count=10), threads=2)
+        out = tmp_path / "sweep.csv"
+        u.write_results(res, out)
+        runtime = json.loads((tmp_path / "sweep.meta.json").read_text())["runtime"]
+        assert runtime["workers"] == 2
+        assert runtime["start_method"] in multiprocessing.get_all_start_methods()
 
     def test_read_rejects_foreign_header(self, tmp_path):
         bad = tmp_path / "bad.csv"

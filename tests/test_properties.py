@@ -37,9 +37,28 @@ def test_multi_batch_ranging_equals_each_batch_alone(batches, n, env, seed):
             assert g[i:j].tobytes() == want.tobytes()
 
 
+@st.composite
+def small_studies(draw):
+    """A small altitude, spacing or count study on part of its default grid."""
+    variable = draw(st.sampled_from(sorted(DEFAULT_GRIDS)))
+    grid = draw(st.lists(st.sampled_from(grid_from_range(*DEFAULT_GRIDS[variable])),
+                         min_size=1, max_size=4, unique=True))
+    return u.default_config(variable=variable, sweep=u.SweepSpec(variable, sorted(grid)),
+                            seed=draw(st.integers(0, 2 ** 16)),
+                            trials=draw(st.integers(1, 3)),
+                            node_count=draw(st.integers(1, 30)),
+                            eval_azimuths=draw(st.integers(1, 8)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(cfg=small_studies())
+def test_two_workers_reproduce_one(cfg):
+    assert u.run_sweep(cfg, threads=2) == u.run_sweep(cfg, threads=1)
+
+
 # Config values of every kind YAML can hold, with numbers most settings
-# accept drawn most often. Sweep sections get small numbers only:
-# `grid_from_range` builds the whole start/stop/step grid.
+# accept drawn most often. Sweep sections get small numbers and a few huge
+# ones, which `grid_from_range` must refuse before building their grid.
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
 ANY = st.one_of(SCALARS, st.lists(SCALARS, max_size=3),
                 st.dictionaries(st.text(max_size=3), SCALARS, max_size=2))
@@ -52,7 +71,8 @@ def _mostly(usual, other):
 
 VALUES = _mostly(st.sampled_from([3, 6, 30.0, 250.0]), ANY)
 SWEEP_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-5, 400),
-                          st.sampled_from([0.5, 3.0, 50.0, 3000.0, math.inf, math.nan, "abc"]))
+                          st.sampled_from([0.5, 3.0, 50.0, 3000.0, 1.0e12, -1.0e308, 1.0e308,
+                                           math.inf, math.nan, "abc"]))
 SWEEP_VALUES = st.one_of(SWEEP_SCALARS, st.sampled_from(["altitude", "anchor_count", "x"]),
                          st.lists(SWEEP_SCALARS, max_size=4))
 SECTIONS = {"environment", "constellation", "sweep", "search", "solver"}
