@@ -26,11 +26,29 @@ def make_samples(geom, env, n, rng):
     return mu - sigma * rng.standard_normal(n)
 
 
+def reference_moments(d, h, env):
+    """Mean RSS and shadowing variance at distances `d` through the public
+    functions: the composition the likelihood kernel reproduces."""
+    theta = u.theta_from_distance(d, h)
+    alpha = u.path_loss_exponent(theta, env)
+    mu = env.c_offset - env.k_ref - 10.0 * np.asarray(alpha) * np.log10(d)
+    sigma = np.maximum(np.asarray(u.shadowing_sigma(theta, env)), est._SIGMA_FLOOR)
+    return mu, sigma ** 2
+
+
+def reference_loglik(d, h, env, s1, s2, n):
+    """Joint log-density of n samples with sums s1, s2 at distances `d`."""
+    mu, var = reference_moments(d, h, env)
+    return (-0.5 * n * np.log(2.0 * math.pi * var)
+            - (s2 - 2.0 * mu * s1 + n * mu ** 2) / (2.0 * var))
+
+
 def mle_distance_batch_reference(samples_2d, h, env, search=None):
     """The search before row-blocked bracketing and single evaluation.
 
-    Builds the whole (links x grid) log-likelihood at once and evaluates
-    both new golden-section points per step, discarding one.
+    Builds the whole (links x grid) log-likelihood at once from the public
+    channel functions and evaluates both new golden-section points per
+    step, discarding one.
     """
     search = search or u.SearchConfig()
     samples_2d = np.asarray(samples_2d, dtype=float)
@@ -40,13 +58,11 @@ def mle_distance_batch_reference(samples_2d, h, env, search=None):
     s1, s2 = est._suffstats(samples_2d)
 
     def loglik_at(d_vec, s1v, s2v):
-        mu, sigma = est._model_moments(d_vec, h, env)
-        return est._loglik_from_stats(mu, sigma ** 2, s1v, s2v, n)
+        return reference_loglik(d_vec, h, env, s1v, s2v, n)
 
     grid = np.geomspace(lo, hi, search.grid_points)
     grid[0], grid[-1] = lo, hi
-    mu_g, sigma_g = est._model_moments(grid, h, env)
-    var_g = sigma_g ** 2
+    mu_g, var_g = reference_moments(grid, h, env)
     ll = (-0.5 * n * np.log(2.0 * math.pi * var_g)[None, :]
           - (s2[:, None] - 2.0 * np.outer(s1, mu_g) + n * mu_g[None, :] ** 2)
           / (2.0 * var_g[None, :]))
@@ -116,6 +132,15 @@ class TestThetaFromDistance:
         with pytest.raises(ValueError):
             u.theta_from_distance(200.0, 0.0)
 
+    @pytest.mark.parametrize("d, h, cause", [
+        (math.nan, 100.0, "distance d"), (math.inf, 100.0, "distance d"),
+        ([200.0, math.nan], 100.0, "distance d"),
+        (200.0, math.nan, "altitude h"), (200.0, math.inf, "altitude h"),
+        (200.0, [100.0, math.nan], "altitude h")])
+    def test_rejects_non_finite(self, d, h, cause):
+        with pytest.raises(ValueError, match=f"{cause} must be finite"):
+            u.theta_from_distance(d, h)
+
 
 class TestCrlb:
     def test_oracle_single_sample(self):
@@ -159,6 +184,11 @@ class TestCrlb:
     def test_below_reference_distance_rejected(self):
         with pytest.raises(ValueError):
             u.crlb_sigma_values(0.5, 0.3, ENV)
+
+    @pytest.mark.parametrize("d", [math.nan, math.inf, [500.0, math.nan]])
+    def test_non_finite_distance_rejected(self, d):
+        with pytest.raises(ValueError, match="distance d must be finite"):
+            u.crlb_sigma_values(d, 0.5, ENV)
 
     def test_altitude_shape_near_node(self):
         # r = 10 m: raising the anchor only stretches the link, the bound
@@ -239,12 +269,21 @@ class TestLogLikelihood:
         for k, dk in enumerate(d):
             scalar = u.log_likelihood(float(dk), w, g.h, ENV)
             assert isinstance(scalar, float)
-            assert scalar == pytest.approx(arr[k], rel=1e-14)
+            assert scalar == arr[k]
 
     def test_domain_errors(self):
         g = u.LinkGeometry(r=300.0, h=500.0)
         with pytest.raises(ValueError):
             u.log_likelihood(499.0, [-80.0], g.h, ENV)
+        for d in (math.nan, math.inf, [600.0, math.nan]):
+            with pytest.raises(ValueError, match="distance d must be finite"):
+                u.log_likelihood(d, [-80.0], g.h, ENV)
+        for h in (math.nan, math.inf, 0.0, -100.0):
+            with pytest.raises(ValueError, match="altitude h must be finite and > 0"):
+                u.log_likelihood(600.0, [-80.0], h, ENV)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="samples must be finite"):
+                u.log_likelihood(600.0, [-80.0, bad], g.h, ENV)
 
     def test_samples_must_be_non_empty_1d(self):
         for samples in ([], np.zeros((2, 2)), -80.0):
@@ -264,9 +303,8 @@ class TestLogLikelihood:
         d_hat, _, ll_hat, _ = u.mle_distance_batch(w[None, :], g.h, ENV)
         assert u.log_likelihood(d_hat[0], w, g.h, ENV) == ll_hat[0]
         d = np.array([g.h, 900.0, 5000.0])
-        mu, sigma = est._model_moments(d, g.h, ENV)
         (s1,), (s2,) = est._suffstats(w[None, :])
-        want = est._loglik_from_stats(mu, sigma ** 2, s1, s2, w.size)
+        want = reference_loglik(d, g.h, ENV, s1, s2, w.size)
         assert u.log_likelihood(d, w, g.h, ENV).tobytes() == want.tobytes()
 
     def test_truth_dominates_on_average(self):
@@ -281,6 +319,51 @@ class TestLogLikelihood:
             ll_true[i] = u.log_likelihood(g.d, s, g.h, ENV)
             ll_far[i] = u.log_likelihood(1.5 * g.d, s, g.h, ENV)
         assert ll_true.mean() > ll_far.mean() + 5.0
+
+
+# A nonzero c_offset makes (c_offset - k_ref) - x differ from
+# (c_offset - x) - k_ref, so the mean's operation order shows.
+OFFSET_ENV = replace(u.SUBURBAN, c_offset=17.3, k_ref=41.0)
+KERNEL_ENVS = [u.URBAN, u.SUBURBAN, CONST_ENV, u.without_shadowing(u.URBAN), OFFSET_ENV]
+KERNEL_ENV_IDS = ["urban", "suburban", "const", "no_shadowing", "offset"]
+
+
+class TestLikelihoodKernel:
+    """The unchecked kernel equals the public composition theta_from_distance
+    -> path_loss_exponent / shadowing_sigma -> log-density, byte for byte."""
+
+    @staticmethod
+    def links(h, n, seed, rows=300):
+        """Distances in [h, d_max], both ends included, and sample sums."""
+        rng = np.random.default_rng(seed)
+        h = np.broadcast_to(h, rows)
+        d = h + rng.uniform(0.0, 1.0, rows) * (20000.0 - h)
+        d[0], d[-1] = h[0], 20000.0
+        s1, s2 = est._suffstats(rng.normal(-100.0, 10.0, (rows, n)))
+        return d, s1, s2
+
+    @pytest.mark.parametrize("env", KERNEL_ENVS, ids=KERNEL_ENV_IDS)
+    @pytest.mark.parametrize("n", [1, 5, 30])
+    def test_byte_equal(self, env, n):
+        h = 400.0
+        d, s1, s2 = self.links(h, n, seed=n)
+        mu, var = reference_moments(d, h, env)
+        want = (-0.5 * n * np.log(2.0 * math.pi * var), 2.0 * mu, n * mu ** 2, 2.0 * var)
+        for g, r in zip(est._loglik_terms(d, h, n, env), want):
+            assert g.tobytes() == r.tobytes()
+        want = reference_loglik(d, h, env, s1, s2, n)
+        assert est._loglik(d, h, n, env, s1, s2).tobytes() == want.tobytes()
+        # One link's stats shared by every distance, as in log_likelihood.
+        want = reference_loglik(d, h, env, s1[0], s2[0], n)
+        assert est._loglik(d, h, n, env, s1[0], s2[0]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("env", KERNEL_ENVS, ids=KERNEL_ENV_IDS)
+    @pytest.mark.parametrize("n", [1, 5, 30])
+    def test_per_row_altitude(self, env, n):
+        h = np.random.default_rng(n).uniform(50.0, 3000.0, 300)
+        d, s1, s2 = self.links(h, n, seed=n + 1)
+        want = reference_loglik(d, h, env, s1, s2, n)
+        assert est._loglik(d, h, n, env, s1, s2).tobytes() == want.tobytes()
 
 
 class TestSearchConfig:
@@ -446,6 +529,20 @@ class TestMleDistance:
             u.mle_distance_batch(w, 100.0, ENV)
 
 
+def counting(real, sizes):
+    """`real`, appending the size of its first argument to `sizes` per call."""
+    def spy(d, *args):
+        sizes.append(np.size(d))
+        return real(d, *args)
+    return spy
+
+
+_B = est._BRACKET_ROWS
+#: Row counts at the edges of one bracketing block of B = _BRACKET_ROWS rows,
+#: and counts that span several blocks.
+BLOCK_EDGE_ROWS = sorted({1, _B - 1, _B, _B + 1, 2 * _B + 7, 1023, 1024, 1025, 2055})
+
+
 class TestSearchMatchesReference:
     """Row-blocked bracketing and one evaluation per golden-section step
     reproduce the full-grid, two-evaluation search byte for byte."""
@@ -453,9 +550,9 @@ class TestSearchMatchesReference:
     @pytest.mark.parametrize("env", [u.URBAN, u.SUBURBAN, u.without_shadowing(u.URBAN)],
                              ids=["urban", "suburban", "no_shadowing"])
     @pytest.mark.parametrize("n", [1, 5, 30])
-    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2055])
+    @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
     def test_byte_equal(self, env, n, rows):
-        # 1024 rows fill one bracketing block exactly; 1023/1025 and 2055
+        # B rows fill one bracketing block exactly; B - 1, B + 1 and 2B + 7
         # end on partial blocks.
         h = 400.0
         w = ranging_batch(env, rows, n, h, seed=rows * 31 + n)
@@ -471,13 +568,10 @@ class TestSearchMatchesReference:
 
     def test_one_evaluation_per_golden_section_step(self, monkeypatch):
         sizes = []
-        real = est.path_loss_exponent
-
-        def spy(theta, env):
-            sizes.append(np.size(theta))
-            return real(theta, env)
-
-        monkeypatch.setattr(est, "path_loss_exponent", spy)
+        # The reference evaluates through reference_moments, the search
+        # through the kernel.
+        monkeypatch.setitem(globals(), "reference_moments", counting(reference_moments, sizes))
+        monkeypatch.setattr(est, "_loglik_terms", counting(est._loglik_terms, sizes))
         rows, h = 50, 400.0
         w = ranging_batch(ENV, rows, 5, h, seed=3)
         mle_distance_batch_reference(w, h, ENV)
@@ -494,17 +588,12 @@ class TestSearchMatchesReference:
 def golden_steps(w, h, env=ENV):
     """Golden-section steps the search takes on `w` as one batch."""
     sizes = []
-    real = est.path_loss_exponent
-
-    def spy(theta, env):
-        sizes.append(np.size(theta))
-        return real(theta, env)
-
-    est.path_loss_exponent = spy
+    real = est._loglik_terms
+    est._loglik_terms = counting(real, sizes)
     try:
         u.mle_distance_batch(w, h, env)
     finally:
-        est.path_loss_exponent = real
+        est._loglik_terms = real
     return len(sizes) - 4  # grid, two starting points, final value
 
 
@@ -559,13 +648,7 @@ class TestMultiBatchMatchesAlone:
         steps = [golden_steps(w, h) for w, h in batches]
         rows = [w.shape[0] for w, _ in batches]
         sizes = []
-        real = est.path_loss_exponent
-
-        def spy(theta, env):
-            sizes.append(np.size(theta))
-            return real(theta, env)
-
-        monkeypatch.setattr(est, "path_loss_exponent", spy)
+        monkeypatch.setattr(est, "_loglik_terms", counting(est._loglik_terms, sizes))
         range_together(batches, ENV)
         total = sum(rows)
         grid = u.SearchConfig().grid_points

@@ -10,10 +10,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import uavloc as u  # noqa: E402
-from uavloc import config  # noqa: E402
+from uavloc import config, estimation as est  # noqa: E402
 from uavloc.config import DEFAULT_GRIDS, grid_from_range  # noqa: E402
 
-from test_estimation import ranging_batch  # noqa: E402
+from test_estimation import KERNEL_ENVS, ranging_batch, reference_loglik  # noqa: E402
 
 ALTITUDES = grid_from_range(*DEFAULT_GRIDS["altitude"])
 
@@ -35,6 +35,26 @@ def test_multi_batch_ranging_equals_each_batch_alone(batches, n, env, seed):
         for g, want in zip(got, u.mle_distance_batch(w, h, env)):
             assert g.dtype == want.dtype
             assert g[i:j].tobytes() == want.tobytes()
+
+
+@st.composite
+def links(draw):
+    """Per-link altitudes h in [50, 3000] m and slant distances d in [h, 20000] m."""
+    hs = draw(st.lists(st.floats(50.0, 3000.0), min_size=1, max_size=20))
+    ds = [draw(st.floats(h, 20000.0)) for h in hs]
+    return np.array(hs), np.array(ds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hd=links(), n=st.sampled_from([1, 5, 30]),
+       env=st.sampled_from(KERNEL_ENVS),
+       seed=st.integers(0, 2 ** 16))
+def test_likelihood_kernel_equals_public_composition(hd, n, env, seed):
+    h, d = hd
+    s1, s2 = est._suffstats(np.random.default_rng(seed).normal(-100.0, 10.0, (d.size, n)))
+    for hh in (h, h.min()):  # per-link altitudes, and one shared by all
+        got = est._loglik(d, hh, n, env, s1, s2)
+        assert got.tobytes() == reference_loglik(d, hh, env, s1, s2, n).tobytes()
 
 
 @st.composite
