@@ -83,11 +83,17 @@ def build_constellation(spec: ConstellationSpec) -> list[Anchor]:
 
 
 def sample_disk_xy(n: int, radius: float, center_xy, rng: np.random.Generator) -> np.ndarray:
-    """(n, 2) array of i.i.d. points uniform over a disk."""
+    """(n, 2) array of i.i.d. points uniform over a disk.
+
+    Raises ValueError unless n >= 1, the radius is finite and > 0 and the
+    center is finite.
+    """
     if n < 1:
         raise ValueError("node count n must be >= 1")
-    if radius <= 0.0:
-        raise ValueError("radius must be > 0")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
+    if not (math.isfinite(center_xy[0]) and math.isfinite(center_xy[1])):
+        raise ValueError(f"disk center must be finite, got ({center_xy[0]}, {center_xy[1]})")
     u = rng.random(n)
     phi = rng.random(n) * 2.0 * math.pi
     rr = radius * np.sqrt(u)

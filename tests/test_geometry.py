@@ -116,6 +116,16 @@ class TestNodeSampling:
         with pytest.raises(ValueError):
             u.sample_disk_xy(10, 0.0, (0.0, 0.0), rng)
 
+    @pytest.mark.parametrize("radius,center,cause", [
+        (math.nan, (0.0, 0.0), "radius"),
+        (math.inf, (0.0, 0.0), "radius"),
+        (100.0, (math.nan, 0.0), "center"),
+        (100.0, (0.0, -math.inf), "center"),
+    ])
+    def test_rejects_non_finite(self, radius, center, cause):
+        with pytest.raises(ValueError, match=f"{cause} must be finite"):
+            u.sample_disk_xy(2, radius, center, np.random.default_rng(0))
+
 
 class TestLinks:
     def test_anchor_validation(self):

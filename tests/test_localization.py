@@ -20,11 +20,13 @@ def true_ranges(anchors, node_xy):
 
 
 def _lm_descend_full_batch(axy, rhat, p0, solver):
-    """The damped Gauss-Newton loop as it was before row compaction.
+    """The damped Gauss-Newton loop on row-major (L, N, 2) arrays.
 
-    Every row stays in every iteration until all have left. Returns the
-    final active mask as a fifth value, so a test can tell rows that left
-    through the damping cap from rows that never left.
+    The reference `_lm_descend` must equal bit for bit: its normal
+    equations sum with `np.einsum`, and every row stays in every iteration
+    until all have left. Returns the final active mask as a fifth value, so
+    a test can tell rows that left through the damping cap from rows that
+    never left.
     """
     p = p0.copy()
     L = p.shape[0]
@@ -76,6 +78,14 @@ def _lm_descend_full_batch(axy, rhat, p0, solver):
             break
 
     return p, obj, converged, descended, active
+
+
+def assert_descents_equal(want, have):
+    """Position, objective, converged and descended agree bit for bit."""
+    assert len(want) == len(have) == 4
+    for w, h in zip(want, have):
+        assert w.dtype == h.dtype and w.shape == h.shape
+        assert w.tobytes() == h.tobytes()
 
 
 def objective(p, axy, rhat):
@@ -220,12 +230,15 @@ class TestMultilaterateBatch:
 
 
 class TestCompactedDescent:
-    @pytest.mark.parametrize("n_anchors,base_side", [(3, 500.0), (30, 100.0)])
+    @pytest.mark.parametrize("n_anchors,base_side",
+                             [(3, 500.0), (9, 100.0), (12, 100.0), (30, 100.0)])
     def test_byte_equal_to_full_batch(self, n_anchors, base_side):
-        # Shapes of the altitude study (3 anchors) and the largest count
-        # study (30); range noise spans what ranging yields from low to high
-        # altitude. step_tol=1e-30 keeps rows at the numerical minimum
-        # rejecting steps until they leave through the damping cap.
+        # Shapes of the altitude study (3 anchors) and of count studies up
+        # to the largest (30); from 8 anchors on numpy's contiguous sum is
+        # pairwise, not sequential. Range noise spans what ranging yields
+        # from low to high altitude. step_tol=1e-30 keeps rows at the
+        # numerical minimum rejecting steps until they leave through the
+        # damping cap.
         spec = u.ConstellationSpec(n_anchors=n_anchors, base_side=base_side,
                                    altitude=100.0, side_increment=20.0)
         axy = u.anchors_xy(u.build_constellation(spec))
@@ -240,15 +253,34 @@ class TestCompactedDescent:
             p0 = np.tile(axy.mean(axis=0), (rhat.shape[0], 1))
             for solver in solvers:
                 *ref, active = _lm_descend_full_batch(axy, rhat, p0, solver)
-                got = loc._lm_descend(axy, rhat, p0, solver)
-                for want, have in zip(ref, got):
-                    assert want.dtype == have.dtype and want.shape == have.shape
-                    assert want.tobytes() == have.tobytes()
+                assert_descents_equal(ref, loc._lm_descend(axy, rhat, p0, solver))
                 conv = ref[2]
                 exits["step_tol"] += int(conv.sum())
                 exits["damping_cap"] += int((~conv & ~active).sum())
                 exits["never"] += int(active.sum())
         assert min(exits.values()) > 0, exits
+
+    @pytest.mark.parametrize("n_anchors", range(3, 31, 3))
+    def test_single_row_byte_equal_to_full_batch(self, n_anchors):
+        # The grid restart descends one row at a time, from the grid minimum;
+        # a batch also ends with one row left when the others have finished.
+        # numpy sums an (N, 1) array pairwise, so from 8 anchors on a plain
+        # anchor sum over one row leaves the reference's order.
+        spec = u.ConstellationSpec(n_anchors=n_anchors, base_side=100.0,
+                                   altitude=100.0, side_increment=20.0)
+        axy = u.anchors_xy(u.build_constellation(spec))
+        rng = np.random.default_rng(100 + n_anchors)
+        nodes = rng.uniform(-1500.0, 1500.0, size=(40, 2))
+        rhat = np.linalg.norm(nodes[:, None, :] - axy[None, :, :], axis=2)
+        sigma = np.resize([1.0, 30.0, 300.0, 1500.0], (40, 1))
+        rhat = np.maximum(rhat + rng.normal(0.0, 1.0, size=rhat.shape) * sigma, 0.0)
+        starts = np.concatenate([np.tile(axy.mean(axis=0), (20, 1)),
+                                 rng.uniform(-1500.0, 1500.0, size=(20, 2))])
+        for solver in (u.SolverConfig(), u.SolverConfig(step_tol=1e-30)):
+            for i in range(rhat.shape[0]):
+                args = (axy, rhat[i:i + 1], starts[i:i + 1], solver)
+                *ref, _ = _lm_descend_full_batch(*args)
+                assert_descents_equal(ref, loc._lm_descend(*args))
 
     def test_grid_restart_applies_to_exactly_the_stuck_rows(self, monkeypatch):
         # An irregular triangle: from its centroid, the first damped step
@@ -340,23 +372,28 @@ class TestBlockedDescent:
         assert min(exits.values()) > 0, exits
 
     def test_zero_rows_do_no_descent(self, monkeypatch):
-        axy, _ = self._rows()
-        descents, einsums = [], []
-        lm_descend, einsum = loc._lm_descend, np.einsum
+        axy, rhat = self._rows()
+        descents, steps = [], []
+        lm_descend, hypot = loc._lm_descend, np.hypot
 
         def spy_descend(axy_, rhat_, p0_, solver_):
             descents.append(rhat_.shape[0])
             return lm_descend(axy_, rhat_, p0_, solver_)
 
-        def spy_einsum(*args, **kwargs):
-            einsums.append(args[0])
-            return einsum(*args, **kwargs)
+        def spy_hypot(*args, **kwargs):
+            # The descent takes the norm of each iteration's steps once.
+            steps.append(args[0].shape)
+            return hypot(*args, **kwargs)
 
         monkeypatch.setattr(loc, "_lm_descend", spy_descend)
-        monkeypatch.setattr(np, "einsum", spy_einsum)
+        monkeypatch.setattr(np, "hypot", spy_hypot)
         p, obj, conv = u.multilaterate_batch(axy, np.empty((0, 3)))
         assert descents == []
         assert p.shape == (0, 2) and obj.shape == (0,) and conv.shape == (0,)
         out = lm_descend(axy, np.empty((0, 3)), np.empty((0, 2)), u.SolverConfig())
-        assert einsums == []
+        assert steps == []
         assert [a.shape for a in out] == [(0, 2), (0,), (0,), (0,)]
+        # The spy sees iterations: two, on rows that do not finish in one.
+        lm_descend(axy, rhat[1:4], np.tile(axy.mean(axis=0), (3, 1)),
+                   u.SolverConfig(max_iter=2))
+        assert steps == [(3,), (3,)]

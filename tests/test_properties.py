@@ -10,10 +10,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import uavloc as u  # noqa: E402
-from uavloc import config, estimation as est  # noqa: E402
+from uavloc import config, estimation as est, localization as loc  # noqa: E402
 from uavloc.config import DEFAULT_GRIDS, grid_from_range  # noqa: E402
 
 from test_estimation import KERNEL_ENVS, ranging_batch, reference_loglik  # noqa: E402
+from test_localization import _lm_descend_full_batch, assert_descents_equal  # noqa: E402
 
 ALTITUDES = grid_from_range(*DEFAULT_GRIDS["altitude"])
 
@@ -55,6 +56,46 @@ def test_likelihood_kernel_equals_public_composition(hd, n, env, seed):
     for hh in (h, h.min()):  # per-link altitudes, and one shared by all
         got = est._loglik(d, hh, n, env, s1, s2)
         assert got.tobytes() == reference_loglik(d, hh, env, s1, s2, n).tobytes()
+
+
+def descent_rows(n, rows, sigma, seed, centroid_start):
+    """n random anchors; rows noisy range vectors and their start points."""
+    rng = np.random.default_rng(seed)
+    axy = rng.uniform(-800.0, 800.0, size=(n, 2))
+    nodes = rng.uniform(-1500.0, 1500.0, size=(rows, 2))
+    rhat = np.linalg.norm(nodes[:, None, :] - axy[None, :, :], axis=2)
+    rhat = np.maximum(rhat + rng.normal(0.0, sigma, size=rhat.shape), 0.0)
+    if centroid_start:
+        return axy, rhat, np.tile(axy.mean(axis=0), (rows, 1))
+    return axy, rhat, rng.uniform(-1500.0, 1500.0, size=(rows, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 30), rows=st.integers(1, 64), sigma=st.floats(0.0, 2000.0),
+       seed=st.integers(0, 2 ** 16), centroid_start=st.booleans(),
+       solver=st.sampled_from([u.SolverConfig(), u.SolverConfig(max_iter=5),
+                               u.SolverConfig(step_tol=1e-30)]))
+def test_descent_equals_reference_loop(n, rows, sigma, seed, centroid_start, solver):
+    axy, rhat, p0 = descent_rows(n, rows, sigma, seed, centroid_start)
+    *want, _ = _lm_descend_full_batch(axy, rhat, p0, solver)
+    assert_descents_equal(want, loc._lm_descend(axy, rhat, p0, solver))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 30), rows=st.integers(1, 16), sigma=st.floats(0.0, 2000.0),
+       seed=st.integers(0, 2 ** 16), centroid_start=st.booleans())
+def test_accepted_steps_never_raise_the_objective(n, rows, sigma, seed, centroid_start):
+    # The descent stopped after k iterations returns the objective of its
+    # last accepted step, so it must not rise with k, nor above the start.
+    axy, rhat, p0 = descent_rows(n, rows, sigma, seed, centroid_start)
+    dist = np.maximum(np.linalg.norm(p0[:, None, :] - axy, axis=2), loc._DIST_FLOOR)
+    start = ((dist - rhat) ** 2).sum(axis=1)
+    prev = start
+    for k in range(1, 21):
+        _, obj, _, descended = loc._lm_descend(axy, rhat, p0, u.SolverConfig(max_iter=k))
+        assert np.all(obj <= prev)
+        assert np.all(obj[descended] < start[descended])
+        prev = obj
 
 
 @st.composite
