@@ -50,7 +50,6 @@ from .experiments import (
     SweepSpec,
     WorkerPoolError,
     optimize_altitude,
-    point_errors,
     read_results_csv,
     run_crlb_comparison,
     run_sweep,

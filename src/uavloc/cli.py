@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ _VARIABLE_BY_COMMAND = {
     "crlb": "altitude",
     "optimize": "altitude",
 }
-_COMMANDS = tuple(_VARIABLE_BY_COMMAND)
 
 _EPILOG = """\
 exit codes:
@@ -49,26 +47,6 @@ exit codes:
   5  output I/O error
   1  unexpected failure
 """
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """One resolved CLI invocation."""
-
-    command: str
-    output_path: str
-    config_path: str | None = None
-    seed_override: int | None = None
-    preset: str | None = None
-    threads: int = 1
-    r_values: tuple[float, ...] = (500.0,)
-    repetitions: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValueError(f"command must be one of {_COMMANDS}")
-        if not self.output_path:
-            raise ValueError("output path must be non-empty")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,53 +88,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    extra = {}
-    if args.command == "crlb":
-        extra["r_values"] = tuple(args.r) if args.r else (500.0,)
-        extra["repetitions"] = args.repetitions
-    return RunManifest(
-        command=args.command,
-        output_path=args.out,
-        config_path=args.config,
-        seed_override=args.seed,
-        preset=args.preset,
-        threads=args.threads,
-        **extra,
-    )
-
-
-def dispatch(manifest: RunManifest) -> int:
+def dispatch(args: argparse.Namespace) -> int:
     """Run the selected experiment; returns the process exit code."""
     try:
-        cfg = load_config(path=manifest.config_path,
-                          preset=manifest.preset,
-                          seed_override=manifest.seed_override,
-                          variable=_VARIABLE_BY_COMMAND[manifest.command])
+        cfg = load_config(path=args.config,
+                          preset=args.preset,
+                          seed_override=args.seed,
+                          variable=_VARIABLE_BY_COMMAND[args.command])
         # The library functions are looked up here, at call time, so that
         # a caller may wrap them (`perfbench/study.py` traces them so).
-        if manifest.command == "optimize":
-            opt = optimize_altitude(cfg, threads=manifest.threads)
-            write_results(opt.result, manifest.output_path)
+        if args.command == "optimize":
+            opt = optimize_altitude(cfg, threads=args.threads)
+            write_results(opt.result, args.out)
             print(f"optimize: h_opt = {opt.h_opt:g} m, error_at_opt = "
                   f"{opt.error_at_opt:.3f} m, theta_opt = "
                   f"{math.degrees(opt.theta_opt):.1f} deg; "
-                  f"wrote {manifest.output_path}")
-        elif manifest.command == "crlb":
-            points = run_crlb_comparison(cfg, manifest.r_values,
-                                         repetitions=manifest.repetitions,
-                                         threads=manifest.threads)
-            write_crlb_table(points, cfg.seed, manifest.output_path)
-            gaps = [abs(p.mle_sigma - p.crlb_sigma) / p.crlb_sigma for p in points]
-            print(f"crlb: max relative gap {max(gaps):.1%} over {len(points)} "
-                  f"points; wrote {manifest.output_path}")
+                  f"wrote {args.out}")
+        elif args.command == "crlb":
+            points = run_crlb_comparison(cfg, args.r or (500.0,),
+                                         repetitions=args.repetitions,
+                                         threads=args.threads)
+            write_crlb_table(points, cfg.seed, args.out)
+            gaps = [abs(p.mle_sigma - p.crlb_sigma) / p.crlb_sigma for p in points if p.crlb_sigma]
+            print(f"crlb: max relative gap {max(gaps, default=0.0):.1%} over {len(gaps)} "
+                  f"points; wrote {args.out}")
         else:
-            result = run_sweep(cfg, threads=manifest.threads)
-            write_results(result, manifest.output_path)
+            result = run_sweep(cfg, threads=args.threads)
+            write_results(result, args.out)
             idx = int(np.argmin(result.mean_error))
             print(f"{result.sweep_variable} sweep: min mean error "
                   f"{result.mean_error[idx]:.3f} m at {result.sweep_variable} = "
-                  f"{result.sweep_values[idx]:g}; wrote {manifest.output_path}")
+                  f"{result.sweep_values[idx]:g}; wrote {args.out}")
     except ConfigError as exc:
         print(f"uavloc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -175,11 +137,9 @@ def dispatch(manifest: RunManifest) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        manifest = manifest_from_args(args)
-    except ValueError as exc:
-        parser.error(str(exc))  # exits with code 2
-    return dispatch(manifest)
+    if not args.out:
+        parser.error("output path must be non-empty")  # exits with code 2
+    return dispatch(args)
 
 
 if __name__ == "__main__":

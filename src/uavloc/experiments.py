@@ -141,8 +141,8 @@ class ExperimentConfig:
             raise ValueError("deployment_radius must be finite and > 0")
         if self.samples_per_anchor < 1:
             raise ValueError("samples_per_anchor must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError("seed must be >= 0 and < 2**128")
         if not (math.isfinite(self.eval_distance) and self.eval_distance > 0.0):
             raise ValueError("eval_distance must be finite and > 0")
         if self.eval_azimuths < 1:
@@ -244,27 +244,27 @@ def _layout(cfg: ExperimentConfig, value: float) -> tuple[np.ndarray, float]:
 _PACK_ROWS = 4096
 
 
-def _slice_errors(cfg: ExperimentConfig, values, nodes: np.ndarray | None = None):
-    """`point_errors` for several sweep points that share one anchor layout.
+def _slice_errors(cfg: ExperimentConfig, values):
+    """Per-node errors at several sweep points that share one anchor layout.
 
-    Returns one `point_errors` tuple per value and the seconds each point
-    spent ranging. Node positions, true ranges and shadowing draws depend on
-    the trial only, so every point of the slice uses the same ones. Each
-    (trial, point) pair is one ranging batch; consecutive batches, trial by
-    trial and point by point, are packed into calls of at most `_PACK_ROWS`
-    rows, and only one pack's samples are held at a time. Every batch keeps
-    its own golden-section iteration count, so its ranges equal ranging it
-    alone. A pack's call time is split over its batches by rows. All points'
-    fixes go through one solver call; each fix depends only on its own row,
-    so the results equal one call per point.
+    Returns (xi, position_error, n_nonconverged, n_boundary) per value, xi
+    being the norm of each node's per-anchor range errors, and the seconds
+    each point spent ranging. Node positions, true ranges and shadowing
+    draws depend on the trial only, so every point of the slice uses the
+    same ones. Each (trial, point) pair is one ranging batch; consecutive
+    batches, trial by trial and point by point, are packed into calls of at
+    most `_PACK_ROWS` rows, and only one pack's samples are held at a time.
+    Every batch keeps its own golden-section iteration count, so its ranges
+    equal ranging it alone. A pack's call time is split over its batches by
+    rows. All points' fixes go through one solver call; each fix depends
+    only on its own row, so the results equal one call per point.
     """
     env = cfg.environment
     layouts = [_layout(cfg, v) for v in values]
     axy = layouts[0][0]
     n_anchors = axy.shape[0]
     s = cfg.samples_per_anchor
-    trial_pts = [_trial_nodes(cfg, trial) if nodes is None else np.asarray(nodes, dtype=float)
-                 for trial in range(cfg.trials)]
+    trial_pts = [_trial_nodes(cfg, trial) for trial in range(cfg.trials)]
     m = trial_pts[0].shape[0]
     pts = np.concatenate(trial_pts)
     rows = m * n_anchors
@@ -312,16 +312,6 @@ def _slice_errors(cfg: ExperimentConfig, values, nodes: np.ndarray | None = None
     errors = [(xi[k], np.linalg.norm(p[k] - pts, axis=1), int(np.count_nonzero(~conv[k])),
                n_boundary[k]) for k in range(len(values))]
     return errors, ranging_s
-
-
-def point_errors(cfg: ExperimentConfig, value: float, nodes: np.ndarray | None = None):
-    """Raw per-node metrics at one sweep point, concatenated over trials.
-
-    Returns (xi, position_error, n_nonconverged, n_boundary) where xi is the
-    Euclidean norm of the per-anchor horizontal-range errors of each node.
-    `nodes` overrides the per-trial node sets (same array every trial).
-    """
-    return _slice_errors(cfg, (value,), nodes)[0][0]
 
 
 @dataclass(frozen=True)
@@ -623,11 +613,13 @@ def read_results_csv(path) -> dict[str, np.ndarray]:
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))
-    header = rows[0]
+    header = rows[0] if rows else []
     if ",".join(header) != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header in {path}: {rows[0]!r}")
+        raise ValueError(f"unexpected CSV header in {path}: {header!r}")
     cols = {name: [] for name in header}
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}, line {line}: {len(row)} fields, expected {len(header)}")
         for name, cell in zip(header, row):
             cols[name].append(float(cell))
     return {name: np.asarray(vals) for name, vals in cols.items()}

@@ -33,7 +33,7 @@ class TestParser:
         parser = cli.build_parser()
         sub_action = next(a for a in parser._actions
                           if hasattr(a, "choices") and a.choices)
-        assert set(sub_action.choices) == set(cli._COMMANDS)
+        assert set(sub_action.choices) == set(cli._VARIABLE_BY_COMMAND)
         for name, sub in sub_action.choices.items():
             help_text = sub.format_help()
             accepted = {s for s in sub._option_string_actions if s.startswith("--")}
@@ -56,23 +56,23 @@ class TestParser:
             cli.main(["altitude-sweep"])
         assert exc.value.code == 2
 
-    def test_manifest_from_args_crlb(self):
-        parser = cli.build_parser()
-        args = parser.parse_args(["crlb", "--out", "o.csv", "--r", "300",
-                                  "--r", "700", "--repetitions", "50",
-                                  "--seed", "5", "--threads", "2"])
-        m = cli.manifest_from_args(args)
-        assert m.command == "crlb"
-        assert m.r_values == (300.0, 700.0)
-        assert m.repetitions == 50
-        assert m.seed_override == 5
-        assert m.threads == 2
+    def test_crlb_flags_reach_the_table(self, alt_cfg, tmp_path):
+        out = tmp_path / "crlb.csv"
+        assert cli.main(["crlb", "--config", str(alt_cfg), "--out", str(out),
+                         "--r", "300", "--r", "700", "--repetitions", "50",
+                         "--seed", "5", "--threads", "2"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        header = CRLB_CSV_HEADER.split(",")
+        column = {name: [row[header.index(name)] for row in rows]
+                  for name in ("r_m", "repetitions", "seed")}
+        assert column == {"r_m": ["300.0", "300.0", "700.0", "700.0"],
+                          "repetitions": ["50"] * 4, "seed": ["5"] * 4}
 
-    def test_manifest_validation(self):
-        with pytest.raises(ValueError):
-            cli.RunManifest(command="nope", output_path="x.csv")
-        with pytest.raises(ValueError):
-            cli.RunManifest(command="crlb", output_path="")
+    def test_empty_out_exits_2(self, alt_cfg, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["altitude-sweep", "--config", str(alt_cfg), "--out", ""])
+        assert exc.value.code == 2
+        assert "output path must be non-empty" in capsys.readouterr().err
 
 
 class TestDispatch:
@@ -123,6 +123,25 @@ class TestDispatch:
         assert lines[0] == CRLB_CSV_HEADER
         assert len(lines) == 3  # two altitudes, one r
         assert "max relative gap" in capsys.readouterr().out
+
+    def test_crlb_zero_bound_exits_0(self, tmp_path, capsys):
+        # Without shadowing the bound is 0 at every cell, and so is the
+        # estimator spread: the table is written and the summary's relative
+        # gap leaves those cells out.
+        cfg = tmp_path / "flat.yaml"
+        cfg.write_text("environment: {preset: urban, a_los: 0, a_nlos: 0}\n"
+                       "sweep:\n  values: [300, 900]\n")
+        out = tmp_path / "crlb.csv"
+        assert cli.main(["crlb", "--config", str(cfg), "--out", str(out),
+                         "--repetitions", "50"]) == cli.EXIT_OK
+        want = tmp_path / "want.csv"
+        config = u.load_config(cfg)
+        u.write_crlb_table(u.run_crlb_comparison(config, (500.0,), repetitions=50),
+                           config.seed, want)
+        assert out.read_bytes() == want.read_bytes()
+        assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == \
+            ["0.0", "0.0"]
+        assert "over 0 points;" in capsys.readouterr().out
 
     def test_same_manifest_reproduces_bytes(self, alt_cfg, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -230,6 +249,24 @@ class TestErrorPaths:
         assert code == cli.EXIT_CONFIG == 3
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("route", ["flag", "yaml"])
+    def test_seed_beyond_128_bits_exits_3(self, tmp_path, capsys, route):
+        cfg = tmp_path / "seed.yaml"
+        body = "node_count: 10\nsweep:\n  values: [300]\n"
+        flag = ["--seed", str(2**128)] if route == "flag" else []
+        cfg.write_text(body if flag else body + "seed: 1.0e+40\n")
+        code = cli.main(["altitude-sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "o.csv"), *flag])
+        assert code == cli.EXIT_CONFIG == 3
+        assert "seed must be >= 0 and < 2**128" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        cfg = tmp_path / "seed.yaml"
+        cfg.write_text("node_count: 10\nsweep:\n  values: [300]\n")
+        assert cli.main(["altitude-sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "o.csv"), "--seed", str(2**128 - 1)]) == 0
 
     def test_missing_config_file_exits_3(self, tmp_path):
         code = cli.main(["altitude-sweep", "--config",

@@ -82,6 +82,7 @@ class TestExperimentConfig:
     def test_validation(self):
         base = tiny_altitude_config()
         for field, bad in [("node_count", 0), ("trials", 0), ("seed", -1),
+                           ("seed", 2**128),
                            ("deployment_radius", 0.0),
                            ("samples_per_anchor", 0),
                            ("eval_distance", 0.0), ("eval_azimuths", 0)]:
@@ -113,7 +114,7 @@ class TestTrialNodes:
         np.testing.assert_array_equal(pts, _trial_nodes(cfg, 3))
 
 
-def _point_errors_reference(cfg, value, nodes=None):
+def _point_errors_reference(cfg, value):
     """One sweep point on its own, ranged per trial and fixed in one solver
     call: the results a slice's shared fix must reproduce."""
     env = cfg.environment
@@ -124,7 +125,7 @@ def _point_errors_reference(cfg, value, nodes=None):
     xi_parts, pts_parts, r_hat_parts = [], [], []
     n_boundary = 0
     for trial in range(cfg.trials):
-        pts = _trial_nodes(cfg, trial) if nodes is None else np.asarray(nodes, dtype=float)
+        pts = _trial_nodes(cfg, trial)
         m = pts.shape[0]
         r_true = np.linalg.norm(pts[:, None, :] - axy[None, :, :], axis=2)
         d_true = np.hypot(r_true, h)
@@ -160,7 +161,7 @@ class TestPointErrors:
         cfg = tiny_altitude_config(trials=2)
         res = u.run_sweep(cfg)
         for k, value in enumerate(res.sweep_values):
-            xi, pos, n_nc, n_bd = u.point_errors(cfg, value)
+            xi, pos, n_nc, n_bd = ex._slice_errors(cfg, (value,))[0][0]
             assert xi.shape == (cfg.trials * cfg.node_count,)
             assert res.mean_error[k] == float(np.mean(xi))
             assert res.error_std[k] == float(np.std(xi, ddof=1))
@@ -172,7 +173,7 @@ class TestPointErrors:
     def test_std_against_streaming_recomputation(self):
         # Independent one-pass (Welford) accumulation of the same samples.
         cfg = tiny_altitude_config(trials=2)
-        xi, _, _, _ = u.point_errors(cfg, cfg.sweep.values[0])
+        xi, _, _, _ = ex._slice_errors(cfg, cfg.sweep.values[:1])[0][0]
         count, mean, m2 = 0, 0.0, 0.0
         for x in xi:
             count += 1
@@ -183,15 +184,6 @@ class TestPointErrors:
         assert res.mean_error[0] == pytest.approx(mean, rel=1e-12)
         assert res.error_std[0] == pytest.approx(
             math.sqrt(m2 / (count - 1)), rel=1e-10)
-
-    def test_explicit_nodes_override(self):
-        cfg = tiny_altitude_config(trials=1)
-        nodes = np.array([[100.0, 0.0], [0.0, 350.0], [-420.0, -80.0]])
-        xi1, pos1, _, _ = u.point_errors(cfg, 900.0, nodes=nodes)
-        xi2, pos2, _, _ = u.point_errors(cfg, 900.0, nodes=nodes)
-        assert xi1.shape == (3,)
-        np.testing.assert_array_equal(xi1, xi2)
-        np.testing.assert_array_equal(pos1, pos2)
 
     @pytest.mark.parametrize("variable,values,trials", [
         ("altitude", (50.0, 300.0, 900.0, 2000.0), 2),
@@ -209,8 +201,8 @@ class TestPointErrors:
             for v, got in zip(slice_values, errors):
                 want = _point_errors_reference(cfg, v)
                 _assert_same_errors(got, want)
-                _assert_same_errors(u.point_errors(cfg, v), want)
-        assert sum(u.point_errors(cfg, v)[2] for v in values) > 0
+                _assert_same_errors(ex._slice_errors(cfg, (v,))[0][0], want)
+        assert sum(ex._slice_errors(cfg, (v,))[0][0][2] for v in values) > 0
 
     @pytest.mark.parametrize("variable,values,trials,pack_rows,packs", [
         # 8-node ring: 24 rows per trial at 3 anchors, 48 at 6; packs of
@@ -242,13 +234,6 @@ class TestPointErrors:
                 _assert_same_errors(got, _point_errors_reference(cfg, v))
         assert calls == packs
 
-    def test_shared_fix_with_explicit_nodes(self):
-        cfg = tiny_altitude_config(trials=2)
-        nodes = np.array([[100.0, 0.0], [0.0, 350.0], [-420.0, -80.0]])
-        errors, _ = ex._slice_errors(cfg, cfg.sweep.values, nodes=nodes)
-        for v, got in zip(cfg.sweep.values, errors):
-            _assert_same_errors(got, _point_errors_reference(cfg, v, nodes=nodes))
-
     def test_one_descent_per_block_not_per_point(self, monkeypatch):
         cfg = tiny_altitude_config(trials=2)  # 3 points x 2 trials x 40 nodes
         sizes = []
@@ -261,9 +246,7 @@ class TestPointErrors:
         monkeypatch.setattr(loc, "_lm_descend", spy)
         monkeypatch.setattr(loc, "_DESCENT_ROWS", 100)
         u.run_sweep(cfg)
-        # Grid restarts of stuck rows follow the blocks, one row each.
-        assert sizes[:3] == [100, 100, 40]
-        assert all(n == 1 for n in sizes[3:])
+        assert sizes == [100, 100, 40]
 
     def test_large_slices_fix_in_chunks_of_whole_points(self, monkeypatch):
         cfg = tiny_altitude_config(trials=2)  # 240 range estimates per point
@@ -285,7 +268,7 @@ class TestPointErrors:
         # tolerance, so xi stays under sqrt(N) * tol and positions match.
         cfg = tiny_altitude_config(trials=1, node_count=25)
         cfg = replace(cfg, environment=u.without_shadowing(u.URBAN))
-        xi, pos, n_nc, _ = u.point_errors(cfg, 1000.0)
+        xi, pos, n_nc, _ = ex._slice_errors(cfg, (1000.0,))[0][0]
         n_anchors = cfg.constellation.n_anchors
         assert xi.max() <= math.sqrt(n_anchors) * 5.0 * cfg.search.tol
         assert pos.max() < 1.0
@@ -517,6 +500,21 @@ class TestSerialization:
         bad.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             u.read_results_csv(bad)
+
+    def test_read_rejects_truncated_row(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        u.write_results(u.run_sweep(tiny_altitude_config(node_count=10)), out)
+        text = out.read_text()
+        out.write_text(text[:text.rindex(",")])  # cut the last row's seed field
+        line = text.count("\n")
+        with pytest.raises(ValueError, match=rf"sweep\.csv, line {line}: 6 fields"):
+            u.read_results_csv(out)
+
+    def test_read_rejects_empty_file(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(ValueError, match="empty\\.csv"):
+            u.read_results_csv(empty)
 
     def test_write_error_names_path(self, tmp_path):
         cfg = tiny_altitude_config()
