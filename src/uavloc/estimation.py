@@ -118,6 +118,8 @@ def log_likelihood(d, samples, h: float, env: EnvironmentParams):
     if not np.all(np.isfinite(w)):
         raise ValueError("RSS samples must be finite")
     s1, s2 = _suffstats(w)
+    if not math.isfinite(s2[0]):
+        raise ValueError("sum of squared RSS samples overflows")
     ll = _loglik(np.atleast_1d(dd), h, w.shape[1], env, s1[0], s2[0])
     return float(ll[0]) if dd.ndim == 0 else ll
 
@@ -202,8 +204,9 @@ _BRACKET_ROWS = 256
 
 def _suffstats(samples_2d: np.ndarray):
     """Per-row sufficient statistics (sum, sum of squares) of the samples."""
-    s1 = samples_2d.sum(axis=1)
-    s2 = (samples_2d ** 2).sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflow gives inf; callers reject it
+        s1 = samples_2d.sum(axis=1)
+        s2 = (samples_2d ** 2).sum(axis=1)
     return s1, s2
 
 
@@ -306,9 +309,9 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
     its batch ranged alone, byte for byte. That batch dependence is kept on
     purpose: making the count per row is a change of its own, because it
     moves results. All batches step in
-    lockstep: rows are ordered by iteration count, largest first, so the
-    rows still refining are always a prefix, each step evaluates the
-    likelihood once on that prefix, and the order is undone at the end.
+    lockstep: when a batch has taken its steps, its rows take their
+    estimates and leave the working arrays by one mask compaction, so each
+    step evaluates the likelihood once, on the rows still refining.
 
     The grid log-likelihood is built `_BRACKET_ROWS` rows at a time in one
     reused buffer, on the grid of each batch's altitude; the grid's model
@@ -347,6 +350,8 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
         raise ValueError(f"search upper bound d_max = {hi} must exceed {max(los)}")
 
     s1, s2 = _suffstats(samples_2d)
+    if not np.all(np.isfinite(s2)):
+        raise ValueError("sum of squared RSS samples overflows")
 
     # Coarse bracketing on each batch's log-spaced grid, over runs of rows
     # that share one altitude.
@@ -384,34 +389,30 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
                             / -math.log(_INVPHI))) + 1
               for i, j in zip(bounds[:-1], bounds[1:])]
     row_iter = np.repeat(n_iter, counts)
-    # Largest count first; batches already in that order are not moved.
-    order = slice(None) if n_iter == sorted(n_iter, reverse=True) \
-        else np.argsort(-row_iter, kind="stable")
-    row_iter = row_iter[order]
-    # Rows still refining before step t: the first active[t] rows.
-    active = np.searchsorted(-row_iter, -np.arange(row_iter[0] if links else 0), "left")
-    s1, s2, a, b, span = s1[order], s2[order], a[order], b[order], span[order]
 
     def per_row(values):
         # One altitude (the common case) keeps scalars: no per-row arrays.
-        return np.repeat(values, counts)[order] if len(set(hs)) > 1 else values[0]
+        return np.repeat(values, counts) if len(set(hs)) > 1 else values[0]
 
     h_row, lo_row, h2_row = per_row(hs), per_row(los), per_row([hb ** 2 for hb in hs])
 
     # Golden-section refinement, run in lockstep across links. Rows whose
-    # batch has taken its steps leave the prefix, and their estimates are
-    # taken then.
+    # batch has taken its steps take their estimates then and leave every
+    # working array.
     x1 = a + _INVPHI2 * span
     x2 = a + _INVPHI * span
     f1 = _loglik(x1, h_row, n, env, s1, s2)
     f2 = _loglik(x2, h_row, n, env, s1, s2)
-    s1k, s2k, hk = s1, s2, h_row
-    tails = []
-    for k in active:
-        if k < f1.size:
-            tails.append(np.where(f1[k:] >= f2[k:], x1[k:], x2[k:]))
-            a, b, x1, x2, f1, f2, s1k, s2k = (v[:k] for v in (a, b, x1, x2, f1, f2, s1k, s2k))
-            hk = hk[:k] if np.ndim(hk) else hk
+    d_hat = np.empty(links)
+    rows, s1k, s2k, hk = np.arange(links), s1, s2, h_row
+    for t in range(row_iter.max(initial=0)):
+        if t in n_iter:
+            done = row_iter == t
+            d_hat[rows[done]] = np.where(f1[done] >= f2[done], x1[done], x2[done])
+            keep = ~done
+            rows, row_iter, a, b, x1, x2, f1, f2, s1k, s2k = (
+                v[keep] for v in (rows, row_iter, a, b, x1, x2, f1, f2, s1k, s2k))
+            hk = hk[keep] if np.ndim(hk) else hk
         left = f1 >= f2  # ties shrink toward the smaller distance
         b = np.where(left, x2, b)
         a = np.where(left, a, x1)
@@ -422,7 +423,7 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
         f_new = _loglik(np.where(left, x1n, x2n), hk, n, env, s1k, s2k)
         f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
         x1, x2 = x1n, x2n
-    d_hat = np.concatenate([np.where(f1 >= f2, x1, x2)] + tails[::-1])
+    d_hat[rows] = np.where(f1 >= f2, x1, x2)
 
     # Snap to the hard bounds when the refinement hugged an end of the range.
     d_hat = np.clip(d_hat, lo_row, hi)
@@ -431,8 +432,7 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
     d_hat = np.where(low, lo_row, d_hat)
     r_hat = np.sqrt(np.maximum(d_hat ** 2 - h2_row, 0.0))
     ll_hat = _loglik(d_hat, h_row, n, env, s1, s2)
-    undo = order if isinstance(order, slice) else np.argsort(order)
-    return d_hat[undo], r_hat[undo], ll_hat[undo], boundary[undo]
+    return d_hat, r_hat, ll_hat, boundary
 
 
 def mle_distance(samples, h: float, env: EnvironmentParams,

@@ -513,8 +513,8 @@ def run_crlb_comparison(cfg: ExperimentConfig, r_values,
     if repetitions < 2:
         raise ValueError("repetitions must be >= 2")
     rs = [float(r) for r in r_values]
-    if not rs or any(r <= 0.0 for r in rs):
-        raise ValueError("r_values must be nonempty and positive")
+    if not rs or not all(math.isfinite(r) and r > 0.0 for r in rs):
+        raise ValueError("r_values must be nonempty, finite and positive")
     args = [(cfg, r, h, i_r, i_h, repetitions)
             for i_r, r in enumerate(rs)
             for i_h, h in enumerate(cfg.sweep.values)]
@@ -609,7 +609,7 @@ def write_crlb_table(points: list[CrlbPoint], seed: int, path) -> None:
 
 
 def read_results_csv(path) -> dict[str, np.ndarray]:
-    """Parse a sweep-result CSV back into column arrays (round-trip helper)."""
+    """Parse a sweep-result CSV back into column arrays; counts and seed as ints."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))
@@ -621,5 +621,10 @@ def read_results_csv(path) -> dict[str, np.ndarray]:
         if len(row) != len(header):
             raise ValueError(f"{path}, line {line}: {len(row)} fields, expected {len(header)}")
         for name, cell in zip(header, row):
-            cols[name].append(float(cell))
+            parse = int if name in ("n_nodes", "n_trials", "seed") else float
+            try:
+                cols[name].append(parse(cell))
+            except ValueError:
+                raise ValueError(f"{path}, line {line}, column {name}: "
+                                 f"{cell!r} is not a number") from None
     return {name: np.asarray(vals) for name, vals in cols.items()}

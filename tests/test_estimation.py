@@ -284,6 +284,9 @@ class TestLogLikelihood:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="samples must be finite"):
                 u.log_likelihood(600.0, [-80.0, bad], g.h, ENV)
+        # Finite samples whose sum of squares overflows.
+        with pytest.raises(ValueError, match="sum of squared RSS samples overflows"):
+            u.log_likelihood(600.0, [-1e154] * 5, g.h, ENV)
 
     def test_samples_must_be_non_empty_1d(self):
         for samples in ([], np.zeros((2, 2)), -80.0):
@@ -506,6 +509,10 @@ class TestMleDistance:
         with pytest.raises(ValueError):
             u.mle_distance_batch(np.zeros((1, 5)), 100.0, ENV,
                                  u.SearchConfig(d_max=50.0))
+        w = np.full((3, 5), -80.0)
+        w[1] = -1e154  # finite, but five squares overflow their sum
+        with pytest.raises(ValueError, match="sum of squared RSS samples overflows"):
+            u.mle_distance_batch(w, 100.0, ENV)
 
     def test_zero_links_give_empty_results(self):
         out = u.mle_distance_batch(np.zeros((0, 5)), 100.0, ENV)
@@ -608,6 +615,17 @@ def multi_batches(env, n):
             (ranging_batch(env, 1, n, 50.0, seed=n + 3), 50.0)]
 
 
+def block_crossing_batches(env, n):
+    """(samples, h) per batch: one run of 200, 0 and 120 rows at 400 m that
+    crosses a bracketing block, then 30 rows at 1500 m. The run's first
+    batch is noise-free and the other two have a row pinned at d_max, so the
+    three take different step counts and the run's later batch the most."""
+    return [(ranging_batch(u.without_shadowing(env), 202, n, 400.0, seed=n + 4)[1:-1], 400.0),
+            (np.empty((0, n)), 400.0),
+            (ranging_batch(env, 120, n, 400.0, seed=n + 5), 400.0),
+            (ranging_batch(env, 31, n, 1500.0, seed=n + 6)[1:], 1500.0)]
+
+
 def range_together(batches, env):
     offsets = np.cumsum([0] + [w.shape[0] for w, _ in batches])
     out = u.mle_distance_batch(np.concatenate([w for w, _ in batches]),
@@ -634,6 +652,23 @@ class TestMultiBatchMatchesAlone:
                 for g, r in zip(got, want):
                     assert g.dtype == r.dtype and g[i:j].shape == r.shape
                     assert g[i:j].tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("env", [u.URBAN, u.SUBURBAN], ids=["urban", "suburban"])
+    @pytest.mark.parametrize("n", [1, 5, 30])
+    def test_byte_equal_run_across_a_block(self, env, n):
+        # Rows that finish first sit before rows that refine longer, and rows
+        # leave the working arrays at two steps before the last one.
+        batches = block_crossing_batches(env, n)
+        first, _, last, other = [golden_steps(w, h, env) for w, h in batches]
+        assert first < other < last and 200 < _B < 320
+        got, offsets = range_together(batches, env)
+        for (w, h), i, j in zip(batches, offsets[:-1], offsets[1:]):
+            wants = [u.mle_distance_batch(w, h, env)]
+            if w.shape[0]:
+                wants.append(mle_distance_batch_reference(w, h, env))
+            for want in wants:
+                for g, r in zip(got, want):
+                    assert g.dtype == r.dtype and g[i:j].tobytes() == r.tobytes()
 
     def test_scalar_altitude_shared_by_every_batch(self):
         w = ranging_batch(ENV, 40, 5, 400.0, seed=9)

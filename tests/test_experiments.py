@@ -427,15 +427,14 @@ class TestCrlbComparison:
 
     def test_validation(self):
         cfg = tiny_altitude_config()
-        with pytest.raises(ValueError):
-            u.run_crlb_comparison(cfg, (), repetitions=100)
-        with pytest.raises(ValueError):
-            u.run_crlb_comparison(cfg, (-5.0,), repetitions=100)
-        with pytest.raises(ValueError):
+        for rs in ((), (-5.0,), (400.0, math.nan), (math.inf,)):
+            with pytest.raises(ValueError, match="r_values"):
+                u.run_crlb_comparison(cfg, rs, repetitions=100)
+        with pytest.raises(ValueError, match="repetitions"):
             u.run_crlb_comparison(cfg, (400.0,), repetitions=1)
         ring = u.default_config(variable="inter_distance",
                                 sweep=u.SweepSpec("inter_distance", (100.0,)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 'altitude'"):
             u.run_crlb_comparison(ring, (400.0,), repetitions=100)
 
 
@@ -508,6 +507,24 @@ class TestSerialization:
         out.write_text(text[:text.rindex(",")])  # cut the last row's seed field
         line = text.count("\n")
         with pytest.raises(ValueError, match=rf"sweep\.csv, line {line}: 6 fields"):
+            u.read_results_csv(out)
+
+    def test_read_keeps_integer_columns_exact(self, tmp_path):
+        # 2^53 + 1 is the first integer a float cannot hold.
+        cfg = tiny_altitude_config(node_count=10, seed=2 ** 53 + 1)
+        out = tmp_path / "sweep.csv"
+        u.write_results(u.run_sweep(cfg), out)
+        cols = u.read_results_csv(out)
+        assert cols["seed"].tolist() == [2 ** 53 + 1] * len(cfg.sweep.values)
+        assert cols["n_nodes"].tolist() == [10] * len(cfg.sweep.values)
+
+    def test_read_names_a_cell_that_is_not_a_number(self, tmp_path):
+        out = tmp_path / "name.csv"
+        u.write_results(u.run_sweep(tiny_altitude_config(node_count=10)), out)
+        lines = out.read_text().splitlines(keepends=True)
+        lines[2] = "abc" + lines[2][lines[2].index(","):]
+        out.write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"name\.csv, line 3, column sweep_value: 'abc'"):
             u.read_results_csv(out)
 
     def test_read_rejects_empty_file(self, tmp_path):
