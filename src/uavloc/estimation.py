@@ -6,7 +6,10 @@ known to the estimator. The estimator's input is the received-power samples
 and h alone; the bound is a separate function of the true link geometry and
 treats alpha(theta) and sigma(theta) as constants of the score, matching the
 closed form it reproduces. `log_likelihood` and the search share one
-formula, written in each link's sufficient statistics.
+formula, written in each link's sufficient statistics. The search brackets
+on a log grid, evaluating each row densely only where an upper bound on
+the likelihood cannot rule the columns out, and returns the same bits as a
+full grid pass.
 
 Inputs are checked where they enter: `theta_from_distance`,
 `log_likelihood`, `crlb_sigma_values` and `mle_distance_batch` reject
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -52,8 +56,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.d_max) and self.d_max > 0.0):
             raise ValueError("d_max must be finite and positive")
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be >= 3")
+        if not (isinstance(self.grid_points, Integral) and self.grid_points >= 3):
+            raise ValueError(f"grid_points must be an integer >= 3, got {self.grid_points!r}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError("tol must be finite and positive")
 
@@ -192,14 +196,34 @@ def fisher_information_numeric(geom: LinkGeometry, env: EnvironmentParams,
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
-#: Rows of the (links x grid) log-likelihood built at a time; the whole
-#: array would be 20 MB per 10^4 links. Measured on a 2-vCPU Xeon (48 KiB
-#: L1d and 2 MiB L2 per core), median time of a 10^4-row, 5-sample urban
-#: ranging call made almost all bracketing by tol = 10^6 m, per block size:
-#: 64: 18.8, 128: 17.6, 256: 17.1, 512: 17.3, 1024: 18.5, 2048: 19.5 and
-#: 4096: 21.0 ms. At the default 256-point grid a 256-row block is a
-#: 512 KiB buffer, a quarter of that L2.
+#: Rows of a full-grid log-likelihood pass; the buffer it sizes also holds
+#: the dense windows (the whole array would be 20 MB per 10^4 links).
+#: Measured on a 2-vCPU Xeon (48 KiB L1d and 2 MiB L2 per core), median of
+#: 30 interleaved 10^4-row, 5-sample urban ranging calls at h = 400 m made
+#: almost all bracketing by tol = 10^6 m, ranges spread over 0-3 km:
+#: 64: 8.3, 128: 8.0, 256: 7.6, 512: 7.9, 1024: 8.2, 2048: 8.1 and
+#: 4096: 7.6 ms (one r = 500 m cell: 6.5-7.1 ms at every size). Pruning
+#: leaves few columns, so the size matters little; at the default 256-point
+#: grid 256 rows keep the buffer at 512 KiB, a quarter of that L2.
 _BRACKET_ROWS = 256
+
+#: Grid columns per block of the bracketing bound; each row's dense window
+#: of `_WINDOW` blocks starts `_LEAD` blocks before its best bound, as the
+#: blocks that reach the maximum extend toward long range. Three blocks
+#: centered on the best bound left 7.6% of crlb-shaped rows and 70% of
+#: count-lowalt's (h = 50 m) to the full grid; this window leaves 0.4% and 5%.
+_BOUND_COLS, _WINDOW, _LEAD = 16, 4, 1
+#: Rows bounded at a time: a 512 KiB (blocks, rows) bound at 256 points.
+_BOUND_ROWS = 4096
+
+
+def _select(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.where(mask, x, y) on float64 bits for an int64 mask of 0 and -1."""
+    yi = y.view(np.int64)
+    out = np.bitwise_xor(x.view(np.int64), yi)
+    out &= mask
+    out ^= yi
+    return out.view(np.float64)
 
 
 def _suffstats(samples_2d: np.ndarray):
@@ -284,11 +308,76 @@ def _loglik(d: np.ndarray, h, n: int, env: EnvironmentParams, s1, s2) -> np.ndar
 
 
 def _grid_terms(h: float, n: int, env: EnvironmentParams, search: SearchConfig):
-    """The bracketing grid at altitude `h` and its per-column terms."""
+    """The bracketing grid at altitude `h`, its per-column terms, and the
+    bound's terms: per block of `_BOUND_COLS` columns (the last one ragged)
+    max c0, mu midpoint and half-width, n / max 2 var and the block index,
+    as (blocks, 1) columns, and the margin's grid maxima."""
     lo = max(h, env.d_o)
     grid = np.geomspace(lo, search.d_max, search.grid_points)
     grid[0], grid[-1] = lo, search.d_max
-    return (grid, *_loglik_terms(grid, h, n, env))
+    terms = c0, two_mu, n_mu2, two_var = _loglik_terms(grid, h, n, env)
+    starts = np.arange(0, grid.size, _BOUND_COLS)
+    c_b, tm_lo, tm_hi, v2_b = (f.reduceat(t, starts)[:, None] for f, t in (
+        (np.maximum, c0), (np.minimum, two_mu), (np.maximum, two_mu), (np.maximum, two_var)))
+    blocks = (c_b, 0.25 * (tm_hi + tm_lo), 0.25 * (tm_hi - tm_lo), n / v2_b,
+              np.arange(starts.size, dtype=np.min_scalar_type(starts.size))[:, None],
+              (np.abs(c0).max(), np.abs(two_mu).max(), n_mu2.max(), two_var.min()))
+    return grid, terms, blocks
+
+
+def _dense_argmax(s1, s2, terms, lo: int, hi: int, buf):
+    """First argmax over grid columns lo:hi of each row's log-likelihood, and
+    its value, built in C-contiguous (rows, hi - lo) passes through `buf`."""
+    c0, two_mu, n_mu2, two_var = (t[lo:hi] for t in terms)
+    width, rows = hi - lo, s1.size
+    best, top = np.empty(rows, dtype=np.intp), np.empty(rows)
+    step = buf.size // width
+    for i in range(0, rows, step):
+        j = min(i + step, rows)
+        ll = buf[:(j - i) * width].reshape(j - i, width)
+        np.multiply(s1[i:j, None], two_mu, out=ll)
+        np.subtract(s2[i:j, None], ll, out=ll)
+        ll += n_mu2
+        ll /= two_var
+        np.subtract(c0, ll, out=ll)
+        np.argmax(ll, axis=1, out=best[i:j])
+        top[i:j] = ll[np.arange(j - i), best[i:j]]
+    return best + lo, top
+
+
+def _bracket(s1, s2, n: int, terms, blocks, buf):
+    """Each row's first argmax over the whole grid, from a certified window
+    (see `mle_distance_batch`)."""
+    c_b, mu_mid, mu_half, nv_b, ids, (c_abs, tm_abs, nm2_max, tv_min) = blocks
+    cols = terms[0].size
+    m = s1 / n
+    # U = C_b - (S / n + dist(m, mu interval)^2) * n / V2_b, as (blocks, rows).
+    ub = m - mu_mid
+    np.abs(ub, out=ub)
+    ub -= mu_half
+    np.maximum(ub, 0.0, out=ub)
+    np.square(ub, out=ub)
+    ub += np.maximum(s2 - s1 * m, 0.0) / n
+    ub *= nv_b
+    np.subtract(c_b, ub, out=ub)
+    # Each row's window, from the last block of best bound, and one dense
+    # pass per window.
+    w0 = np.multiply(ub == ub.max(axis=0), ids).max(axis=0).astype(np.intp)
+    w0 = np.clip(w0 - _LEAD, 0, max(ids.size - _WINDOW, 0))
+    best, top = np.empty(s1.size, dtype=np.intp), np.empty(s1.size)
+    for w in np.flatnonzero(np.bincount(w0)).tolist():
+        i = np.flatnonzero(w0 == w)
+        lo = w * _BOUND_COLS
+        best[i], top[i] = _dense_argmax(s1[i], s2[i], terms, lo,
+                                        min(lo + _WINDOW * _BOUND_COLS, cols), buf)
+    # Certify: each block whose bound reaches the window's max less the
+    # margin lies in the window; other rows take the full grid.
+    top -= (n + 8) * 2.0 ** -50 * (c_abs + (np.abs(s1) * tm_abs + s2 + nm2_max) / tv_min)
+    reach = ub >= top
+    i = np.flatnonzero((np.multiply(reach, ids).max(axis=0) >= w0 + _WINDOW)
+                       | (np.multiply(reach, ids[::-1]).max(axis=0) > ids.size - 1 - w0))
+    best[i] = _dense_argmax(s1[i], s2[i], terms, 0, cols, buf)[0]
+    return best
 
 
 def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
@@ -313,16 +402,32 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
     estimates and leave the working arrays by one mask compaction, so each
     step evaluates the likelihood once, on the rows still refining.
 
-    The grid log-likelihood is built `_BRACKET_ROWS` rows at a time in one
-    reused buffer, on the grid of each batch's altitude; the grid's model
-    moments are computed once per distinct altitude. Blocks split rows,
-    never grid columns, so each row's argmax and its first-maximum tie rule
-    are those of the whole array; s1 * (2 mu) equals 2 * (s1 * mu) bit for
-    bit, because scaling by 2 is exact in IEEE arithmetic, and the other
-    operations keep their order. Each golden-section step evaluates the
-    likelihood once per row, at the one interior point that is new on that
-    row. Every value comes from the same element-wise operations on its own
-    row, so the result equals evaluating both points and discarding one.
+    Bracketing takes each row's first argmax on the grid of its batch's
+    altitude, whose terms are computed once per distinct altitude, without
+    building every column. With m = s1 / n and S = s2 - s1^2 / n >= 0,
+    s2 - 2 mu s1 + n mu^2 = S + n (m - mu)^2, so ll = c0 - (S + n (m -
+    mu)^2) / (2 var). On a block of `_BOUND_COLS` columns with max c0 C,
+    mu in [mu_lo, mu_hi] and max 2 var V, every ll is at most
+    U = C - (S + n dist(m, [mu_lo, mu_hi])^2) / V, for any order of mu.
+    Each row evaluates the dense formula (the full pass's operations in
+    its order; s1 * (2 mu) equals 2 * (s1 * mu) bit for bit, as scaling by
+    2 is exact) on a window of `_WINDOW` blocks near its best U, one pass
+    per window through one buffer of `_BRACKET_ROWS` x `grid_points`
+    values, and takes the window's first maximum L. If each block outside
+    the window has U < L - margin, every column outside is below L, so L's
+    column is the grid's first argmax, ties included; other rows take the
+    full grid. With u = 2^-53 and the scale A = max|c0| + (s2 + |s1|
+    max|2 mu| + max n mu^2) / min 2 var, which bounds every intermediate,
+    ll and U each carry at most about 8 u A of rounding; the float sums s1
+    and s2 can make S negative by up to 3 n u A (it is clipped at 0), and
+    the rounded n mu^2 adds 2 u A. margin = (n + 8) 2^-50 A = (8 n + 64) u A
+    covers their sum.
+
+    Each golden-section step evaluates the likelihood once per row, at the
+    one interior point that is new on that row. Every value comes from the
+    same element-wise operations on its own row, so the result equals
+    evaluating both points and discarding one; the selects copy bits by
+    masks, as `np.where` does.
     """
     search = search or SearchConfig()
     samples_2d = np.asarray(samples_2d, dtype=float)
@@ -359,7 +464,7 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
     b = np.empty(links)
     grids = {}
     best = np.empty(links, dtype=np.intp)
-    buf = np.empty((min(links, _BRACKET_ROWS), search.grid_points))
+    buf = np.empty(min(links, _BRACKET_ROWS) * search.grid_points)
     run = 0
     for k, hb in enumerate(hs):
         if k + 1 < len(hs) and hs[k + 1] == hb:
@@ -369,17 +474,10 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
             continue
         if hb not in grids:
             grids[hb] = _grid_terms(hb, n, env, search)
-        grid, c0, two_mu, n_mu2, two_var = grids[hb]
-        for i in range(start, stop, _BRACKET_ROWS):
-            j = min(i + _BRACKET_ROWS, stop)
-            ll = buf[:j - i]
-            # (rows, grid) joint log-density via the sufficient statistics.
-            np.multiply(s1[i:j, None], two_mu, out=ll)
-            np.subtract(s2[i:j, None], ll, out=ll)
-            ll += n_mu2
-            ll /= two_var
-            np.subtract(c0, ll, out=ll)
-            np.argmax(ll, axis=1, out=best[i:j])
+        grid, terms, blocks = grids[hb]
+        for i in range(start, stop, _BOUND_ROWS):
+            j = min(i + _BOUND_ROWS, stop)
+            best[i:j] = _bracket(s1[i:j], s2[i:j], n, terms, blocks, buf)
         a[start:stop] = grid[np.maximum(best[start:stop] - 1, 0)]
         b[start:stop] = grid[np.minimum(best[start:stop] + 1, search.grid_points - 1)]
 
@@ -413,15 +511,16 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
             rows, row_iter, a, b, x1, x2, f1, f2, s1k, s2k = (
                 v[keep] for v in (rows, row_iter, a, b, x1, x2, f1, f2, s1k, s2k))
             hk = hk[keep] if np.ndim(hk) else hk
-        left = f1 >= f2  # ties shrink toward the smaller distance
-        b = np.where(left, x2, b)
-        a = np.where(left, a, x1)
+        # All ones where f1 >= f2: ties shrink toward the smaller distance.
+        left = np.negative(f1 >= f2, dtype=np.int64)
+        b = _select(left, x2, b)
+        a = _select(left, a, x1)
         span = b - a
         x1n = a + _INVPHI2 * span
         x2n = a + _INVPHI * span
         # The other interior point survives on each side; keep its value.
-        f_new = _loglik(np.where(left, x1n, x2n), hk, n, env, s1k, s2k)
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+        f_new = _loglik(_select(left, x1n, x2n), hk, n, env, s1k, s2k)
+        f1, f2 = _select(left, f_new, f2), _select(left, f1, f_new)
         x1, x2 = x1n, x2n
     d_hat[rows] = np.where(f1 >= f2, x1, x2)
 

@@ -38,6 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import get_all_start_methods, get_context
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -133,20 +134,18 @@ class ExperimentConfig:
                 if env == preset:
                     object.__setattr__(self, "environment_name", name)
                     break
-        if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("node_count", "trials", "samples_per_anchor", "eval_azimuths"):
+            count = getattr(self, name)
+            if not (isinstance(count, Integral) and count >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
         if not (math.isfinite(self.deployment_radius) and self.deployment_radius > 0.0):
             raise ValueError("deployment_radius must be finite and > 0")
-        if self.samples_per_anchor < 1:
-            raise ValueError("samples_per_anchor must be >= 1")
+        if not isinstance(self.seed, Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**128:
             raise ValueError("seed must be >= 0 and < 2**128")
         if not (math.isfinite(self.eval_distance) and self.eval_distance > 0.0):
             raise ValueError("eval_distance must be finite and > 0")
-        if self.eval_azimuths < 1:
-            raise ValueError("eval_azimuths must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -510,8 +509,8 @@ def run_crlb_comparison(cfg: ExperimentConfig, r_values,
     bound at the true geometry.
     """
     _require_altitude(cfg)
-    if repetitions < 2:
-        raise ValueError("repetitions must be >= 2")
+    if not (isinstance(repetitions, Integral) and repetitions >= 2):
+        raise ValueError(f"repetitions must be an integer >= 2, got {repetitions!r}")
     rs = [float(r) for r in r_values]
     if not rs or not all(math.isfinite(r) and r > 0.0 for r in rs):
         raise ValueError("r_values must be nonempty, finite and positive")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,8 +58,9 @@ class ConstellationSpec:
     centroid: NodePosition = NodePosition(0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.n_anchors < 3 or self.n_anchors % 3 != 0:
-            raise ValueError("n_anchors must be a positive multiple of 3")
+        n = self.n_anchors
+        if not (isinstance(n, Integral) and n >= 3 and n % 3 == 0):
+            raise ValueError(f"n_anchors must be a positive integer multiple of 3, got {n!r}")
         if not (math.isfinite(self.base_side) and self.base_side > 0.0):
             raise ValueError("base_side must be finite and > 0")
         if not (math.isfinite(self.side_increment) and self.side_increment >= 0.0):

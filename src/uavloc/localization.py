@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -63,8 +64,8 @@ class SolverConfig:
     grid_radius: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
             raise ValueError("step_tol must be finite and positive")
         if not (math.isfinite(self.damping0) and self.damping0 > 0.0):

@@ -384,6 +384,11 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             u.SearchConfig(tol=0.0)
 
+    @pytest.mark.parametrize("bad", [256.5, 3.5])
+    def test_rejects_non_integral_grid_points(self, bad):
+        with pytest.raises(ValueError, match="grid_points must be an integer"):
+            u.SearchConfig(grid_points=bad)
+
 
 class TestMleDistance:
     def test_zero_noise_recovers_distance(self):
@@ -573,6 +578,25 @@ class TestSearchMatchesReference:
             assert boundary[0] and d_hat[0] == h
             assert boundary[-1] and d_hat[-1] >= 20000.0 - 1.0
 
+    @pytest.mark.parametrize("env", [u.URBAN, u.SUBURBAN, u.without_shadowing(u.URBAN)],
+                             ids=["urban", "suburban", "no_shadowing"])
+    @pytest.mark.parametrize("h", [50.0, 700.0, 3000.0])
+    @pytest.mark.parametrize("grid_points", [3, 37, 255, 257])
+    def test_byte_equal_any_grid(self, env, h, grid_points):
+        # 3 and 37 points are no wider than the dense window; 255 and 257
+        # end on a ragged bound block (15 columns and 1).
+        search = u.SearchConfig(grid_points=grid_points)
+        w = ranging_batch(env, 300, 5, h, seed=grid_points + int(h))
+        got = u.mle_distance_batch(w, h, env, search)
+        want = mle_distance_batch_reference(w, h, env, search)
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+        d_hat, _, _, boundary = got
+        assert boundary[-1] and d_hat[-1] >= 20000.0 - 1.0
+        # Three points bracket the whole range, where golden-section can
+        # settle on an interior maximum instead of the pinned end.
+        assert grid_points == 3 or (boundary[0] and d_hat[0] == h)
+
     def test_one_evaluation_per_golden_section_step(self, monkeypatch):
         sizes = []
         # The reference evaluates through reference_moments, the search
@@ -590,6 +614,52 @@ class TestSearchMatchesReference:
         assert len(sizes) == 1 + 2 + n_iter + 1
         assert sizes[0] == u.SearchConfig().grid_points
         assert sizes[1:] == [rows] * (len(sizes) - 1)
+
+
+class TestPrunedBracketing:
+    """The certified window does the work, and the full-grid pass stays."""
+
+    def test_window_and_fallback_both_taken(self, monkeypatch):
+        # A crlb-table cell at low altitude: the NLoS likelihood is flat
+        # enough that some rows cannot be certified on their window.
+        calls = []
+        real = est._dense_argmax
+
+        def spy(s1, s2, terms, lo, hi, *args):
+            calls.append((s1.size, hi - lo))
+            return real(s1, s2, terms, lo, hi, *args)
+
+        monkeypatch.setattr(est, "_dense_argmax", spy)
+        geom = u.LinkGeometry(r=500.0, h=100.0)
+        sigma = u.shadowing_sigma(geom.theta, ENV)
+        z = np.random.default_rng(0).standard_normal((2000, 5))
+        u.mle_distance_batch(u.mean_rss(geom.d, geom.theta, ENV) - sigma * z, geom.h, ENV)
+        grid = u.SearchConfig().grid_points
+        columns = sum(rows * width for rows, width in calls) / 2000
+        fallback = sum(rows for rows, width in calls if width == grid)
+        assert columns < grid / 3
+        assert 1 <= fallback < 200
+
+    @pytest.mark.parametrize("bits", [
+        0x0000000000000000, 0x8000000000000000,  # +0.0, -0.0
+        0x0000000000000001, 0x800fffffffffffff,  # subnormals
+        0x7ff0000000000000, 0xfff0000000000000,  # +inf, -inf
+        0x7ff8000000000000, 0xfff8000000000001,  # quiet NaNs with payloads
+        0x7ff0000000000001, 0x7ff4dead0000beef,  # signalling NaNs
+        0x3ff0000000000000])                     # 1.0
+    def test_select_copies_bits_like_where(self, bits):
+        rng = np.random.default_rng(bits % 2**32)
+        special = np.array([bits], dtype=np.uint64).view(np.float64)
+        others = rng.standard_normal(64)
+        others[::7] = special[0]
+        for x, y in ((np.full(64, special[0]), others), (others, np.full(64, special[0]))):
+            cond = rng.random(64) < 0.5
+            got = est._select(np.negative(cond, dtype=np.int64), x, y)
+            want = np.where(cond, x, y)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert got.tobytes() == np.array([
+                (a if c else b) for a, b, c in zip(x.view(np.uint64), y.view(np.uint64), cond)],
+                dtype=np.uint64).tobytes()
 
 
 def golden_steps(w, h, env=ENV):

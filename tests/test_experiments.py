@@ -89,6 +89,17 @@ class TestExperimentConfig:
             with pytest.raises(ValueError):
                 replace(base, **{field: bad})
 
+    @pytest.mark.parametrize("field", ["node_count", "trials", "samples_per_anchor",
+                                       "eval_azimuths", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, 5.5])
+    def test_rejects_non_integral_counts(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            replace(tiny_altitude_config(), **{field: bad})
+
+    def test_integral_types_accepted(self):
+        cfg = replace(tiny_altitude_config(), node_count=np.int64(7), seed=np.uint64(3))
+        assert cfg.node_count == 7 and cfg.seed == 3
+
 
 class TestTrialNodes:
     def test_altitude_variable_draws_disk(self):
@@ -432,6 +443,8 @@ class TestCrlbComparison:
                 u.run_crlb_comparison(cfg, rs, repetitions=100)
         with pytest.raises(ValueError, match="repetitions"):
             u.run_crlb_comparison(cfg, (400.0,), repetitions=1)
+        with pytest.raises(ValueError, match="repetitions must be an integer"):
+            u.run_crlb_comparison(cfg, (400.0,), repetitions=2.5)
         ring = u.default_config(variable="inter_distance",
                                 sweep=u.SweepSpec("inter_distance", (100.0,)))
         with pytest.raises(ValueError, match="expected 'altitude'"):

@@ -27,6 +27,12 @@ class TestConstellationSpec:
         with pytest.raises(ValueError):
             u.ConstellationSpec(**{**ok, "side_increment": -1.0})
 
+    @pytest.mark.parametrize("bad", [6.0, 4.5])
+    def test_rejects_non_integer_anchor_count(self, bad):
+        ok = dict(n_anchors=3, base_side=500.0, altitude=1000.0)
+        with pytest.raises(ValueError, match="n_anchors must be a positive integer"):
+            u.ConstellationSpec(**{**ok, "n_anchors": bad})
+
     def test_defaults(self):
         spec = u.ConstellationSpec(n_anchors=3, base_side=500.0, altitude=1000.0)
         assert spec.side_increment == 0.0

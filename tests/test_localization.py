@@ -111,6 +111,11 @@ class TestSolverConfig:
             u.SolverConfig(grid_radius=0.0)
         assert u.SolverConfig(grid_radius=None).grid_radius is None
 
+    @pytest.mark.parametrize("bad", [2.5, 5.5])
+    def test_rejects_non_integral_max_iter(self, bad):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            u.SolverConfig(max_iter=bad)
+
 
 class TestMultilaterate:
     def test_exact_recovery_zero_noise(self):

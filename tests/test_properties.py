@@ -38,6 +38,36 @@ def test_multi_batch_ranging_equals_each_batch_alone(batches, n, env, seed):
             assert g[i:j].tobytes() == want.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(h=st.floats(50.0, 3000.0), rows=st.integers(1, 80), n=st.sampled_from([1, 5, 30]),
+       env=st.sampled_from([u.URBAN, u.SUBURBAN, u.without_shadowing(u.URBAN)]),
+       grid_points=st.sampled_from([3, 37, 255, 256, 257]),
+       shape=st.sampled_from([(16, 4, 1), (16, 1, 0), (5, 2, 1), (16, 2, -1)]),
+       seed=st.integers(0, 2 ** 16))
+@example(h=50.0, rows=40, n=1, env=u.URBAN, grid_points=256, shape=(16, 4, 1), seed=0)
+@example(h=3000.0, rows=40, n=30, env=u.without_shadowing(u.URBAN), grid_points=256,
+         shape=(16, 4, 1), seed=0)
+def test_pruned_bracket_equals_dense_argmax(h, rows, n, env, grid_points, shape, seed):
+    # With var at the sigma floor (no shadowing) the log-likelihood reaches
+    # 1e28, so the certification margin must scale with it. Narrow windows
+    # (one block, or two blocks of 5 columns) and a window that starts past
+    # the best bound miss the maximum often, on either side, so there the
+    # certificate, not the window, carries the result.
+    w = ranging_batch(env, rows, n, h, seed)
+    s1, s2 = est._suffstats(w)
+    saved = est._BOUND_COLS, est._WINDOW, est._LEAD
+    est._BOUND_COLS, est._WINDOW, est._LEAD = shape
+    try:
+        _, terms, blocks = est._grid_terms(h, n, env, u.SearchConfig(grid_points=grid_points))
+        # The smallest buffer: one row per dense pass.
+        got = est._bracket(s1, s2, n, terms, blocks, np.empty(grid_points))
+    finally:
+        est._BOUND_COLS, est._WINDOW, est._LEAD = saved
+    c0, two_mu, n_mu2, two_var = terms
+    dense = c0 - ((s2[:, None] - s1[:, None] * two_mu) + n_mu2) / two_var
+    assert got.tolist() == np.argmax(dense, axis=1).tolist()
+
+
 @st.composite
 def links(draw):
     """Per-link altitudes h in [50, 3000] m and slant distances d in [h, 20000] m."""
