@@ -42,11 +42,18 @@ exit codes:
   0  success
   2  usage error (unknown command or flag)
   3  configuration error (unreadable file, unknown key, constraint violation)
-  4  computation error (degenerate geometry, invalid experiment input or a
-     worker process that died)
+  4  computation error (degenerate geometry, invalid experiment input, a
+     study too large for memory or a worker process that died)
   5  output I/O error
   1  unexpected failure
 """
+
+
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed override (wins over the config seed)")
     common.add_argument("--out", required=True, metavar="PATH",
                         help="output CSV path; a .meta.json sidecar is written too")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
+    common.add_argument("--threads", type=_worker_count, default=1, metavar="N",
                         help="worker processes; 0 selects the CPU count")
 
     sub.add_parser("altitude-sweep", parents=[common],
@@ -125,7 +132,8 @@ def dispatch(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"uavloc: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DegenerateGeometryError, WorkerPoolError, ValueError, ArithmeticError) as exc:
+    except (DegenerateGeometryError, WorkerPoolError, ValueError, ArithmeticError,
+            MemoryError) as exc:
         print(f"uavloc: computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except Exception as exc:  # pragma: no cover - last-resort diagnostics

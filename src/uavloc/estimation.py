@@ -7,9 +7,10 @@ and h alone; the bound is a separate function of the true link geometry and
 treats alpha(theta) and sigma(theta) as constants of the score, matching the
 closed form it reproduces. `log_likelihood` and the search share one
 formula, written in each link's sufficient statistics. The search brackets
-on a log grid, evaluating each row densely only where an upper bound on
-the likelihood cannot rule the columns out, and returns the same bits as a
-full grid pass.
+on a log grid in two certified stages: one probe column per row gives a
+lower bound on its maximum, and each block of columns whose upper bound
+reaches it is evaluated densely. The result is the same bits as a full
+grid pass, with no fallback to one.
 
 Inputs are checked where they enter: `theta_from_distance`,
 `log_likelihood`, `crlb_sigma_values` and `mle_distance_batch` reject
@@ -196,24 +197,19 @@ def fisher_information_numeric(geom: LinkGeometry, env: EnvironmentParams,
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
-#: Rows of a full-grid log-likelihood pass; the buffer it sizes also holds
-#: the dense windows (the whole array would be 20 MB per 10^4 links).
-#: Measured on a 2-vCPU Xeon (48 KiB L1d and 2 MiB L2 per core), median of
-#: 30 interleaved 10^4-row, 5-sample urban ranging calls at h = 400 m made
-#: almost all bracketing by tol = 10^6 m, ranges spread over 0-3 km:
-#: 64: 8.3, 128: 8.0, 256: 7.6, 512: 7.9, 1024: 8.2, 2048: 8.1 and
-#: 4096: 7.6 ms (one r = 500 m cell: 6.5-7.1 ms at every size). Pruning
-#: leaves few columns, so the size matters little; at the default 256-point
-#: grid 256 rows keep the buffer at 512 KiB, a quarter of that L2.
-_BRACKET_ROWS = 256
-
-#: Grid columns per block of the bracketing bound; each row's dense window
-#: of `_WINDOW` blocks starts `_LEAD` blocks before its best bound, as the
-#: blocks that reach the maximum extend toward long range. Three blocks
-#: centered on the best bound left 7.6% of crlb-shaped rows and 70% of
-#: count-lowalt's (h = 50 m) to the full grid; this window leaves 0.4% and 5%.
-_BOUND_COLS, _WINDOW, _LEAD = 16, 4, 1
-#: Rows bounded at a time: a 512 KiB (blocks, rows) bound at 256 points.
+#: Grid columns per block of the bracketing bound, and per dense pass.
+#: Replaying the ranging calls of two studies with tol = 10^6 m (so almost
+#: all bracketing) on a 2-vCPU Xeon, the time relative to the former
+#: bracketing (a 4-block window, full grid where it failed) was, at 8, 16
+#: and 32 columns: 0.94, 0.82 and 0.86 for a 1000-node urban altitude
+#: sweep, and 1.26, 0.94 and 1.03 for 8-node rings at h = 50 m, where the
+#: blocks that reach the maximum span about 58 columns. Narrower blocks
+#: bound more tightly but cost more passes.
+_BOUND_COLS = 16
+#: Rows bounded at a time, and the most a dense pass holds: a 512 KiB
+#: (blocks, rows) bound at 256 points and a 512 KiB (16, rows) pass. One
+#: 16-column pass over 4096 rows took 500, 357 and 272 us in chunks of 256,
+#: 1024 and 4096 rows, so a pass is never chunked.
 _BOUND_ROWS = 4096
 
 
@@ -308,48 +304,51 @@ def _loglik(d: np.ndarray, h, n: int, env: EnvironmentParams, s1, s2) -> np.ndar
 
 
 def _grid_terms(h: float, n: int, env: EnvironmentParams, search: SearchConfig):
-    """The bracketing grid at altitude `h`, its per-column terms, and the
-    bound's terms: per block of `_BOUND_COLS` columns (the last one ragged)
-    max c0, mu midpoint and half-width, n / max 2 var and the block index,
-    as (blocks, 1) columns, and the margin's grid maxima."""
+    """The bracketing grid at altitude `h`, its per-column terms and their
+    `_bounds`."""
     lo = max(h, env.d_o)
     grid = np.geomspace(lo, search.d_max, search.grid_points)
     grid[0], grid[-1] = lo, search.d_max
-    terms = c0, two_mu, n_mu2, two_var = _loglik_terms(grid, h, n, env)
-    starts = np.arange(0, grid.size, _BOUND_COLS)
+    terms = _loglik_terms(grid, h, n, env)
+    return grid, terms, _bounds(terms, n)
+
+
+def _bounds(terms, n: int):
+    """The bound's terms: per block of `_BOUND_COLS` columns (the last one
+    ragged) max c0, mu midpoint and half-width and n / max 2 var, as
+    (blocks, 1) columns, and the margin's grid maxima."""
+    c0, two_mu, n_mu2, two_var = terms
+    starts = np.arange(0, c0.size, _BOUND_COLS)
     c_b, tm_lo, tm_hi, v2_b = (f.reduceat(t, starts)[:, None] for f, t in (
         (np.maximum, c0), (np.minimum, two_mu), (np.maximum, two_mu), (np.maximum, two_var)))
-    blocks = (c_b, 0.25 * (tm_hi + tm_lo), 0.25 * (tm_hi - tm_lo), n / v2_b,
-              np.arange(starts.size, dtype=np.min_scalar_type(starts.size))[:, None],
-              (np.abs(c0).max(), np.abs(two_mu).max(), n_mu2.max(), two_var.min()))
-    return grid, terms, blocks
+    return (c_b, 0.25 * (tm_hi + tm_lo), 0.25 * (tm_hi - tm_lo), n / v2_b,
+            (np.abs(c0).max(), np.abs(two_mu).max(), n_mu2.max(), two_var.min()))
 
 
 def _dense_argmax(s1, s2, terms, lo: int, hi: int, buf):
     """First argmax over grid columns lo:hi of each row's log-likelihood, and
-    its value, built in C-contiguous (rows, hi - lo) passes through `buf`."""
-    c0, two_mu, n_mu2, two_var = (t[lo:hi] for t in terms)
-    width, rows = hi - lo, s1.size
-    best, top = np.empty(rows, dtype=np.intp), np.empty(rows)
-    step = buf.size // width
-    for i in range(0, rows, step):
-        j = min(i + step, rows)
-        ll = buf[:(j - i) * width].reshape(j - i, width)
-        np.multiply(s1[i:j, None], two_mu, out=ll)
-        np.subtract(s2[i:j, None], ll, out=ll)
-        ll += n_mu2
-        ll /= two_var
-        np.subtract(c0, ll, out=ll)
-        np.argmax(ll, axis=1, out=best[i:j])
-        top[i:j] = ll[np.arange(j - i), best[i:j]]
-    return best + lo, top
+    its value, built in one C-contiguous (columns, rows) pass through `buf`.
+    The max runs down the columns; the first column holding it is the max
+    of reversed column ids over the columns equal to it, as ties and
+    +-0.0 compare equal there just as they do in `np.argmax`."""
+    c0, two_mu, n_mu2, two_var = (t[lo:hi, None] for t in terms)
+    width = c0.shape[0]
+    ll = buf[:width * s1.size].reshape(width, s1.size)
+    np.multiply(two_mu, s1, out=ll)
+    np.subtract(s2, ll, out=ll)
+    ll += n_mu2
+    ll /= two_var
+    np.subtract(c0, ll, out=ll)
+    top = ll.max(axis=0)
+    rev = np.arange(width, 0, -1, dtype=np.min_scalar_type(width))[:, None]
+    return lo + width - np.multiply(ll == top, rev).max(axis=0).astype(np.intp), top
 
 
 def _bracket(s1, s2, n: int, terms, blocks, buf):
-    """Each row's first argmax over the whole grid, from a certified window
-    (see `mle_distance_batch`)."""
-    c_b, mu_mid, mu_half, nv_b, ids, (c_abs, tm_abs, nm2_max, tv_min) = blocks
-    cols = terms[0].size
+    """Each row's first argmax over the whole grid, from the blocks its
+    bound cannot rule out (see `mle_distance_batch`)."""
+    c_b, mu_mid, mu_half, nv_b, (c_abs, tm_abs, nm2_max, tv_min) = blocks
+    c0, two_mu, n_mu2, two_var = terms
     m = s1 / n
     # U = C_b - (S / n + dist(m, mu interval)^2) * n / V2_b, as (blocks, rows).
     ub = m - mu_mid
@@ -360,23 +359,22 @@ def _bracket(s1, s2, n: int, terms, blocks, buf):
     ub += np.maximum(s2 - s1 * m, 0.0) / n
     ub *= nv_b
     np.subtract(c_b, ub, out=ub)
-    # Each row's window, from the last block of best bound, and one dense
-    # pass per window.
-    w0 = np.multiply(ub == ub.max(axis=0), ids).max(axis=0).astype(np.intp)
-    w0 = np.clip(w0 - _LEAD, 0, max(ids.size - _WINDOW, 0))
-    best, top = np.empty(s1.size, dtype=np.intp), np.empty(s1.size)
-    for w in np.flatnonzero(np.bincount(w0)).tolist():
-        i = np.flatnonzero(w0 == w)
-        lo = w * _BOUND_COLS
-        best[i], top[i] = _dense_argmax(s1[i], s2[i], terms, lo,
-                                        min(lo + _WINDOW * _BOUND_COLS, cols), buf)
-    # Certify: each block whose bound reaches the window's max less the
-    # margin lies in the window; other rows take the full grid.
-    top -= (n + 8) * 2.0 ** -50 * (c_abs + (np.abs(s1) * tm_abs + s2 + nm2_max) / tv_min)
-    reach = ub >= top
-    i = np.flatnonzero((np.multiply(reach, ids).max(axis=0) >= w0 + _WINDOW)
-                       | (np.multiply(reach, ids[::-1]).max(axis=0) > ids.size - 1 - w0))
-    best[i] = _dense_argmax(s1[i], s2[i], terms, 0, cols, buf)[0]
+    # Stage 1: L1, each row's value at its probe column, where mu would
+    # cross m if mu fell along the grid (any column gives a valid L1).
+    at = np.minimum(np.searchsorted(-two_mu, -2.0 * m), two_mu.size - 1)
+    low = c0[at] - ((s2 - two_mu[at] * s1) + n_mu2[at]) / two_var[at]
+    reach = ub >= low - (n + 8) * 2.0 ** -50 * (
+        c_abs + (np.abs(s1) * tm_abs + s2 + nm2_max) / tv_min)
+    # Stage 2: one dense pass per block over the rows it reaches, in column
+    # order, so a later block takes a row only with a larger value.
+    best, top = np.zeros(s1.size, dtype=np.intp), np.full(s1.size, -np.inf)
+    for blk in np.flatnonzero(reach.any(axis=1)).tolist():
+        i = np.flatnonzero(reach[blk])
+        lo = blk * _BOUND_COLS
+        arg, val = _dense_argmax(s1[i], s2[i], terms, lo, lo + _BOUND_COLS, buf)
+        win = val > top[i]
+        i = i[win]
+        best[i], top[i] = arg[win], val[win]
     return best
 
 
@@ -409,14 +407,18 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
     mu)^2) / (2 var). On a block of `_BOUND_COLS` columns with max c0 C,
     mu in [mu_lo, mu_hi] and max 2 var V, every ll is at most
     U = C - (S + n dist(m, [mu_lo, mu_hi])^2) / V, for any order of mu.
-    Each row evaluates the dense formula (the full pass's operations in
-    its order; s1 * (2 mu) equals 2 * (s1 * mu) bit for bit, as scaling by
-    2 is exact) on a window of `_WINDOW` blocks near its best U, one pass
-    per window through one buffer of `_BRACKET_ROWS` x `grid_points`
-    values, and takes the window's first maximum L. If each block outside
-    the window has U < L - margin, every column outside is below L, so L's
-    column is the grid's first argmax, ties included; other rows take the
-    full grid. With u = 2^-53 and the scale A = max|c0| + (s2 + |s1|
+    Two certified stages follow. Stage 1 evaluates each row at one probe
+    column, where mu would cross m on a grid of falling mu; the value L1 is
+    a lower bound on the row's maximum L. Stage 2 makes one column-major
+    (block columns, rows) dense pass per block, through one buffer, over
+    the rows whose U is at least L1 - margin (the full pass's operations
+    in its order; s1 * (2 mu) equals 2 * (s1 * mu) bit for bit, as scaling
+    by 2 is exact). Blocks go in column order, and a later block takes a
+    row only with a larger value. Each block left out has U < L1 - margin
+    <= L - margin, so every column outside is below L: the first maximum
+    of the blocks evaluated is the grid's first argmax, ties included, and
+    no row needs the full grid. The probe's block always reaches, since
+    its U bounds L1. With u = 2^-53 and the scale A = max|c0| + (s2 + |s1|
     max|2 mu| + max n mu^2) / min 2 var, which bounds every intermediate,
     ll and U each carry at most about 8 u A of rounding; the float sums s1
     and s2 can make S negative by up to 3 n u A (it is clipped at 0), and
@@ -464,7 +466,7 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
     b = np.empty(links)
     grids = {}
     best = np.empty(links, dtype=np.intp)
-    buf = np.empty(min(links, _BRACKET_ROWS) * search.grid_points)
+    buf = np.empty(min(links, _BOUND_ROWS) * min(_BOUND_COLS, search.grid_points))
     run = 0
     for k, hb in enumerate(hs):
         if k + 1 < len(hs) and hs[k + 1] == hb:

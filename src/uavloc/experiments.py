@@ -54,7 +54,8 @@ from .channel import (
     shadowing_sigma,
 )
 from .estimation import SearchConfig, crlb_sigma, mle_distance_batch
-from .geometry import ConstellationSpec, anchors_xy, build_constellation, sample_disk_xy
+from .geometry import (MAX_ANCHORS, ConstellationSpec, anchors_xy, build_constellation,
+                       sample_disk_xy)
 from .localization import SolverConfig, multilaterate_batch
 
 SWEEP_VARIABLES = ("altitude", "inter_distance", "anchor_count")
@@ -92,9 +93,9 @@ class SweepSpec:
             raise ValueError("inter-distance grid values must be > 0")
         if self.variable == "anchor_count":
             for v in vals:
-                if v != int(v) or int(v) < 3 or int(v) % 3 != 0:
-                    raise ValueError("anchor_count grid values must be "
-                                     "positive multiples of 3")
+                if v != int(v) or not 3 <= v <= MAX_ANCHORS or int(v) % 3 != 0:
+                    raise ValueError("anchor_count grid values must be positive "
+                                     f"multiples of 3 up to {MAX_ANCHORS}")
         object.__setattr__(self, "values", vals)
 
 

@@ -14,6 +14,9 @@ import numpy as np
 
 # Vertex bearings (radians) shared by every triangle: first vertex due north.
 _VERTEX_ANGLES = (math.pi / 2.0, math.pi * 7.0 / 6.0, math.pi * 11.0 / 6.0)
+#: Most anchors a constellation may hold. Anchors are built one by one and
+#: every node ranges each of them; the studies use at most 30.
+MAX_ANCHORS = 3000
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,9 @@ class ConstellationSpec:
 
     def __post_init__(self) -> None:
         n = self.n_anchors
-        if not (isinstance(n, Integral) and n >= 3 and n % 3 == 0):
-            raise ValueError(f"n_anchors must be a positive integer multiple of 3, got {n!r}")
+        if not (isinstance(n, Integral) and 3 <= n <= MAX_ANCHORS and n % 3 == 0):
+            raise ValueError("n_anchors must be a positive integer multiple of 3 up to "
+                             f"{MAX_ANCHORS}, got {n!r}")
         if not (math.isfinite(self.base_side) and self.base_side > 0.0):
             raise ValueError("base_side must be finite and > 0")
         if not (math.isfinite(self.side_increment) and self.side_increment >= 0.0):

@@ -5,16 +5,17 @@ planar distances and the estimated ranges. It is minimized with a damped
 Gauss-Newton iteration started at the anchor centroid; a coarse grid restart
 covers the rare case where damping cannot find a descent direction.
 
-The descent holds its working arrays anchor-major: for N anchors and L rows,
-offsets are (2, N, L) and distances and residuals (N, L), so every
-element-wise step runs along contiguous rows of L values. The order of each
-sum over anchors is part of the results, and is fixed:
+The descent holds its working arrays anchor-major: for N anchors and a
+working set of W rows (see `_lm_descend`), offsets are (2, N, W) and
+distances and residuals (N, W), so every element-wise step runs along
+contiguous rows of W values. The order of each sum over anchors is part of
+the results, and is fixed:
 
 - The normal equations add the anchor terms in sequence, anchor 0 first.
-  `.sum(axis=0)` of an (N, L) array does so for L >= 2, but numpy sums an
-  (N, 1) array pairwise, which changes the order from N = 8 on. So a lone
-  row is carried as two identical copies.
-- The objective is numpy's `.sum(axis=1)` of a C-contiguous (L, N) array of
+  `.sum(axis=0)` of an (N, W) array does so for W >= 2, but numpy sums an
+  (N, 1) array pairwise, which changes the order from N = 8 on. So a
+  working set of one row carries it as two identical copies.
+- The objective is numpy's `.sum(axis=1)` of a C-contiguous (W, N) array of
   squared residuals: sequential below 8 anchors, pairwise from 8 on.
 
 The tests hold the descent bit for bit equal to a reference loop on
@@ -34,14 +35,12 @@ from .geometry import NodePosition, anchors_xy
 _DIST_FLOOR = 1e-12  # keeps residual directions defined on top of an anchor
 _DAMPING_MIN = 1e-12
 _DAMPING_MAX = 1e12
-#: Rows per damped Gauss-Newton descent. Blocks bound the working arrays
-#: however many rows a caller passes; within a block, iterations that only a
-#: few slow rows still need are paid once for all of them. Measured on a
-#: 2-vCPU Xeon, median time of `multilaterate_batch` on the 60,000 rows of a
-#: 60-altitude urban study with 3 anchors, per block size: 1024: 960, 2048:
-#: 610, 4096: 444, 8192: 392, 16384: 372 and 32768: 369 ms. Larger blocks
-#: cost memory: that study's peak RSS is 46.8, 49.4 and 53.7 MB at 4096, 8192
-#: and 16384 rows.
+#: Most rows in the descent's working set. It bounds the working arrays
+#: however many rows a caller passes, and is refilled at half this size.
+#: Measured on a 2-vCPU Xeon, median time of `multilaterate_batch` on the
+#: 60,000 rows of a 60-altitude urban study with 3 anchors, per size: 1024:
+#: 376, 2048: 305, 4096: 224, 8192: 250 and 16384: 256 ms (444 ms at 4096
+#: when each block of rows ran until its slowest row finished).
 _DESCENT_ROWS = 4096
 
 
@@ -126,39 +125,47 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
                 solver: SolverConfig):
     """Batched damped Gauss-Newton descent.
 
-    axy is (N, 2); rhat and p0 are (L, N) and (L, 2). Returns position,
-    objective, convergence flags and whether any step was ever accepted.
-    Accepted steps strictly decrease the objective.
-
-    The working arrays are anchor-major: offsets (2, N, L), distances and
-    residuals (N, L), positions and steps (2, L), objective and damping (L,).
-    The anchor sums keep the order the module docstring fixes: the normal
-    equations add anchors in sequence and the objective sums a C-contiguous
-    (L, N) copy. A single row, whether passed in (as by the grid restart) or
-    left over when the others have finished, is carried as two identical
-    copies, because numpy would sum an (N, 1) array pairwise.
+    axy is (N, 2); rhat is (L, N) and p0 broadcasts to (L, 2). Returns
+    position, objective, convergence flags and whether any step was ever
+    accepted. Accepted steps strictly decrease the objective.
 
     Every quantity a row's iteration computes (normal equations, step,
     accept test, damping) depends on that row alone. So a row that
-    converges or passes the damping cap is written back once and dropped
-    from the working arrays, and the rows left take bit-for-bit the path
-    they would take in the full batch; only the work shrinks. A zero-row
-    batch does no iteration.
+    converges, passes the damping cap or has taken its own `max_iter` steps
+    is written back once and dropped from the working set, and the rows
+    left take bit-for-bit the path they would take alone. Rows join in
+    order, the first `_DESCENT_ROWS` at once and the others whenever leaving
+    rows bring the set to half that size, so numpy passes stay long until
+    the last rows finish. The set stays sorted by row, so the rows reaching
+    `max_iter` at one iteration, having joined together, are a prefix of it.
+    The anchor sums keep the order the module docstring fixes; a working set
+    of one row is carried as two identical copies. A zero-row batch does no
+    iteration.
     """
-    L = p0.shape[0]
-    p_out = np.empty_like(p0)
+    L, N = rhat.shape
+    p0 = np.broadcast_to(p0, (L, 2))
+    p_out = np.empty((L, 2))
     obj_out = np.empty(L)
     converged = np.zeros(L, dtype=bool)
     descended = np.zeros(L, dtype=bool)
 
-    rows = _no_lone_row(np.arange(L))
-    p = p0[rows].T.copy()
-    r = rhat[rows].T.copy()
     anchors = axy.T[:, :, None].copy()
-    lam = np.full(rows.size, solver.damping0)
+    rows, lam, p, r = np.empty(0, dtype=np.intp), np.empty(0), np.empty((2, 0)), np.empty((N, 0))
     d, dist, err, obj = _residuals(p, anchors, r)
-
-    for _ in range(solver.max_iter):
+    # (last iteration, end row) per intake: at that iteration's end, the
+    # rows below the end row have taken max_iter steps.
+    expiry, t, joined = [], 0, 0
+    while True:
+        if joined < L and 2 * rows.size <= _DESCENT_ROWS:
+            new = np.arange(joined, min(L, joined + _DESCENT_ROWS - rows.size))
+            joined = new[-1] + 1
+            expiry.append((t + solver.max_iter - 1, joined))
+            new = _no_lone_row(new) if rows.size == 0 else new
+            p_new, r_new = p0[new].T, rhat[new].T
+            fresh = (new, p_new, *_residuals(p_new, anchors, r_new),
+                     np.full(new.size, solver.damping0), r_new)
+            rows, p, d, dist, err, obj, lam, r = (np.concatenate(pair, axis=-1) for pair in
+                                                  zip((rows, p, d, dist, err, obj, lam, r), fresh))
         if rows.size == 0:
             break
         ux, uy = d / dist
@@ -183,17 +190,18 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
         # A vanishing damped step means a stationary point, accepted or not.
         done = step_norm < solver.step_tol
         leave = done | (lam > _DAMPING_MAX)
+        if expiry[0][0] == t:
+            leave[:np.searchsorted(rows, expiry.pop(0)[1])] = True
+        t += 1
         if leave.any():
             gone = rows[leave]
             p_out[gone] = p[:, leave].T
             obj_out[gone] = obj[leave]
             converged[gone] = done[leave]
-            keep = _no_lone_row(np.flatnonzero(~leave))
+            keep = np.flatnonzero(~leave)
+            keep = _no_lone_row(keep) if joined == L else keep
             rows, p, d, dist, err, obj, lam, r = (
                 a.take(keep, axis=-1) for a in (rows, p, d, dist, err, obj, lam, r))
-
-    p_out[rows] = p.T
-    obj_out[rows] = obj
     return p_out, obj_out, converged, descended
 
 
@@ -246,9 +254,10 @@ def multilaterate_batch(axy: np.ndarray, rhat: np.ndarray,
     retried from its minimum; the retry is kept if it lowers the objective.
     Ranges must be finite and >= 0, one column per anchor.
 
-    Rows descend in blocks of `_DESCENT_ROWS`. Each row's descent depends on
-    that row alone, so the result does not depend on the block size, nor on
-    which other rows share the call.
+    One descent takes every row: at most `_DESCENT_ROWS` rows work at a
+    time, refilled from those waiting as others leave. Each row's descent
+    depends on that row alone, so the result does not depend on the
+    working-set size, nor on which other rows share the call.
     """
     solver = solver or SolverConfig()
     _check_geometry(axy)
@@ -257,14 +266,10 @@ def multilaterate_batch(axy: np.ndarray, rhat: np.ndarray,
         raise ValueError("ranges must be (L, N) with one column per anchor")
     if np.any(rhat < 0.0) or not np.all(np.isfinite(rhat)):
         raise ValueError("estimated ranges must be finite and >= 0")
+    if rhat.shape[0] == 0:
+        return np.empty((0, 2)), np.empty(0), np.empty(0, dtype=bool)
     center = axy.mean(axis=0)
-    L = rhat.shape[0]
-    p, obj = np.empty((L, 2)), np.empty(L)
-    conv, desc = np.empty(L, dtype=bool), np.empty(L, dtype=bool)
-    for i in range(0, L, _DESCENT_ROWS):
-        j = min(i + _DESCENT_ROWS, L)
-        p[i:j], obj[i:j], conv[i:j], desc[i:j] = _lm_descend(
-            axy, rhat[i:j], np.tile(center, (j - i, 1)), solver)
+    p, obj, conv, desc = _lm_descend(axy, rhat, center, solver)
     stuck = ~desc & ~conv
     for idx in np.nonzero(stuck)[0]:
         radius = solver.grid_radius or _default_grid_radius(axy, rhat[idx], center)

@@ -306,6 +306,42 @@ class TestErrorPaths:
         assert all("if __name__ == \"__main__\":" in line for line in errors)
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("body", [
+        "sweep: {variable: anchor_count, values: [3, 300000000000000000000]}\n",
+        "constellation: {n_anchors: 300000000000000000000}\n",
+    ])
+    def test_oversized_anchor_count_exits_3(self, tmp_path, capsys, monkeypatch, body):
+        def build(spec):
+            raise AssertionError("a constellation was built")
+
+        monkeypatch.setattr("uavloc.experiments.build_constellation", build)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("trials: 1\n" + body)
+        code = cli.main(["count-sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == cli.EXIT_CONFIG == 3
+        assert "of 3 up to 3000" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_study_too_large_for_memory_exits_4(self, alt_cfg, tmp_path, capsys,
+                                                monkeypatch):
+        def run_sweep(cfg, threads=1):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array")
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        code = cli.main(["altitude-sweep", "--config", str(alt_cfg),
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == cli.EXIT_COMPUTE == 4
+        assert "computation error: Unable to allocate 22.4 GiB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "-8", "x"])
+    def test_bad_thread_count_exits_2(self, alt_cfg, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["altitude-sweep", "--config", str(alt_cfg),
+                      "--out", str(tmp_path / "o.csv"), "--threads", value])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_computation_error_exits_4(self, alt_cfg, tmp_path, capsys):
         code = cli.main(["crlb", "--config", str(alt_cfg),
                          "--out", str(tmp_path / "o.csv"),

@@ -549,10 +549,10 @@ def counting(real, sizes):
     return spy
 
 
-_B = est._BRACKET_ROWS
-#: Row counts at the edges of one bracketing block of B = _BRACKET_ROWS rows,
-#: and counts that span several blocks.
-BLOCK_EDGE_ROWS = sorted({1, _B - 1, _B, _B + 1, 2 * _B + 7, 1023, 1024, 1025, 2055})
+_B = est._BOUND_ROWS
+#: Row counts around powers of two, and at the edges of one bound chunk of
+#: B = _BOUND_ROWS rows, the most a dense pass holds.
+BLOCK_EDGE_ROWS = sorted({1, 255, 256, 257, 519, 1023, 1024, 1025, 2055, _B - 1, _B, _B + 1})
 
 
 class TestSearchMatchesReference:
@@ -564,8 +564,8 @@ class TestSearchMatchesReference:
     @pytest.mark.parametrize("n", [1, 5, 30])
     @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
     def test_byte_equal(self, env, n, rows):
-        # B rows fill one bracketing block exactly; B - 1, B + 1 and 2B + 7
-        # end on partial blocks.
+        # B rows fill one bound chunk exactly; B - 1 and B + 1 end on
+        # partial chunks.
         h = 400.0
         w = ranging_batch(env, rows, n, h, seed=rows * 31 + n)
         got = u.mle_distance_batch(w, h, env)
@@ -617,28 +617,77 @@ class TestSearchMatchesReference:
 
 
 class TestPrunedBracketing:
-    """The certified window does the work, and the full-grid pass stays."""
+    """The two certified stages do the work; no pass spans the full grid."""
 
-    def test_window_and_fallback_both_taken(self, monkeypatch):
-        # A crlb-table cell at low altitude: the NLoS likelihood is flat
-        # enough that some rows cannot be certified on their window.
+    @pytest.mark.parametrize("h,one_block", [(100.0, False), (300.0, True)])
+    def test_no_full_grid_pass(self, monkeypatch, h, one_block):
+        # crlb-table cells at r = 500 m. At h = 100 m the NLoS likelihood
+        # is flat and every row is reached by several blocks; at 300 m
+        # most rows by one.
         calls = []
         real = est._dense_argmax
 
         def spy(s1, s2, terms, lo, hi, *args):
-            calls.append((s1.size, hi - lo))
+            calls.append((s1.copy(), min(hi, terms[0].size) - lo))
             return real(s1, s2, terms, lo, hi, *args)
 
         monkeypatch.setattr(est, "_dense_argmax", spy)
-        geom = u.LinkGeometry(r=500.0, h=100.0)
+        geom = u.LinkGeometry(r=500.0, h=h)
         sigma = u.shadowing_sigma(geom.theta, ENV)
         z = np.random.default_rng(0).standard_normal((2000, 5))
-        u.mle_distance_batch(u.mean_rss(geom.d, geom.theta, ENV) - sigma * z, geom.h, ENV)
+        w = u.mean_rss(geom.d, geom.theta, ENV) - sigma * z
+        u.mle_distance_batch(w, geom.h, ENV)
         grid = u.SearchConfig().grid_points
-        columns = sum(rows * width for rows, width in calls) / 2000
-        fallback = sum(rows for rows, width in calls if width == grid)
-        assert columns < grid / 3
-        assert 1 <= fallback < 200
+        assert max(width for _, width in calls) == est._BOUND_COLS < grid
+        assert sum(s1.size * width for s1, width in calls) / 2000 < grid / 3
+        # Rows are told apart by their sums; count the blocks each takes.
+        s1_all = est._suffstats(w)[0]
+        assert np.unique(s1_all).size == 2000
+        seen, blocks = np.unique(np.concatenate([s1 for s1, _ in calls]), return_counts=True)
+        assert seen.tobytes() == np.sort(s1_all).tobytes()
+        assert np.any(blocks > 1)
+        assert np.any(blocks == 1) == one_block
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_ties_across_blocks_keep_the_first(self, zero):
+        # ll = c0 - s2 on three blocks: the maximum ties between block 0
+        # and block 2 (as -0.0 against +0.0 at s2 = 0), and every block
+        # reaches, so the later block must not take the row.
+        cols, n = 3 * est._BOUND_COLS, 5
+        c0 = np.full(cols, -3.0)
+        c0[[5, 2 * est._BOUND_COLS + 5]] = zero, -zero
+        c0[est._BOUND_COLS + 5] = -1.0
+        terms = (c0, np.zeros(cols), np.zeros(cols), np.ones(cols))
+        s1 = np.linspace(-1.0, 1.0, 7)
+        s2 = s1 ** 2 / n
+        s2[0] = s1[0] = 0.0
+        got = est._bracket(s1, s2, n, terms, est._bounds(terms, n), np.empty(7 * cols))
+        assert got.tolist() == [5] * 7
+
+    def test_column_major_first_max_on_ties(self):
+        # ll = c0 - ((s2 - s1 * 0) + 0) / 1 = c0 - s2, so the columns of a
+        # row tie wherever c0 does; -0.0 - 0.0 is -0.0 and ties with +0.0.
+        rng = np.random.default_rng(11)
+        cols, rows = 40, 300
+        values = np.array([-1.0, -0.0, 0.0, 1.0, 5e-324, -5e-324])
+        c0 = rng.choice(values, size=cols)
+        c0[[3, 17]] = c0.max()
+        terms = (c0, np.zeros(cols), np.zeros(cols), np.ones(cols))
+        s1 = np.zeros(rows)
+        s2 = rng.choice([0.0, 1.0, 2.0], size=rows)
+        s2[::3] = 0.0
+        dense = c0 - ((s2[:, None] - s1[:, None] * terms[1]) + terms[2]) / terms[3]
+        for lo, hi in ((0, cols), (3, 19), (4, 17), (10, 11), (30, 50)):
+            best, top = est._dense_argmax(s1, s2, terms, lo, hi, np.empty(rows * cols))
+            want = lo + np.argmax(dense[:, lo:hi], axis=1)
+            assert best.dtype == np.intp and best.tobytes() == want.tobytes()
+            assert (top == dense[:, lo:hi].max(axis=1)).all()
+        # Only signed zeros: the first one wins, whatever its sign.
+        for first in (-0.0, 0.0):
+            zeros = np.array([first, -first, first, -first])
+            tie = (zeros, np.zeros(4), np.zeros(4), np.ones(4))
+            best, _ = est._dense_argmax(np.zeros(2), np.zeros(2), tie, 0, 4, np.empty(8))
+            assert best.tolist() == [0, 0]
 
     @pytest.mark.parametrize("bits", [
         0x0000000000000000, 0x8000000000000000,  # +0.0, -0.0
@@ -687,7 +736,7 @@ def multi_batches(env, n):
 
 def block_crossing_batches(env, n):
     """(samples, h) per batch: one run of 200, 0 and 120 rows at 400 m that
-    crosses a bracketing block, then 30 rows at 1500 m. The run's first
+    crosses a 256-row bound chunk, then 30 rows at 1500 m. The run's first
     batch is noise-free and the other two have a row pinned at d_max, so the
     three take different step counts and the run's later batch the most."""
     return [(ranging_batch(u.without_shadowing(env), 202, n, 400.0, seed=n + 4)[1:-1], 400.0),
@@ -725,12 +774,14 @@ class TestMultiBatchMatchesAlone:
 
     @pytest.mark.parametrize("env", [u.URBAN, u.SUBURBAN], ids=["urban", "suburban"])
     @pytest.mark.parametrize("n", [1, 5, 30])
-    def test_byte_equal_run_across_a_block(self, env, n):
+    def test_byte_equal_run_across_a_block(self, env, n, monkeypatch):
         # Rows that finish first sit before rows that refine longer, and rows
-        # leave the working arrays at two steps before the last one.
+        # leave the working arrays at two steps before the last one. The run
+        # crosses a bound chunk, here of 256 rows.
+        monkeypatch.setattr(est, "_BOUND_ROWS", 256)
         batches = block_crossing_batches(env, n)
         first, _, last, other = [golden_steps(w, h, env) for w, h in batches]
-        assert first < other < last and 200 < _B < 320
+        assert first < other < last and 200 < est._BOUND_ROWS < 320
         got, offsets = range_together(batches, env)
         for (w, h), i, j in zip(batches, offsets[:-1], offsets[1:]):
             wants = [u.mle_distance_batch(w, h, env)]

@@ -245,19 +245,26 @@ class TestPointErrors:
                 _assert_same_errors(got, _point_errors_reference(cfg, v))
         assert calls == packs
 
-    def test_one_descent_per_block_not_per_point(self, monkeypatch):
+    def test_one_descent_per_call_not_per_point(self, monkeypatch):
         cfg = tiny_altitude_config(trials=2)  # 3 points x 2 trials x 40 nodes
-        sizes = []
-        lm_descend = loc._lm_descend
+        sizes, working = [], []
+        lm_descend, residuals = loc._lm_descend, loc._residuals
 
         def spy(axy, rhat, p0, solver):
             sizes.append(rhat.shape[0])
             return lm_descend(axy, rhat, p0, solver)
 
+        def spy_residuals(p, *args):
+            working.append(p.shape[1])
+            return residuals(p, *args)
+
         monkeypatch.setattr(loc, "_lm_descend", spy)
+        monkeypatch.setattr(loc, "_residuals", spy_residuals)
         monkeypatch.setattr(loc, "_DESCENT_ROWS", 100)
         u.run_sweep(cfg)
-        assert sizes == [100, 100, 40]
+        # 240 rows in one descent whose working set never holds more than
+        # 100: it was refilled.
+        assert sizes == [240] and max(working) == 100
 
     def test_large_slices_fix_in_chunks_of_whole_points(self, monkeypatch):
         cfg = tiny_altitude_config(trials=2)  # 240 range estimates per point

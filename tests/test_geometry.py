@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import uavloc as u
+from uavloc.geometry import MAX_ANCHORS
 from uavloc._streams import TAG_NODES, substream
 
 
@@ -32,6 +33,13 @@ class TestConstellationSpec:
         ok = dict(n_anchors=3, base_side=500.0, altitude=1000.0)
         with pytest.raises(ValueError, match="n_anchors must be a positive integer"):
             u.ConstellationSpec(**{**ok, "n_anchors": bad})
+
+    def test_anchor_count_is_bounded(self):
+        ok = dict(base_side=500.0, altitude=1000.0)
+        assert u.ConstellationSpec(n_anchors=MAX_ANCHORS, **ok).n_anchors == MAX_ANCHORS
+        for bad in (MAX_ANCHORS + 3, 3 * 10 ** 20):
+            with pytest.raises(ValueError, match=f"multiple of 3 up to {MAX_ANCHORS}"):
+                u.ConstellationSpec(n_anchors=bad, **ok)
 
     def test_defaults(self):
         spec = u.ConstellationSpec(n_anchors=3, base_side=500.0, altitude=1000.0)

@@ -376,6 +376,84 @@ class TestBlockedDescent:
                     assert conv[i] == want[2][0]
         assert min(exits.values()) > 0, exits
 
+    @staticmethod
+    def _alone(axy, rhat, p0, solver):
+        """Each row descended on its own by the reference loop, and whether
+        it was still active (had taken max_iter steps) at the end."""
+        rows = [_lm_descend_full_batch(axy, rhat[i:i + 1], p0[i:i + 1], solver)
+                for i in range(rhat.shape[0])]
+        return [np.concatenate(col) for col in zip(*rows)]
+
+    @pytest.mark.parametrize("cap", [1, 2, 7, 64])
+    def test_refilled_working_set_equals_rows_alone(self, monkeypatch, cap):
+        # 15 rows; with cap < 15 rows join as others leave, and a late row
+        # can still run all max_iter steps or leave through the damping cap.
+        axy, rhat = self._rows()
+        p0 = np.tile(axy.mean(axis=0), (rhat.shape[0], 1))
+        monkeypatch.setattr(loc, "_DESCENT_ROWS", cap)
+        exits = {"step_tol": 0, "damping_cap": 0, "max_iter": 0}
+        for solver in (u.SolverConfig(max_iter=6), u.SolverConfig(step_tol=1e-30),
+                       u.SolverConfig(max_iter=1), u.SolverConfig()):
+            *want, active = self._alone(axy, rhat, p0, solver)
+            assert_descents_equal(want, loc._lm_descend(axy, rhat, p0, solver))
+            exits["step_tol"] += int(want[2].sum())
+            exits["damping_cap"] += int((~want[2] & ~active).sum())
+            exits["max_iter"] += int(active[cap:].sum())  # late rows only
+        assert exits["step_tol"] and exits["damping_cap"], exits
+        assert (exits["max_iter"] > 0) == (cap < rhat.shape[0]), exits
+
+    def test_late_row_takes_all_its_steps(self, monkeypatch):
+        # Rows 0-2 converge within a few steps; rows 3-5 crawl (step_tol
+        # is tiny) and join only as the first ones leave, so they must
+        # still take max_iter steps each, counted from their entry.
+        axy, rhat = self._rows()
+        rhat = rhat[[1, 2, 3, 0, 6, 7]]
+        p0 = np.tile(axy.mean(axis=0), (rhat.shape[0], 1))
+        solver = u.SolverConfig(max_iter=30, step_tol=1e-6)
+        *want, active = self._alone(axy, rhat, p0, solver)
+        monkeypatch.setattr(loc, "_DESCENT_ROWS", 3)
+        steps = []
+        hypot = np.hypot
+
+        def spy_hypot(*args, **kwargs):
+            steps.append(args[0].shape[0])
+            return hypot(*args, **kwargs)
+
+        monkeypatch.setattr(np, "hypot", spy_hypot)
+        got = loc._lm_descend(axy, rhat, p0, solver)
+        assert_descents_equal(want, got)
+        assert active[3:].any() and len(steps) > solver.max_iter
+
+    @pytest.mark.parametrize("n_anchors", [9, 12, 30])
+    def test_lone_row_refill_is_carried_twice(self, monkeypatch, n_anchors):
+        # Four equal rows leave at the same step, and the fifth joins an
+        # empty working set alone: it must be carried as two copies, as
+        # from 8 anchors on numpy would sum one row pairwise.
+        spec = u.ConstellationSpec(n_anchors=n_anchors, base_side=100.0,
+                                   altitude=100.0, side_increment=20.0)
+        axy = u.anchors_xy(u.build_constellation(spec))
+        rng = np.random.default_rng(n_anchors)
+        nodes = rng.uniform(-1500.0, 1500.0, size=(2, 2))
+        rhat = np.linalg.norm(nodes[:, None, :] - axy[None, :, :], axis=2)
+        rhat = np.maximum(rhat + rng.normal(0.0, 300.0, size=rhat.shape), 0.0)
+        rhat = rhat[[0, 0, 0, 0, 1]]
+        p0 = np.tile(axy.mean(axis=0), (5, 1))
+        monkeypatch.setattr(loc, "_DESCENT_ROWS", 4)
+        widths = []
+        residuals = loc._residuals
+
+        def spy(p, *args):
+            widths.append(p.shape[1])
+            return residuals(p, *args)
+
+        monkeypatch.setattr(loc, "_residuals", spy)
+        for solver in (u.SolverConfig(), u.SolverConfig(step_tol=1e-30)):
+            widths.clear()
+            *want, _ = self._alone(axy, rhat, p0, solver)
+            assert_descents_equal(want, loc._lm_descend(axy, rhat, p0, solver))
+            sets = [w for w in widths if w]  # the empty start takes none
+            assert sets[0] == 4 and 2 in sets and 1 not in sets
+
     def test_zero_rows_do_no_descent(self, monkeypatch):
         axy, rhat = self._rows()
         descents, steps = [], []

@@ -42,27 +42,27 @@ def test_multi_batch_ranging_equals_each_batch_alone(batches, n, env, seed):
 @given(h=st.floats(50.0, 3000.0), rows=st.integers(1, 80), n=st.sampled_from([1, 5, 30]),
        env=st.sampled_from([u.URBAN, u.SUBURBAN, u.without_shadowing(u.URBAN)]),
        grid_points=st.sampled_from([3, 37, 255, 256, 257]),
-       shape=st.sampled_from([(16, 4, 1), (16, 1, 0), (5, 2, 1), (16, 2, -1)]),
+       bound_cols=st.sampled_from([1, 5, 16, 257]),
        seed=st.integers(0, 2 ** 16))
-@example(h=50.0, rows=40, n=1, env=u.URBAN, grid_points=256, shape=(16, 4, 1), seed=0)
+@example(h=50.0, rows=40, n=1, env=u.URBAN, grid_points=256, bound_cols=16, seed=0)
 @example(h=3000.0, rows=40, n=30, env=u.without_shadowing(u.URBAN), grid_points=256,
-         shape=(16, 4, 1), seed=0)
-def test_pruned_bracket_equals_dense_argmax(h, rows, n, env, grid_points, shape, seed):
+         bound_cols=16, seed=0)
+def test_pruned_bracket_equals_dense_argmax(h, rows, n, env, grid_points, bound_cols, seed):
     # With var at the sigma floor (no shadowing) the log-likelihood reaches
-    # 1e28, so the certification margin must scale with it. Narrow windows
-    # (one block, or two blocks of 5 columns) and a window that starts past
-    # the best bound miss the maximum often, on either side, so there the
-    # certificate, not the window, carries the result.
+    # 1e28, so the certification margin must scale with it. One-column
+    # blocks make the bound exact on each column, so stage 2 passes over
+    # every column within the margin of the probe's value; one block of
+    # the whole grid (257 >= grid_points) is a single full pass.
     w = ranging_batch(env, rows, n, h, seed)
     s1, s2 = est._suffstats(w)
-    saved = est._BOUND_COLS, est._WINDOW, est._LEAD
-    est._BOUND_COLS, est._WINDOW, est._LEAD = shape
+    saved = est._BOUND_COLS
+    est._BOUND_COLS = bound_cols
     try:
         _, terms, blocks = est._grid_terms(h, n, env, u.SearchConfig(grid_points=grid_points))
-        # The smallest buffer: one row per dense pass.
-        got = est._bracket(s1, s2, n, terms, blocks, np.empty(grid_points))
+        got = est._bracket(s1, s2, n, terms, blocks,
+                           np.empty(rows * min(bound_cols, grid_points)))
     finally:
-        est._BOUND_COLS, est._WINDOW, est._LEAD = saved
+        est._BOUND_COLS = saved
     c0, two_mu, n_mu2, two_var = terms
     dense = c0 - ((s2[:, None] - s1[:, None] * two_mu) + n_mu2) / two_var
     assert got.tolist() == np.argmax(dense, axis=1).tolist()
@@ -109,6 +109,27 @@ def test_descent_equals_reference_loop(n, rows, sigma, seed, centroid_start, sol
     axy, rhat, p0 = descent_rows(n, rows, sigma, seed, centroid_start)
     *want, _ = _lm_descend_full_batch(axy, rhat, p0, solver)
     assert_descents_equal(want, loc._lm_descend(axy, rhat, p0, solver))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 30), rows=st.integers(1, 40), sigma=st.floats(0.0, 2000.0),
+       seed=st.integers(0, 2 ** 16), centroid_start=st.booleans(),
+       cap=st.integers(1, 45),
+       solver=st.sampled_from([u.SolverConfig(max_iter=5), u.SolverConfig(max_iter=12),
+                               u.SolverConfig(step_tol=1e-30)]))
+def test_refilled_descent_equals_reference_loop(n, rows, sigma, seed, centroid_start, cap,
+                                                solver):
+    # Rows join the working set as others leave; each keeps its own step
+    # count, so it leaves at its own max_iter, bit for bit as in one batch.
+    axy, rhat, p0 = descent_rows(n, rows, sigma, seed, centroid_start)
+    *want, _ = _lm_descend_full_batch(axy, rhat, p0, solver)
+    saved = loc._DESCENT_ROWS
+    loc._DESCENT_ROWS = cap
+    try:
+        got = loc._lm_descend(axy, rhat, p0, solver)
+    finally:
+        loc._DESCENT_ROWS = saved
+    assert_descents_equal(want, got)
 
 
 @settings(max_examples=60, deadline=None)
