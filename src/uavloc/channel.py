@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -24,8 +25,9 @@ MIN_ALTITUDE_M = 50.0
 def free_space_reference_loss(frequency_hz: float = DEFAULT_FREQUENCY_HZ,
                               distance_m: float = 1.0) -> float:
     """Free-space path loss in dB at `distance_m` for the given carrier."""
-    if frequency_hz <= 0.0 or distance_m <= 0.0:
-        raise ValueError("frequency_hz and distance_m must be positive")
+    for name, value in (("frequency_hz", frequency_hz), ("distance_m", distance_m)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return 20.0 * math.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
 
 
@@ -171,8 +173,9 @@ def mean_path_loss(d, theta, env: EnvironmentParams):
     Shadowing-free value: k_ref + 10 * alpha(theta) * log10(d / d_o).
     """
     dd = np.asarray(d, dtype=float)
-    if np.any(dd < env.d_o):
-        raise ValueError(f"model invalid below the reference distance d_o = {env.d_o} m")
+    if not np.all((dd >= env.d_o) & np.isfinite(dd)):
+        raise ValueError("slant distance d must be finite and >= the reference "
+                         f"distance d_o = {env.d_o} m")
     alpha = path_loss_exponent(theta, env)
     return _maybe_scalar(env.k_ref + 10.0 * np.asarray(alpha) * np.log10(dd / env.d_o))
 
@@ -189,8 +192,8 @@ def sample_rss(geom: LinkGeometry, env: EnvironmentParams, n: int,
     Each sample is the mean RSS minus a zero-mean normal shadowing term with
     the elevation-dependent deviation. Deterministic for a given `rng` state.
     """
-    if n < 1:
-        raise ValueError("sample count n must be >= 1")
+    if not (isinstance(n, Integral) and n >= 1):
+        raise ValueError(f"sample count n must be an integer >= 1, got {n!r}")
     mu = mean_rss(geom.d, geom.theta, env)
     sigma = shadowing_sigma(geom.theta, env)
     psi = rng.normal(0.0, sigma, size=n)

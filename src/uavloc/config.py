@@ -8,7 +8,7 @@ fall back to a default.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import yaml
@@ -41,8 +41,8 @@ _ENVIRONMENT_KEYS = {"preset", "a_los", "b_los", "a_nlos", "b_nlos",
                      "a_o", "b_o", "a_1", "b_1", "k_ref", "c_offset"}
 _CONSTELLATION_KEYS = {"n_anchors", "base_side", "altitude", "side_increment", "centroid"}
 _SWEEP_KEYS = {"variable", "values", "start", "stop", "step"}
-_SEARCH_KEYS = {"d_max", "grid_points", "tol"}
-_SOLVER_KEYS = {"max_iter", "step_tol", "damping0", "grid_radius"}
+_SEARCH_KEYS = {f.name for f in fields(SearchConfig)}
+_SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
 #: Top-level settings that are plain numbers, and which of them are integers.
 _SCALAR_KEYS = {"seed", "trials", "node_count", "deployment_radius",
                 "samples_per_anchor", "eval_distance", "eval_azimuths"}

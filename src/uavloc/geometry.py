@@ -91,11 +91,11 @@ def build_constellation(spec: ConstellationSpec) -> list[Anchor]:
 def sample_disk_xy(n: int, radius: float, center_xy, rng: np.random.Generator) -> np.ndarray:
     """(n, 2) array of i.i.d. points uniform over a disk.
 
-    Raises ValueError unless n >= 1, the radius is finite and > 0 and the
-    center is finite.
+    Raises ValueError unless n is an integer >= 1, the radius is finite
+    and > 0 and the center is finite.
     """
-    if n < 1:
-        raise ValueError("node count n must be >= 1")
+    if not (isinstance(n, Integral) and n >= 1):
+        raise ValueError(f"node count n must be an integer >= 1, got {n!r}")
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and > 0, got {radius}")
     if not (math.isfinite(center_xy[0]) and math.isfinite(center_xy[1])):

@@ -2,8 +2,9 @@
 
 The objective is the sum of squared differences between candidate-to-anchor
 planar distances and the estimated ranges. It is minimized with a damped
-Gauss-Newton iteration started at the anchor centroid; a coarse grid restart
-covers the rare case where damping cannot find a descent direction.
+Gauss-Newton iteration started at the anchor centroid. A row that leaves
+the descent without accepting a step keeps its start point (see
+`multilaterate_batch`).
 
 The descent holds its working arrays anchor-major: for N anchors and a
 working set of W rows (see `_lm_descend`), offsets are (2, N, W) and
@@ -52,15 +53,14 @@ class DegenerateGeometryError(ValueError):
 class SolverConfig:
     """Damped Gauss-Newton settings for `multilaterate`.
 
-    `grid_radius` bounds the fallback search square around the anchor
-    centroid; when None it is derived from the anchor spread and the ranges.
-    The grid pitch is grid_radius / 50.
+    A row leaves the descent when its damped step is shorter than
+    `step_tol` (converged), when its damping passes the cap, or after
+    `max_iter` steps; one that never accepts a step keeps its start point.
     """
 
     max_iter: int = 100
     step_tol: float = 1e-4
     damping0: float = 1e-3
-    grid_radius: float | None = None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
@@ -69,9 +69,6 @@ class SolverConfig:
             raise ValueError("step_tol must be finite and positive")
         if not (math.isfinite(self.damping0) and self.damping0 > 0.0):
             raise ValueError("damping0 must be finite and positive")
-        if self.grid_radius is not None and not (
-                math.isfinite(self.grid_radius) and self.grid_radius > 0.0):
-            raise ValueError("grid_radius must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -87,12 +84,6 @@ class PositionFix:
 def position_error(fix: PositionFix, truth: NodePosition) -> float:
     """Planar distance between the estimated and the true node position."""
     return math.hypot(fix.x_hat - truth.x, fix.y_hat - truth.y)
-
-
-def _objective(p: np.ndarray, axy: np.ndarray, rhat: np.ndarray) -> np.ndarray:
-    """Sum of squared range residuals; p is (..., 2)."""
-    dist = np.linalg.norm(p[..., None, :] - axy, axis=-1)
-    return ((dist - rhat) ** 2).sum(axis=-1)
 
 
 def _no_lone_row(rows: np.ndarray) -> np.ndarray:
@@ -126,8 +117,8 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
     """Batched damped Gauss-Newton descent.
 
     axy is (N, 2); rhat is (L, N) and p0 broadcasts to (L, 2). Returns
-    position, objective, convergence flags and whether any step was ever
-    accepted. Accepted steps strictly decrease the objective.
+    position, objective and convergence flags. Accepted steps strictly
+    decrease the objective.
 
     Every quantity a row's iteration computes (normal equations, step,
     accept test, damping) depends on that row alone. So a row that
@@ -147,7 +138,6 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
     p_out = np.empty((L, 2))
     obj_out = np.empty(L)
     converged = np.zeros(L, dtype=bool)
-    descended = np.zeros(L, dtype=bool)
 
     anchors = axy.T[:, :, None].copy()
     rows, lam, p, r = np.empty(0, dtype=np.intp), np.empty(0), np.empty((2, 0)), np.empty((N, 0))
@@ -184,7 +174,6 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
         accept = obj_new < obj
         for a, b in ((p, p_new), (d, d_new), (dist, dist_new), (err, err_new), (obj, obj_new)):
             np.copyto(a, b, where=accept)
-        descended[rows[accept]] = True
         lam = np.where(accept, np.maximum(lam / 3.0, _DAMPING_MIN), lam * 10.0)
 
         # A vanishing damped step means a stationary point, accepted or not.
@@ -202,22 +191,7 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
             keep = _no_lone_row(keep) if joined == L else keep
             rows, p, d, dist, err, obj, lam, r = (
                 a.take(keep, axis=-1) for a in (rows, p, d, dist, err, obj, lam, r))
-    return p_out, obj_out, converged, descended
-
-
-def _grid_minimum(axy: np.ndarray, rhat: np.ndarray, center: np.ndarray,
-                  radius: float) -> np.ndarray:
-    """Coarse-grid argmin of the objective over a square around `center`."""
-    coords = np.linspace(-radius, radius, 101)
-    gx, gy = np.meshgrid(center[0] + coords, center[1] + coords)
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    vals = _objective(pts, axy, rhat)
-    return pts[int(np.argmin(vals))]
-
-
-def _default_grid_radius(axy: np.ndarray, rhat: np.ndarray, center: np.ndarray) -> float:
-    spread = float(np.max(np.linalg.norm(axy - center, axis=1)))
-    return max(spread + float(np.max(rhat)), 1.0)
+    return p_out, obj_out, converged
 
 
 def _check_geometry(axy: np.ndarray) -> None:
@@ -250,8 +224,12 @@ def multilaterate_batch(axy: np.ndarray, rhat: np.ndarray,
 
     Starts the damped Gauss-Newton iteration at the anchor-projection
     centroid. Returns (positions (L, 2), residuals (L,), converged (L,)).
-    Rows where damping never descends are scanned on a coarse grid and
-    retried from its minimum; the retry is kept if it lowers the objective.
+    A row whose steps are all rejected until it leaves returns the centroid,
+    its objective there and converged = False. As the damping grows the
+    damped step tends to -g/lambda, a descent direction, so that takes a
+    `max_iter` too small for the damping to grow, or a gradient so large
+    that the damped step is still `step_tol` long at the damping cap. A
+    centroid at a stationary point converges at once.
     Ranges must be finite and >= 0, one column per anchor.
 
     One descent takes every row: at most `_DESCENT_ROWS` rows work at a
@@ -268,13 +246,4 @@ def multilaterate_batch(axy: np.ndarray, rhat: np.ndarray,
         raise ValueError("estimated ranges must be finite and >= 0")
     if rhat.shape[0] == 0:
         return np.empty((0, 2)), np.empty(0), np.empty(0, dtype=bool)
-    center = axy.mean(axis=0)
-    p, obj, conv, desc = _lm_descend(axy, rhat, center, solver)
-    stuck = ~desc & ~conv
-    for idx in np.nonzero(stuck)[0]:
-        radius = solver.grid_radius or _default_grid_radius(axy, rhat[idx], center)
-        start = _grid_minimum(axy, rhat[idx], center, radius)
-        p2, obj2, conv2, _ = _lm_descend(axy, rhat[idx:idx + 1], start[None, :], solver)
-        if obj2[0] < obj[idx]:
-            p[idx], obj[idx], conv[idx] = p2[0], obj2[0], conv2[0]
-    return p, obj, conv
+    return _lm_descend(axy, rhat, axy.mean(axis=0), solver)

@@ -164,6 +164,11 @@ class TestReferenceLoss:
             u.free_space_reference_loss(0.0)
         with pytest.raises(ValueError):
             u.free_space_reference_loss(DEFAULT_FREQUENCY_HZ, -1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="frequency_hz must be finite"):
+                u.free_space_reference_loss(bad)
+            with pytest.raises(ValueError, match="distance_m must be finite"):
+                u.free_space_reference_loss(DEFAULT_FREQUENCY_HZ, bad)
 
 
 class TestLinkGeometry:
@@ -202,6 +207,11 @@ class TestPathLossAndRss:
     def test_below_reference_distance_rejected(self):
         with pytest.raises(ValueError):
             u.mean_path_loss(0.5, 0.3, u.URBAN)
+        for bad in (math.nan, math.inf, np.array([100.0, math.nan])):
+            with pytest.raises(ValueError, match="distance d must be finite"):
+                u.mean_path_loss(bad, 0.5, u.URBAN)
+            with pytest.raises(ValueError, match="distance d must be finite"):
+                u.mean_rss(bad, 0.5, u.URBAN)
 
     def test_mean_rss_is_offset_minus_loss(self):
         from dataclasses import replace
@@ -236,3 +246,5 @@ class TestPathLossAndRss:
         g = u.LinkGeometry(r=100.0, h=100.0)
         with pytest.raises(ValueError):
             u.sample_rss(g, u.URBAN, 0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            u.sample_rss(g, u.URBAN, 2.5, np.random.default_rng(0))

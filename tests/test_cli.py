@@ -179,11 +179,13 @@ class TestDispatch:
 class TestErrorPaths:
     def test_unknown_config_key_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
-        cfg.write_text("node_cuont: 10\n")
-        code = cli.main(["altitude-sweep", "--config", str(cfg),
-                         "--out", str(tmp_path / "o.csv")])
-        assert code == cli.EXIT_CONFIG == 3
-        assert "node_cuont" in capsys.readouterr().err
+        for text, key in (("node_cuont: 10\n", "node_cuont"),
+                          ("solver: {grid_radius: 5.0}\n", "solver.'grid_radius'")):
+            cfg.write_text(text)
+            code = cli.main(["altitude-sweep", "--config", str(cfg),
+                             "--out", str(tmp_path / "o.csv")])
+            assert code == cli.EXIT_CONFIG == 3
+            assert key in capsys.readouterr().err
 
     def test_altitude_floor_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

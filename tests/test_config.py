@@ -1,7 +1,9 @@
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+import yaml
 
 import uavloc as u
 from uavloc.config import DEFAULT_GRIDS, MAX_GRID_POINTS
@@ -295,3 +297,9 @@ class TestExampleConfig:
         cfg = u.load_config(DEMO_CONFIG, variable="altitude",
                             seed_override=0)
         assert cfg.seed == 0
+
+    def test_example_names_every_search_and_solver_field(self):
+        # README calls the example the annotated full schema.
+        raw = yaml.safe_load(DEMO_CONFIG.read_text(encoding="utf-8"))
+        for section, cls in (("search", u.SearchConfig), ("solver", u.SolverConfig)):
+            assert set(raw[section]) == {f.name for f in fields(cls)}, section

@@ -24,9 +24,10 @@ def _lm_descend_full_batch(axy, rhat, p0, solver):
 
     The reference `_lm_descend` must equal bit for bit: its normal
     equations sum with `np.einsum`, and every row stays in every iteration
-    until all have left. Returns the final active mask as a fifth value, so
-    a test can tell rows that left through the damping cap from rows that
-    never left.
+    until all have left. Also returns whether each row ever accepted a step
+    and the final active mask, so a test can count rows that never
+    descended and tell rows that left through the damping cap from rows
+    that never left.
     """
     p = p0.copy()
     L = p.shape[0]
@@ -81,9 +82,12 @@ def _lm_descend_full_batch(axy, rhat, p0, solver):
 
 
 def assert_descents_equal(want, have):
-    """Position, objective, converged and descended agree bit for bit."""
-    assert len(want) == len(have) == 4
-    for w, h in zip(want, have):
+    """Position, objective and converged agree bit for bit.
+
+    `want` may carry the reference loop's descended flags after them.
+    """
+    assert len(have) == 3
+    for w, h in zip(want[:3], have):
         assert w.dtype == h.dtype and w.shape == h.shape
         assert w.tobytes() == h.tobytes()
 
@@ -107,9 +111,6 @@ class TestSolverConfig:
             u.SolverConfig(step_tol=0.0)
         with pytest.raises(ValueError):
             u.SolverConfig(damping0=-1.0)
-        with pytest.raises(ValueError):
-            u.SolverConfig(grid_radius=0.0)
-        assert u.SolverConfig(grid_radius=None).grid_radius is None
 
     @pytest.mark.parametrize("bad", [2.5, 5.5])
     def test_rejects_non_integral_max_iter(self, bad):
@@ -267,8 +268,7 @@ class TestCompactedDescent:
 
     @pytest.mark.parametrize("n_anchors", range(3, 31, 3))
     def test_single_row_byte_equal_to_full_batch(self, n_anchors):
-        # The grid restart descends one row at a time, from the grid minimum;
-        # a batch also ends with one row left when the others have finished.
+        # A batch ends with one row left when the others have finished.
         # numpy sums an (N, 1) array pairwise, so from 8 anchors on a plain
         # anchor sum over one row leaves the reference's order.
         spec = u.ConstellationSpec(n_anchors=n_anchors, base_side=100.0,
@@ -287,7 +287,7 @@ class TestCompactedDescent:
                 *ref, _ = _lm_descend_full_batch(*args)
                 assert_descents_equal(ref, loc._lm_descend(*args))
 
-    def test_grid_restart_applies_to_exactly_the_stuck_rows(self, monkeypatch):
+    def test_stuck_rows_return_the_centroid(self):
         # An irregular triangle: from its centroid, the first damped step
         # for one long range and two zero ranges is rejected. Exact ranges
         # from the centroid give a zero step: converged, never descended.
@@ -308,35 +308,22 @@ class TestCompactedDescent:
         ])
         solver = u.SolverConfig(max_iter=1)
         p0 = np.tile(center, (rhat.shape[0], 1))
-        _, obj0, conv0, desc0, _ = _lm_descend_full_batch(axy, rhat, p0, solver)
+        *want, _ = _lm_descend_full_batch(axy, rhat, p0, solver)
+        conv0, desc0 = want[2], want[3]
         stuck = ~conv0 & ~desc0
         # Stuck rows sit between rows that leave the loop early (converged)
         # and rows that stay, so their working index moves on compaction.
         assert list(np.nonzero(stuck)[0]) == [0, 3, 6]
         assert (conv0 & ~desc0)[[1, 4]].all() and desc0[[2, 5, 7]].all()
 
-        calls = []
-        grid_minimum = loc._grid_minimum
-
-        def spy(axy_, rhat_, center_, radius):
-            calls.append(rhat_.copy())
-            return grid_minimum(axy_, rhat_, center_, radius)
-
-        monkeypatch.setattr(loc, "_grid_minimum", spy)
         p, obj, conv = u.multilaterate_batch(axy, rhat, solver)
-
-        np.testing.assert_array_equal(np.array(calls), rhat[stuck])
-        for i in range(rhat.shape[0]):
-            if stuck[i]:
-                radius = loc._default_grid_radius(axy, rhat[i], center)
-                start = grid_minimum(axy, rhat[i], center, radius)
-                want = _lm_descend_full_batch(axy, rhat[i:i + 1], start[None, :], solver)
-                # The restart beats staying at the centroid.
-                assert want[1][0] < obj0[i]
-            else:
-                want = _lm_descend_full_batch(axy, rhat[i:i + 1], p0[i:i + 1], solver)
-            assert p[i].tobytes() == want[0][0].tobytes()
-            assert obj[i] == want[1][0] and conv[i] == want[2][0]
+        assert_descents_equal(want, (p, obj, conv))
+        start = ((at_center - rhat) ** 2).sum(axis=1)
+        assert p[stuck].tobytes() == p0[stuck].tobytes()
+        assert obj[stuck].tobytes() == start[stuck].tobytes()
+        assert not conv[stuck].any()
+        # With the default max_iter the damping grows until a step is taken.
+        assert _lm_descend_full_batch(axy, rhat, p0, u.SolverConfig())[3][stuck].all()
 
 
 class TestBlockedDescent:
@@ -344,7 +331,7 @@ class TestBlockedDescent:
 
     @staticmethod
     def _rows():
-        # Noisy ranges on the irregular triangle of the grid-restart test,
+        # Noisy ranges on the irregular triangle of the stuck-row test,
         # with one long range and two zero ranges on each side of both block
         # boundaries (rows 0, 6, 7 and 14 of 15 at a block size of 7).
         axy = np.array([[-238.0, -202.0], [314.0, -408.0], [100.0, 229.0]])
@@ -360,13 +347,13 @@ class TestBlockedDescent:
         axy, rhat = self._rows()
         p0 = np.tile(axy.mean(axis=0), (rhat.shape[0], 1))
         monkeypatch.setattr(loc, "_DESCENT_ROWS", self.B)
-        exits = {"step_tol": 0, "damping_cap": 0, "grid_restart": 0}
+        exits = {"step_tol": 0, "damping_cap": 0, "stuck": 0}
         for solver in (u.SolverConfig(), u.SolverConfig(step_tol=1e-30),
                        u.SolverConfig(max_iter=1)):
             _, _, conv, desc, active = _lm_descend_full_batch(axy, rhat, p0, solver)
             exits["step_tol"] += int(conv.sum())
             exits["damping_cap"] += int((~conv & ~active).sum())
-            exits["grid_restart"] += int((~conv & ~desc).sum())
+            exits["stuck"] += int((~conv & ~desc).sum())
             for n in (self.B - 1, self.B, self.B + 1, 2 * self.B + 1):
                 p, obj, conv = u.multilaterate_batch(axy, rhat[:n], solver)
                 for i in range(n):
@@ -475,7 +462,7 @@ class TestBlockedDescent:
         assert p.shape == (0, 2) and obj.shape == (0,) and conv.shape == (0,)
         out = lm_descend(axy, np.empty((0, 3)), np.empty((0, 2)), u.SolverConfig())
         assert steps == []
-        assert [a.shape for a in out] == [(0, 2), (0,), (0,), (0,)]
+        assert [a.shape for a in out] == [(0, 2), (0,), (0,)]
         # The spy sees iterations: two, on rows that do not finish in one.
         lm_descend(axy, rhat[1:4], np.tile(axy.mean(axis=0), (3, 1)),
                    u.SolverConfig(max_iter=2))
