@@ -29,19 +29,11 @@ EXIT_CONFIG = 3
 EXIT_COMPUTE = 4
 EXIT_IO = 5
 
-_VARIABLE_BY_COMMAND = {
-    "altitude-sweep": "altitude",
-    "distance-sweep": "inter_distance",
-    "count-sweep": "anchor_count",
-    "crlb": "altitude",
-    "optimize": "altitude",
-}
-
 _EPILOG = """\
 exit codes:
   0  success
   2  usage error (unknown command or flag)
-  3  configuration error (unreadable file, unknown key, constraint violation)
+  3  configuration error (unreadable file, unknown or unread key, constraint violation)
   4  computation error (degenerate geometry, invalid experiment input, a
      study too large for memory or a worker process that died)
   5  output I/O error
@@ -101,7 +93,7 @@ def dispatch(args: argparse.Namespace) -> int:
         cfg = load_config(path=args.config,
                           preset=args.preset,
                           seed_override=args.seed,
-                          variable=_VARIABLE_BY_COMMAND[args.command])
+                          command=args.command)
         # The library functions are looked up here, at call time, so that
         # a caller may wrap them (`perfbench/study.py` traces them so).
         if args.command == "optimize":

@@ -2,13 +2,13 @@
 
 Resolution order is file values over preset values over built-in defaults.
 Unknown keys are rejected with their full path so typos cannot silently
-fall back to a default.
+fall back to a default, and so is every key a CLI command does not read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import yaml
@@ -37,17 +37,40 @@ DEFAULT_GRIDS = {
 _DEFAULT_BASE_SIDE = {"altitude": 500.0, "inter_distance": 500.0, "anchor_count": 100.0}
 _DEFAULT_SIDE_INCREMENT = {"altitude": 0.0, "inter_distance": 0.0, "anchor_count": 20.0}
 
-_ENVIRONMENT_KEYS = {"preset", "a_los", "b_los", "a_nlos", "b_nlos",
-                     "a_o", "b_o", "a_1", "b_1", "k_ref", "c_offset"}
-_CONSTELLATION_KEYS = {"n_anchors", "base_side", "altitude", "side_increment", "centroid"}
-_SWEEP_KEYS = {"variable", "values", "start", "stop", "step"}
-_SEARCH_KEYS = {f.name for f in fields(SearchConfig)}
-_SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
-#: Top-level settings that are plain numbers, and which of them are integers.
-_SCALAR_KEYS = {"seed", "trials", "node_count", "deployment_radius",
-                "samples_per_anchor", "eval_distance", "eval_azimuths"}
-_INT_KEYS = {"seed", "trials", "node_count", "samples_per_anchor", "eval_azimuths"}
-_TOP_KEYS = _SCALAR_KEYS | {"environment", "constellation", "sweep", "search", "solver"}
+_SECTIONS = {"environment": EnvironmentParams, "constellation": ConstellationSpec,
+             "sweep": SweepSpec, "search": SearchConfig, "solver": SolverConfig}
+
+#: Every settable key ("section.key" below the top level) and its annotation,
+#: a string as every module postpones them. d_o is fixed at 1 m.
+_KEY_TYPES = {
+    **{f.name: f.type for f in fields(ExperimentConfig) if f.init and f.name not in _SECTIONS},
+    **{f"{name}.{f.name}": f.type for name, cls in _SECTIONS.items() for f in fields(cls)
+       if f.name != "d_o"},
+    "environment.preset": "str",
+    "sweep.start": "float", "sweep.stop": "float", "sweep.step": "float",
+}
+#: The constants an environment mapping without a preset must give.
+_CHANNEL_CONSTANTS = {f.name for f in fields(EnvironmentParams) if f.default is MISSING}
+
+_DISK_NODES = {"node_count", "deployment_radius"}
+_RING_NODES = {"eval_distance", "eval_azimuths"}
+#: Each command's sweep variable and the keys it rejects, as it does not
+#: read them ("section" stands for all its keys). These stay accepted:
+#: - sweep.variable: the benchmark sets it, equal to the command's variable;
+#: - constellation.side_increment: it changes results from 6 anchors on;
+#: - environment.k_ref, c_offset: they cancel, but move rounding bits;
+#: - trials under crlb: the benchmark's crlb warm-up config sets it.
+_UNREAD = {
+    "altitude-sweep": ("altitude", _RING_NODES | {"constellation.altitude"}),
+    "distance-sweep": ("inter_distance", _DISK_NODES | {"constellation.base_side"}),
+    "count-sweep": ("anchor_count", _DISK_NODES | {"constellation.n_anchors"}),
+    "crlb": ("altitude", _DISK_NODES | _RING_NODES | {"constellation", "solver"}),
+    "optimize": ("altitude", _RING_NODES | {"constellation.altitude"}),
+}
+#: The CLI commands: (sweep variable, the keys the command reads) each.
+COMMANDS = {command: (variable, frozenset(k for k in _KEY_TYPES if k not in unread
+                                          and k.partition(".")[0] not in unread))
+            for command, (variable, unread) in _UNREAD.items()}
 
 
 #: Most points a start/stop/step sweep range may hold. Every point is a
@@ -77,43 +100,50 @@ def grid_from_range(start: float, stop: float, step: float) -> tuple[float, ...]
 def _as_int(value, where: str) -> int:
     """Integer setting; anything else is a ConfigError naming the key.
 
-    YAML .inf/.nan, non-integral floats and booleans are rejected, not
-    converted.
+    Only YAML numbers are read: strings, booleans, YAML .inf/.nan and
+    non-integral floats are rejected, not converted.
     """
-    if isinstance(value, bool):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ConfigError(f"{where} must be finite")
-        if not value.is_integer():
-            raise ConfigError(f"{where} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be an integer, got {value!r}") from None
+        if value.is_integer():
+            return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
 def _as_float(value, where: str) -> float:
-    """Real-valued setting; a non-number is a ConfigError naming the key."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    """Real-valued setting; anything but a YAML number is a ConfigError naming the key."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
-def _numbers(section: dict, int_keys: set, prefix: str = "") -> dict:
-    """The section's settings as numbers, integers where `int_keys` says."""
-    return {k: _as_int(v, prefix + k) if k in int_keys else _as_float(v, prefix + k)
-            for k, v in section.items()}
+def _numbers(section, name: str = "") -> dict:
+    """Section `name`'s settings as numbers, integers where the field is an int."""
+    prefix = f"{name}." if name else ""
+    return {k: (_as_int if _KEY_TYPES[prefix + k] == "int" else _as_float)(v, prefix + k)
+            for k, v in _as_mapping(section, name).items()}
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            prefix = f"{where}." if where else ""
-            raise ConfigError(f"unknown config key {prefix}{key!r}")
+def _check_keys(raw: dict, command: str | None) -> None:
+    """Reject unknown keys, and keys that `command` does not read, by path."""
+    reads = _KEY_TYPES if command is None else COMMANDS[command][1]
+    for section, value in raw.items():
+        if section not in _SECTIONS:
+            section, value = "", {section: value}
+        prefix = f"{section}." if section else ""
+        # A preset name has no keys; other non-mappings are rejected when read.
+        for key in value if isinstance(value, dict) else ():
+            if f"{prefix}{key}" not in _KEY_TYPES:
+                raise ConfigError(f"unknown config key {prefix}{key!r}")
+            if f"{prefix}{key}" not in reads:
+                raise ConfigError(f"config key {prefix}{key!r} is not read by the "
+                                  f"{command!r} command")
 
 
 def _as_mapping(value, where: str) -> dict:
@@ -129,15 +159,12 @@ def _resolve_environment(raw, preset: str | None) -> EnvironmentParams:
         return environment_preset(preset or "urban")
     if isinstance(raw, str):
         return environment_preset(raw)
-    section = _as_mapping(raw, "environment")
-    _reject_unknown(section, _ENVIRONMENT_KEYS, "environment")
-    base = section.get("preset")
-    overrides = {k: _as_float(v, f"environment.{k}")
-                 for k, v in section.items() if k != "preset"}
+    section = dict(_as_mapping(raw, "environment"))
+    base = section.pop("preset", None)
+    overrides = _numbers(section, "environment")
     if base is not None:
         return replace(environment_preset(str(base)), **overrides)
-    missing = {"a_los", "b_los", "a_nlos", "b_nlos", "a_o", "b_o", "a_1", "b_1"} \
-        - set(overrides)
+    missing = _CHANNEL_CONSTANTS - set(overrides)
     if missing:
         raise ConfigError("environment mapping without a preset must give all "
                           f"channel constants; missing {sorted(missing)}")
@@ -145,71 +172,55 @@ def _resolve_environment(raw, preset: str | None) -> EnvironmentParams:
 
 
 def _resolve_constellation(raw, variable: str) -> ConstellationSpec:
-    section = _as_mapping(raw, "constellation")
-    _reject_unknown(section, _CONSTELLATION_KEYS, "constellation")
-    centroid = section.get("centroid", [0.0, 0.0])
+    section = {"n_anchors": 3, "base_side": _DEFAULT_BASE_SIDE[variable],
+               "altitude": 1000.0, "side_increment": _DEFAULT_SIDE_INCREMENT[variable],
+               **_as_mapping(raw, "constellation")}
+    centroid = section.pop("centroid", [0.0, 0.0])
     if not (isinstance(centroid, (list, tuple)) and len(centroid) == 2):
         raise ConfigError("constellation.centroid must be a [x, y] pair")
     return ConstellationSpec(
-        n_anchors=_as_int(section.get("n_anchors", 3), "constellation.n_anchors"),
-        base_side=_as_float(section.get("base_side", _DEFAULT_BASE_SIDE[variable]),
-                            "constellation.base_side"),
-        altitude=_as_float(section.get("altitude", 1000.0), "constellation.altitude"),
-        side_increment=_as_float(section.get("side_increment",
-                                             _DEFAULT_SIDE_INCREMENT[variable]),
-                                 "constellation.side_increment"),
-        centroid=NodePosition(_as_float(centroid[0], "constellation.centroid"),
-                              _as_float(centroid[1], "constellation.centroid")),
+        **_numbers(section, "constellation"),
+        centroid=NodePosition(*(_as_float(c, "constellation.centroid") for c in centroid)),
     )
 
 
 def _resolve_sweep(raw, variable: str | None) -> SweepSpec:
     section = _as_mapping(raw, "sweep")
-    _reject_unknown(section, _SWEEP_KEYS, "sweep")
-    file_variable = section.get("variable")
-    if file_variable is not None and variable is not None \
-            and file_variable != variable:
-        raise ConfigError(f"config sweeps {file_variable!r} but the command "
-                          f"requires {variable!r}")
-    resolved = file_variable or variable or "altitude"
+    resolved = section.get("variable") or variable or "altitude"
+    if variable is not None and resolved != variable:
+        raise ConfigError(f"config sweeps {resolved!r} but the command requires {variable!r}")
     if resolved not in DEFAULT_GRIDS:
         raise ConfigError(f"sweep.variable must be one of "
                           f"{sorted(DEFAULT_GRIDS)}, got {resolved!r}")
+    bounds = ("start", "stop", "step")
     has_values = section.get("values") is not None
-    has_range = any(section.get(k) is not None for k in ("start", "stop", "step"))
+    has_range = any(section.get(k) is not None for k in bounds)
     if has_values and has_range:
         raise ConfigError("sweep accepts either values or start/stop/step, not both")
     if has_values:
         if not isinstance(section["values"], (list, tuple)):
             raise ConfigError("sweep.values must be a list")
         values = tuple(_as_float(v, "sweep.values") for v in section["values"])
-    elif has_range:
-        try:
-            start = _as_float(section["start"], "sweep.start")
-            stop = _as_float(section["stop"], "sweep.stop")
-            step = _as_float(section["step"], "sweep.step")
-        except KeyError as exc:
-            raise ConfigError(f"sweep range needs start, stop and step "
-                              f"(missing {exc.args[0]!r})") from None
-        values = grid_from_range(start, stop, step)
+    elif has_range:  # a missing bound reads as None, which is no number
+        values = grid_from_range(*(_as_float(section.get(k), f"sweep.{k}") for k in bounds))
     else:
         values = grid_from_range(*DEFAULT_GRIDS[resolved])
-    try:
-        return SweepSpec(variable=resolved, values=values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SweepSpec(variable=resolved, values=values)
 
 
 def load_config(path=None, preset: str | None = None,
                 seed_override: int | None = None,
-                variable: str | None = None) -> ExperimentConfig:
+                variable: str | None = None,
+                command: str | None = None) -> ExperimentConfig:
     """Fully resolved study config from an optional YAML file.
 
     `preset` selects the environment when the file does not name one;
-    `variable` pins the sweep variable (normally from the CLI command) and
-    supplies its default grid and constellation geometry. `seed_override`
-    wins over any seed in the file.
+    `variable` pins the sweep variable and supplies its default grid and
+    constellation geometry. A CLI `command` pins its variable instead and
+    rejects every key it does not read. `seed_override` wins over any seed.
     """
+    if command is not None:
+        variable = COMMANDS[command][0]
     raw = {}
     if path is not None:
         path = Path(path)
@@ -224,16 +235,11 @@ def load_config(path=None, preset: str | None = None,
             where = f" (line {mark.line + 1})" if mark is not None else ""
             raise ConfigError(f"cannot parse config {path}{where}: {exc}") from exc
         raw = _as_mapping(loaded, str(path))
-    _reject_unknown(raw, _TOP_KEYS, "")
-
-    search_sec = _as_mapping(raw.get("search"), "search")
-    _reject_unknown(search_sec, _SEARCH_KEYS, "search")
-    solver_sec = _as_mapping(raw.get("solver"), "solver")
-    _reject_unknown(solver_sec, _SOLVER_KEYS, "solver")
+    _check_keys(raw, command)
 
     try:
         sweep = _resolve_sweep(raw.get("sweep"), variable)
-        scalars = _numbers({k: v for k, v in raw.items() if k in _SCALAR_KEYS}, _INT_KEYS)
+        scalars = _numbers({k: v for k, v in raw.items() if k not in _SECTIONS})
         if seed_override is not None:
             scalars["seed"] = seed_override
         return ExperimentConfig(
@@ -241,8 +247,8 @@ def load_config(path=None, preset: str | None = None,
             constellation=_resolve_constellation(raw.get("constellation"),
                                                  sweep.variable),
             sweep=sweep,
-            search=SearchConfig(**_numbers(search_sec, {"grid_points"}, "search.")),
-            solver=SolverConfig(**_numbers(solver_sec, {"max_iter"}, "solver.")),
+            search=SearchConfig(**_numbers(raw.get("search"), "search")),
+            solver=SolverConfig(**_numbers(raw.get("solver"), "solver")),
             **scalars,
         )
     except (TypeError, ValueError) as exc:

@@ -13,11 +13,11 @@ reaches it is evaluated densely. The result is the same bits as a full
 grid pass, with no fallback to one.
 
 Inputs are checked where they enter: `theta_from_distance`,
-`log_likelihood`, `crlb_sigma_values` and `mle_distance_batch` reject
-non-finite or out-of-domain values with a `ValueError` naming the cause.
-The likelihood kernel behind `log_likelihood` and the search
-(`_loglik_terms`, `_loglik`) checks nothing; its callers guarantee
-h > 0 and max(h, d_o) <= d < inf.
+`log_likelihood`, `score`, `crlb_sigma_values` and `mle_distance_batch`
+reject non-finite or out-of-domain values with a `ValueError` naming the
+cause. The likelihood kernel behind `log_likelihood` and the search
+(`_loglik_terms`, `_loglik`) checks nothing; its callers guarantee h > 0
+and max(h, d_o) <= d < inf.
 """
 
 from __future__ import annotations
@@ -168,6 +168,8 @@ def score(w, geom: LinkGeometry, env: EnvironmentParams):
     if sigma <= 0.0:
         raise ValueError("score undefined for a zero-shadowing environment")
     ww = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(ww)):
+        raise ValueError("RSS samples must be finite")
     bracket = -ww - 10.0 * alpha * np.log10(geom.d) - env.k_ref + env.c_offset
     out = bracket * 10.0 * alpha / (geom.d * LN10 * sigma ** 2)
     return float(out) if out.ndim == 0 else out

@@ -327,8 +327,8 @@ class _PointSummary:
 
 
 #: Most range estimates (rows x anchors) one shared fix holds, 8 MB. A
-#: slice with more is fixed in chunks of whole points, so its memory stays
-#: bounded however many points, trials and nodes it has.
+#: slice with more is fixed in chunks of whole points, so a chunk holds at
+#: most max(this, one point's trials x nodes x anchors) ranges.
 _SLICE_RANGES = 1 << 20
 
 

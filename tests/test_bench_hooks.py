@@ -1,11 +1,13 @@
-"""The benchmark's tracer still finds the library functions it wraps.
+"""The benchmark still runs on the library as it is.
 
 `perfbench/study.py` traces by replacing module globals and skips a name
 that is missing without a word, so a rename in `src/` would make its
 per-layer counts read 0. One traced, 1-worker study per command shape
-checks that every layer still reports.
+checks that every layer still reports. And every config the benchmark
+writes must load for its command, or its studies would fail.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from uavloc import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,11 +28,13 @@ def traced(tmp_path_factory):
     alt.write_text("node_count: 10\nsweep:\n  values: [300, 900]\n")
     count = tmp / "count.yaml"
     count.write_text("sweep:\n  values: [3, 6]\n")
+    crlb = tmp / "crlb.yaml"
+    crlb.write_text("sweep:\n  values: [300, 900]\n")
     out = str(tmp / "out.csv")
     commands = {
         "optimize": ["optimize", "--config", str(alt), "--out", out],
         "count-sweep": ["count-sweep", "--config", str(count), "--out", out],
-        "crlb": ["crlb", "--config", str(alt), "--out", out, "--r", "400",
+        "crlb": ["crlb", "--config", str(crlb), "--out", out, "--r", "400",
                  "--repetitions", "50"],
     }
     spec = {"src": str(ROOT / "src"), "out": out, "argv": commands["optimize"],
@@ -58,3 +64,28 @@ def test_every_layer_is_traced(traced, command, layer):
     assert {"config.load_config", "estimation.mle_distance_batch", layer} <= names
     assert names & {"experiments.write_results", "experiments.write_crlb_table"}
     assert any(name.startswith("channel.") for name in names)
+
+
+def _perfbench_run():
+    """perfbench/run.py as a module, imported from its path."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+PERFBENCH = _perfbench_run()
+
+
+@pytest.mark.parametrize("name", sorted(PERFBENCH.WORKLOADS))
+@pytest.mark.parametrize("size", ["full", "tiny"])
+def test_workload_configs_load_for_their_command(tmp_path, name, size):
+    workload = PERFBENCH.WORKLOADS[name]
+    if size == "tiny":
+        workload = workload.tiny()
+    for seed in (0, 3):
+        path = tmp_path / f"{seed}.yaml"
+        PERFBENCH.write_config(workload, seed, path)
+        cfg = load_config(path, command=workload.command)
+        assert cfg.seed == seed and cfg.sweep.values == tuple(workload.grid)

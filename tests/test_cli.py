@@ -9,6 +9,7 @@ import yaml
 
 import uavloc as u
 from uavloc import cli
+from uavloc.config import COMMANDS
 from uavloc.experiments import CRLB_CSV_HEADER
 
 
@@ -16,6 +17,13 @@ from uavloc.experiments import CRLB_CSV_HEADER
 def alt_cfg(tmp_path):
     p = tmp_path / "alt.yaml"
     p.write_text("node_count: 20\ntrials: 1\nsweep:\n  values: [300, 900]\n")
+    return p
+
+
+@pytest.fixture()
+def crlb_cfg(tmp_path):
+    p = tmp_path / "crlb.yaml"
+    p.write_text("sweep:\n  values: [300, 900]\n")
     return p
 
 
@@ -33,7 +41,7 @@ class TestParser:
         parser = cli.build_parser()
         sub_action = next(a for a in parser._actions
                           if hasattr(a, "choices") and a.choices)
-        assert set(sub_action.choices) == set(cli._VARIABLE_BY_COMMAND)
+        assert set(sub_action.choices) == set(COMMANDS)
         for name, sub in sub_action.choices.items():
             help_text = sub.format_help()
             accepted = {s for s in sub._option_string_actions if s.startswith("--")}
@@ -56,9 +64,9 @@ class TestParser:
             cli.main(["altitude-sweep"])
         assert exc.value.code == 2
 
-    def test_crlb_flags_reach_the_table(self, alt_cfg, tmp_path):
+    def test_crlb_flags_reach_the_table(self, crlb_cfg, tmp_path):
         out = tmp_path / "crlb.csv"
-        assert cli.main(["crlb", "--config", str(alt_cfg), "--out", str(out),
+        assert cli.main(["crlb", "--config", str(crlb_cfg), "--out", str(out),
                          "--r", "300", "--r", "700", "--repetitions", "50",
                          "--seed", "5", "--threads", "2"]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -115,9 +123,9 @@ class TestDispatch:
         k = int(np.argmin(cols["mean_error_m"]))
         assert f"h_opt = {cols['sweep_value'][k]:g} m" in msg
 
-    def test_crlb_end_to_end(self, alt_cfg, tmp_path, capsys):
+    def test_crlb_end_to_end(self, crlb_cfg, tmp_path, capsys):
         out = tmp_path / "crlb.csv"
-        assert cli.main(["crlb", "--config", str(alt_cfg), "--out", str(out),
+        assert cli.main(["crlb", "--config", str(crlb_cfg), "--out", str(out),
                          "--r", "400", "--repetitions", "200"]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == CRLB_CSV_HEADER
@@ -240,6 +248,14 @@ class TestErrorPaths:
         pytest.param({"seed": True}, "seed must be an integer", id="seed-true"),
         pytest.param({"deployment_radius": True}, "deployment_radius must be a number",
                      id="deployment_radius-true"),
+        # Only YAML numbers are read, not strings that Python would parse.
+        pytest.param({"node_count": "1_0"}, "node_count must be an integer, got '1_0'",
+                     id="node_count-string"),
+        pytest.param({"sweep": {"values": ["9_00"]}},
+                     "sweep.values must be a number, got '9_00'", id="sweep-values-string"),
+        pytest.param({"deployment_radius": " 500 "},
+                     "deployment_radius must be a number, got ' 500 '",
+                     id="deployment_radius-string"),
     ])
     def test_wrong_type_setting_exits_3(self, tmp_path, capsys, override, message):
         cfg = tmp_path / "bad.yaml"
@@ -319,7 +335,9 @@ class TestErrorPaths:
         monkeypatch.setattr("uavloc.experiments.build_constellation", build)
         cfg = tmp_path / "c.yaml"
         cfg.write_text("trials: 1\n" + body)
-        code = cli.main(["count-sweep", "--config", str(cfg),
+        # Each body goes to a command that reads its key.
+        command = "count-sweep" if body.startswith("sweep") else "altitude-sweep"
+        code = cli.main([command, "--config", str(cfg),
                          "--out", str(tmp_path / "o.csv")])
         assert code == cli.EXIT_CONFIG == 3
         assert "of 3 up to 3000" in capsys.readouterr().err
@@ -344,8 +362,8 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
-    def test_computation_error_exits_4(self, alt_cfg, tmp_path, capsys):
-        code = cli.main(["crlb", "--config", str(alt_cfg),
+    def test_computation_error_exits_4(self, crlb_cfg, tmp_path, capsys):
+        code = cli.main(["crlb", "--config", str(crlb_cfg),
                          "--out", str(tmp_path / "o.csv"),
                          "--repetitions", "1"])
         assert code == cli.EXIT_COMPUTE == 4
@@ -364,3 +382,98 @@ class TestInstalledScript:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
         assert "altitude sweep" in proc.stdout
+
+
+#: A valid value other than the built-in default for each settable key
+#: outside `sweep`. Environment constants are set over the urban preset.
+NON_DEFAULT = {
+    "seed": 5, "trials": 2, "node_count": 7, "deployment_radius": 400.0,
+    "samples_per_anchor": 2, "eval_distance": 300.0, "eval_azimuths": 3,
+    "environment.preset": "suburban", "environment.a_los": 8.0, "environment.b_los": 3.0,
+    "environment.a_nlos": 25.0, "environment.b_nlos": 2.0, "environment.a_o": 40.0,
+    "environment.b_o": 12.0, "environment.a_1": -1.4, "environment.b_1": 3.6,
+    "environment.k_ref": 40.0, "environment.c_offset": 7.0,
+    "constellation.n_anchors": 6, "constellation.base_side": 300.0,
+    "constellation.altitude": 500.0, "constellation.side_increment": 50.0,
+    "constellation.centroid": [100.0, 50.0],
+    "search.d_max": 5000.0, "search.grid_points": 64, "search.tol": 1.0,
+    "solver.max_iter": 2, "solver.step_tol": 10.0, "solver.damping0": 10.0,
+}
+#: Two-point base sweeps as ranges, and a changed value of each sweep key.
+BASE_SWEEP = {"altitude": {"start": 300.0, "stop": 900.0, "step": 600.0},
+              "inter_distance": {"start": 300.0, "stop": 900.0, "step": 600.0},
+              "anchor_count": {"start": 3, "stop": 6, "step": 3}}
+SWEEP_CHANGE = {"altitude": {"values": [300.0, 600.0], "start": 400.0, "stop": 1500.0,
+                             "step": 300.0},
+                "inter_distance": {"values": [300.0, 600.0], "start": 400.0,
+                                   "stop": 1500.0, "step": 300.0},
+                "anchor_count": {"values": [3, 9], "start": 6, "stop": 9, "step": 6}}
+#: Accepted keys that leave these small studies unchanged; config.COMMANDS
+#: says why each stays accepted.
+#: Three anchors form one triangle, so side_increment has none to grow.
+UNCHANGED = {"sweep.variable", "environment.k_ref", "environment.c_offset"}
+UNCHANGED_BY = {"altitude-sweep": {"constellation.side_increment"},
+                "distance-sweep": {"constellation.side_increment"},
+                "count-sweep": set(),
+                "crlb": {"trials"},
+                "optimize": {"constellation.side_increment"}}
+ALL_KEYS = frozenset().union(*(reads for _, reads in COMMANDS.values()))
+
+
+def _study(tmp_path, command: str, key: str | None = None) -> tuple[int, bytes]:
+    """Exit code and CSV bytes of a small study whose config sets `key`."""
+    variable = COMMANDS[command][0]
+    body = {"sweep": dict(BASE_SWEEP[variable])}
+    if "node_count" in COMMANDS[command][1]:
+        body["node_count"] = 20
+    section, _, name = (key or "").rpartition(".")
+    if section == "sweep":
+        body["sweep"] = ({"values": SWEEP_CHANGE[variable]["values"]} if name == "values"
+                         else {**BASE_SWEEP[variable], name: SWEEP_CHANGE[variable][name]})
+    elif section == "environment":
+        body["environment"] = {"preset": "urban", name: NON_DEFAULT[key]}
+    elif section:
+        body[section] = {name: NON_DEFAULT[key]}
+    elif key is not None:
+        body[key] = NON_DEFAULT[key]
+    cfg, out = tmp_path / f"{command}-{key}.yaml", tmp_path / f"{command}-{key}.csv"
+    cfg.write_text(yaml.safe_dump(body))
+    extra = ["--repetitions", "50"] if command == "crlb" else []
+    code = cli.main([command, "--config", str(cfg), "--out", str(out), *extra])
+    return code, out.read_bytes() if out.exists() else b""
+
+
+@pytest.fixture(scope="module")
+def default_csv(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("defaults")
+    return {command: _study(tmp, command)[1] for command in COMMANDS}
+
+
+class TestCommandKeys:
+    def test_table_covers_every_key(self):
+        assert ALL_KEYS == set(NON_DEFAULT) | {f"sweep.{k}" for k in
+                                              ("variable", "values", "start", "stop", "step")}
+        assert {c: len(reads) for c, (_, reads) in COMMANDS.items()} == {
+            "altitude-sweep": 31, "distance-sweep": 31, "count-sweep": 31,
+            "crlb": 22, "optimize": 31}
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, (_, reads) in COMMANDS.items()
+        for key in sorted(reads - UNCHANGED - UNCHANGED_BY[command])])
+    def test_every_read_key_changes_the_csv(self, tmp_path, default_csv, command, key,
+                                            capsys):
+        code, csv_bytes = _study(tmp_path, command, key)
+        assert code == cli.EXIT_OK, capsys.readouterr().err
+        assert default_csv[command] and csv_bytes != default_csv[command]
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, (_, reads) in COMMANDS.items()
+        for key in sorted(ALL_KEYS - reads)])
+    def test_every_unread_key_exits_3(self, tmp_path, capsys, command, key):
+        code, csv_bytes = _study(tmp_path, command, key)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG == 3
+        section, _, name = key.rpartition(".")
+        shown = f"{section}.{name!r}" if section else repr(name)
+        assert f"config key {shown} is not read by the {command!r} command" in err
+        assert csv_bytes == b""

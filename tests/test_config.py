@@ -1,14 +1,20 @@
+import re
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
 
 import uavloc as u
-from uavloc.config import DEFAULT_GRIDS, MAX_GRID_POINTS
+from uavloc.config import COMMANDS, DEFAULT_GRIDS, MAX_GRID_POINTS
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "example_config.yaml"
+ALL_KEYS = frozenset().union(*(reads for _, reads in COMMANDS.values()))
+#: Keys the example names in a comment only: a file that gives a preset
+#: cannot also set the channel constants without overriding it, and a sweep
+#: gives either values or a range.
+COMMENTED_KEYS = {k for k in ALL_KEYS if k.startswith("environment.")} - \
+    {"environment.preset"} | {"sweep.values"}
 
 
 def write_yaml(tmp_path, text, name="cfg.yaml"):
@@ -276,10 +282,48 @@ sweep:
         with pytest.raises(u.ConfigError, match="centroid"):
             u.load_config(p)
 
+    def test_command_rejects_keys_it_does_not_read(self, tmp_path):
+        p = write_yaml(tmp_path, "node_count: 7\n")
+        with pytest.raises(u.ConfigError, match="config key 'node_count' is not read by "
+                                                "the 'distance-sweep' command"):
+            u.load_config(p, command="distance-sweep")
+        # Without a command every key is accepted, as before.
+        assert u.load_config(p, variable="inter_distance").node_count == 7
+
+    def test_command_pins_its_variable(self):
+        assert u.load_config(command="count-sweep") == u.load_config(variable="anchor_count")
+        assert u.load_config(command="crlb", variable="inter_distance").sweep.variable == \
+            "altitude"
+
     def test_unknown_environment_section_key(self, tmp_path):
         p = write_yaml(tmp_path, "environment:\n  preset: urban\n  foo: 1\n")
         with pytest.raises(u.ConfigError, match="foo"):
             u.load_config(p)
+
+
+def example_readers() -> dict:
+    """The commands that read each key the example sets, from its [tags].
+
+    An untagged key is read by every command; a section's tag covers its
+    keys unless a key has its own.
+    """
+    readers, section, section_readers = {}, "", set(COMMANDS)
+    for line in DEMO_CONFIG.read_text(encoding="utf-8").splitlines():
+        m = re.match(r"( *)(\w+):([^#]*)(.*)", line)
+        if m is None:
+            continue
+        indent, key, value, comment = m.groups()
+        tag = re.search(r"\[([a-z, -]+)\]", comment)
+        tagged = set(tag.group(1).split(", ")) if tag else None
+        if not indent:
+            section = "" if value.strip() else key
+            section_readers = tagged or set(COMMANDS)
+            if section:
+                continue
+        path = f"{section}.{key}" if indent else key
+        readers[path] = tagged or (section_readers if indent else set(COMMANDS))
+    readers["environment.preset"] = readers.pop("environment")  # a preset name
+    return readers
 
 
 class TestExampleConfig:
@@ -292,14 +336,29 @@ class TestExampleConfig:
         assert cfg.sweep.variable == "altitude"
         assert cfg.sweep.values == u.grid_from_range(100.0, 2000.0, 100.0)
 
-    def test_example_matches_cli_expectations(self):
-        # The altitude-pinned load used by the CLI must accept it unchanged.
-        cfg = u.load_config(DEMO_CONFIG, variable="altitude",
-                            seed_override=0)
-        assert cfg.seed == 0
+    def test_example_matches_cli_expectations(self, tmp_path):
+        # Each command accepts the keys tagged for it. The example sweeps
+        # altitude, so the other variables' commands use their default grid.
+        for command, (variable, _) in COMMANDS.items():
+            body = yaml.safe_load(DEMO_CONFIG.read_text(encoding="utf-8"))
+            for path, readers in example_readers().items():
+                if command not in readers:
+                    section, _, key = path.rpartition(".")
+                    del (body[section] if section else body)[key]
+            if variable != body["sweep"]["variable"]:
+                del body["sweep"]
+            p = write_yaml(tmp_path, yaml.safe_dump(body), name=f"{command}.yaml")
+            cfg = u.load_config(p, command=command, seed_override=0)
+            assert cfg.seed == 0 and cfg.sweep.variable == variable
 
-    def test_example_names_every_search_and_solver_field(self):
-        # README calls the example the annotated full schema.
-        raw = yaml.safe_load(DEMO_CONFIG.read_text(encoding="utf-8"))
-        for section, cls in (("search", u.SearchConfig), ("solver", u.SolverConfig)):
-            assert set(raw[section]) == {f.name for f in fields(cls)}, section
+    def test_example_names_every_key(self):
+        # README calls the example the annotated full schema, and its tags
+        # must say which commands read each key.
+        readers = example_readers()
+        assert set(readers) == ALL_KEYS - COMMENTED_KEYS
+        for command, (_, reads) in COMMANDS.items():
+            assert {k for k, r in readers.items() if command in r} == \
+                reads - COMMENTED_KEYS, command
+        text = DEMO_CONFIG.read_text(encoding="utf-8")
+        for key in COMMENTED_KEYS:
+            assert re.search(rf"^#\s+{key.split('.')[1]}:", text, re.MULTILINE), key

@@ -238,6 +238,13 @@ class TestScoreAndFisher:
         with pytest.raises(ValueError):
             u.score(-100.0, g, u.without_shadowing(ENV))
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf, [1.0, math.nan]],
+                             ids=["nan", "inf", "list-with-nan"])
+    def test_score_rejects_non_finite_power(self, w):
+        # The same message as log_likelihood gives for the same samples.
+        with pytest.raises(ValueError, match="RSS samples must be finite"):
+            u.score(w, u.LinkGeometry(100.0, 100.0), u.URBAN)
+
     def test_fisher_matches_closed_form(self):
         # 1/sqrt(E[score^2]) converges to the closed-form bound.
         cases = [(500.0, 500.0), (200.0, 800.0), (1500.0, 300.0)]

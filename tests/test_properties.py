@@ -188,7 +188,12 @@ SWEEP_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-5, 400),
                                            math.inf, math.nan, "abc"]))
 SWEEP_VALUES = st.one_of(SWEEP_SCALARS, st.sampled_from(["altitude", "anchor_count", "x"]),
                          st.lists(SWEEP_SCALARS, max_size=4))
-SECTIONS = {"environment", "constellation", "sweep", "search", "solver"}
+#: Every settable key, as "section.key" below the top level.
+KEYS = frozenset().union(*(reads for _, reads in config.COMMANDS.values()))
+
+
+def _keys(section: str) -> set:
+    return {k.partition(".")[2] for k in KEYS if k.startswith(section + ".")}
 
 
 def _section(keys, values=VALUES):
@@ -197,24 +202,26 @@ def _section(keys, values=VALUES):
 
 
 CONFIGS = st.fixed_dictionaries({}, optional={
-    **dict.fromkeys(sorted(config._TOP_KEYS - SECTIONS), VALUES),
+    **dict.fromkeys(sorted(k for k in KEYS if "." not in k), VALUES),
     "environment": st.one_of(st.sampled_from(["urban", "suburban", "rural"]),
-                             _section(config._ENVIRONMENT_KEYS)),
-    "constellation": _section(config._CONSTELLATION_KEYS),
-    "sweep": _section(config._SWEEP_KEYS, SWEEP_VALUES),
-    "search": _section(config._SEARCH_KEYS),
-    "solver": _section(config._SOLVER_KEYS),
+                             _section(_keys("environment"))),
+    "constellation": _section(_keys("constellation")),
+    "sweep": _section(_keys("sweep"), SWEEP_VALUES),
+    "search": _section(_keys("search")),
+    "solver": _section(_keys("solver")),
 })
 
 
 @settings(max_examples=200, deadline=None)
-@given(raw=CONFIGS, variable=st.sampled_from([None, *DEFAULT_GRIDS]))
-@example(raw={"deployment_radius": 10 ** 400}, variable=None)
-def test_any_config_mapping_loads_or_raises_config_error(tmp_path_factory, raw, variable):
+@given(raw=CONFIGS, variable=st.sampled_from([None, *DEFAULT_GRIDS]),
+       command=st.sampled_from([None, *config.COMMANDS]))
+@example(raw={"deployment_radius": 10 ** 400}, variable=None, command=None)
+def test_any_config_mapping_loads_or_raises_config_error(tmp_path_factory, raw, variable,
+                                                         command):
     path = tmp_path_factory.mktemp("cfg") / "cfg.yaml"
     path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     try:
-        cfg = u.load_config(path, variable=variable)
+        cfg = u.load_config(path, variable=variable, command=command)
     except u.ConfigError:
         return
     assert isinstance(cfg, u.ExperimentConfig)
