@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, metavar="N",
                         help="master seed override (wins over the config seed)")
     common.add_argument("--out", required=True, metavar="PATH",
-                        help="output CSV path; a .meta.json sidecar is written too")
+                        help="output CSV path; sweeps also write a .meta.json sidecar")
     common.add_argument("--threads", type=_worker_count, default=1, metavar="N",
                         help="worker processes; 0 selects the CPU count")
 

@@ -34,6 +34,7 @@ from .channel import (
     path_loss_exponent,
     shadowing_sigma,
 )
+from .geometry import MAX_LENGTH_M
 
 LN10 = math.log(10.0)
 
@@ -55,12 +56,12 @@ class SearchConfig:
     tol: float = 0.01
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.d_max) and self.d_max > 0.0):
-            raise ValueError("d_max must be finite and positive")
+        if not 0.0 < self.d_max <= MAX_LENGTH_M:
+            raise ValueError(f"d_max must be finite, positive and <= {MAX_LENGTH_M:g} m")
         if not (isinstance(self.grid_points, Integral) and self.grid_points >= 3):
             raise ValueError(f"grid_points must be an integer >= 3, got {self.grid_points!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError("tol must be finite and positive")
+        if not 0.0 < self.tol <= MAX_LENGTH_M:
+            raise ValueError(f"tol must be finite, positive and <= {MAX_LENGTH_M:g} m")
 
 
 @dataclass(frozen=True)
@@ -492,11 +493,8 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
               for i, j in zip(bounds[:-1], bounds[1:])]
     row_iter = np.repeat(n_iter, counts)
 
-    def per_row(values):
-        # One altitude (the common case) keeps scalars: no per-row arrays.
-        return np.repeat(values, counts) if len(set(hs)) > 1 else values[0]
-
-    h_row, lo_row, h2_row = per_row(hs), per_row(los), per_row([hb ** 2 for hb in hs])
+    h_row, lo_row = np.repeat(hs, counts), np.repeat(los, counts)
+    h2_row = np.repeat([hb ** 2 for hb in hs], counts)
 
     # Golden-section refinement, run in lockstep across links. Rows whose
     # batch has taken its steps take their estimates then and leave every
@@ -512,9 +510,8 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
             done = row_iter == t
             d_hat[rows[done]] = np.where(f1[done] >= f2[done], x1[done], x2[done])
             keep = ~done
-            rows, row_iter, a, b, x1, x2, f1, f2, s1k, s2k = (
-                v[keep] for v in (rows, row_iter, a, b, x1, x2, f1, f2, s1k, s2k))
-            hk = hk[keep] if np.ndim(hk) else hk
+            rows, row_iter, a, b, x1, x2, f1, f2, s1k, s2k, hk = (
+                v[keep] for v in (rows, row_iter, a, b, x1, x2, f1, f2, s1k, s2k, hk))
         # All ones where f1 >= f2: ties shrink toward the smaller distance.
         left = np.negative(f1 >= f2, dtype=np.int64)
         b = _select(left, x2, b)

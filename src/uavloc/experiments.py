@@ -54,8 +54,8 @@ from .channel import (
     shadowing_sigma,
 )
 from .estimation import SearchConfig, crlb_sigma, mle_distance_batch
-from .geometry import (MAX_ANCHORS, ConstellationSpec, anchors_xy, build_constellation,
-                       sample_disk_xy)
+from .geometry import (MAX_ANCHORS, MAX_LENGTH_M, ConstellationSpec, anchors_xy,
+                       build_constellation, sample_disk_xy)
 from .localization import SolverConfig, multilaterate_batch
 
 SWEEP_VARIABLES = ("altitude", "inter_distance", "anchor_count")
@@ -86,6 +86,8 @@ class SweepSpec:
             raise ValueError("sweep values must be finite")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep grid must be strictly increasing")
+        if self.variable != "anchor_count" and vals[-1] > MAX_LENGTH_M:
+            raise ValueError(f"sweep values must be <= {MAX_LENGTH_M:g} m")
         if self.variable == "altitude" and vals[0] < MIN_ALTITUDE_M:
             raise ValueError(f"altitude grid must stay within [h_min, inf) with "
                              f"h_min = {MIN_ALTITUDE_M:g} m; got {vals[0]:g} m")
@@ -139,24 +141,28 @@ class ExperimentConfig:
             count = getattr(self, name)
             if not (isinstance(count, Integral) and count >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
-        if not (math.isfinite(self.deployment_radius) and self.deployment_radius > 0.0):
-            raise ValueError("deployment_radius must be finite and > 0")
+        if not 0.0 < self.deployment_radius <= MAX_LENGTH_M:
+            raise ValueError(f"deployment_radius must be finite, > 0 and <= {MAX_LENGTH_M:g} m")
         if not isinstance(self.seed, Integral):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**128:
             raise ValueError("seed must be >= 0 and < 2**128")
-        if not (math.isfinite(self.eval_distance) and self.eval_distance > 0.0):
-            raise ValueError("eval_distance must be finite and > 0")
+        if not 0.0 < self.eval_distance <= MAX_LENGTH_M:
+            raise ValueError(f"eval_distance must be finite, > 0 and <= {MAX_LENGTH_M:g} m")
+        top = _constellation_at(self, self.sweep.values[-1]).altitude
+        if top >= self.search.d_max:
+            raise ValueError(f"search.d_max = {self.search.d_max:g} m must exceed the "
+                             f"largest anchor altitude, {top:g} m")
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
     """Per-sweep-point error summaries plus the config that produced them.
 
-    `elapsed_s` and `workers` (the worker processes the sweep used, 1 when
-    it ran in the calling process) are run bookkeeping and excluded from
-    equality; all scientific fields are exactly reproducible for a given
-    (config, seed).
+    `elapsed_s` (each point's equal share of its slice's seconds) and
+    `workers` (the worker processes the sweep used, 1 when it ran in the
+    calling process) are run bookkeeping and excluded from equality; all
+    scientific fields are exactly reproducible for a given (config, seed).
     """
 
     config: ExperimentConfig
@@ -248,16 +254,15 @@ def _slice_errors(cfg: ExperimentConfig, values):
     """Per-node errors at several sweep points that share one anchor layout.
 
     Returns (xi, position_error, n_nonconverged, n_boundary) per value, xi
-    being the norm of each node's per-anchor range errors, and the seconds
-    each point spent ranging. Node positions, true ranges and shadowing
-    draws depend on the trial only, so every point of the slice uses the
-    same ones. Each (trial, point) pair is one ranging batch; consecutive
-    batches, trial by trial and point by point, are packed into calls of at
-    most `_PACK_ROWS` rows, and only one pack's samples are held at a time.
-    Every batch keeps its own golden-section iteration count, so its ranges
-    equal ranging it alone. A pack's call time is split over its batches by
-    rows. All points' fixes go through one solver call; each fix depends
-    only on its own row, so the results equal one call per point.
+    being the norm of each node's per-anchor range errors. Node positions,
+    true ranges and shadowing draws depend on the trial only, so every point
+    of the slice uses the same ones. Each (trial, point) pair is one ranging
+    batch; consecutive batches, trial by trial and point by point, are
+    packed into calls of at most `_PACK_ROWS` rows, and only one pack's
+    samples are held at a time. Every batch keeps its own golden-section
+    iteration count, so its ranges equal ranging it alone. All points' fixes
+    go through one solver call; each fix depends only on its own row, so the
+    results equal one call per point.
     """
     env = cfg.environment
     layouts = [_layout(cfg, v) for v in values]
@@ -272,11 +277,9 @@ def _slice_errors(cfg: ExperimentConfig, values):
     r_hat_all = np.empty((len(values), pts.shape[0], n_anchors))
     xi = np.empty((len(values), pts.shape[0]))
     n_boundary = [0] * len(values)
-    ranging_s = [0.0] * len(values)
     pack = []  # (point, trial, samples, true ranges) per batch
 
     def range_pack():
-        t0 = time.perf_counter()
         _, r_hat, _, boundary = mle_distance_batch(
             np.concatenate([w for _, _, w, _ in pack]), [layouts[k][1] for k, _, _, _ in pack],
             env, cfg.search, offsets=np.arange(len(pack) + 1) * rows)
@@ -285,10 +288,6 @@ def _slice_errors(cfg: ExperimentConfig, values):
             r_hat_all[k, trial * m:(trial + 1) * m] = r
             xi[k, trial * m:(trial + 1) * m] = np.linalg.norm(r - r_true, axis=1)
             n_boundary[k] += int(np.count_nonzero(boundary[i * rows:(i + 1) * rows]))
-        # Every batch has as many rows, so each gets an equal share.
-        share = (time.perf_counter() - t0) / len(pack)
-        for k, _, _, _ in pack:
-            ranging_s[k] += share
         pack.clear()
 
     for trial in range(cfg.trials):
@@ -297,33 +296,18 @@ def _slice_errors(cfg: ExperimentConfig, values):
         for k, (_, h) in enumerate(layouts):
             if pack and (len(pack) + 1) * rows > _PACK_ROWS:
                 range_pack()
-            t0 = time.perf_counter()
             d_true = np.hypot(r_true, h)
             theta = np.arctan2(h, r_true)
             mu = mean_rss(d_true, theta, env)
             sigma = shadowing_sigma(theta, env)
             w = np.asarray(mu)[:, :, None] - np.asarray(sigma)[:, :, None] * z
             pack.append((k, trial, w.reshape(rows, s), r_true))
-            ranging_s[k] += time.perf_counter() - t0
     range_pack()
 
     p, _, conv = multilaterate_batch(axy, r_hat_all.reshape(-1, n_anchors), cfg.solver)
     p, conv = p.reshape(len(values), -1, 2), conv.reshape(len(values), -1)
-    errors = [(xi[k], np.linalg.norm(p[k] - pts, axis=1), int(np.count_nonzero(~conv[k])),
-               n_boundary[k]) for k in range(len(values))]
-    return errors, ranging_s
-
-
-@dataclass(frozen=True)
-class _PointSummary:
-    value: float
-    mean: float
-    std: float
-    median: float
-    mean_position: float
-    n_nonconverged: int
-    n_boundary: int
-    elapsed: float
+    return [(xi[k], np.linalg.norm(p[k] - pts, axis=1), int(np.count_nonzero(~conv[k])),
+             n_boundary[k]) for k in range(len(values))]
 
 
 #: Most range estimates (rows x anchors) one shared fix holds, 8 MB. A
@@ -332,25 +316,21 @@ class _PointSummary:
 _SLICE_RANGES = 1 << 20
 
 
-def _slice_worker(args) -> list[_PointSummary]:
+def _slice_worker(args) -> tuple[list[tuple], float]:
+    """One summary row per point of a slice, and the seconds the slice took.
+
+    A row holds the mean, standard deviation and median of xi, the mean
+    position error, the non-converged fixes and the boundary-pinned ranges.
+    """
+    t0 = time.perf_counter()
     cfg, values = args
     per_point = cfg.trials * _nodes_per_trial(cfg) * _layout(cfg, values[0])[0].shape[0]
     step = max(1, _SLICE_RANGES // per_point)
-    return [s for i in range(0, len(values), step) for s in _summaries(cfg, values[i:i + step])]
-
-
-def _summaries(cfg: ExperimentConfig, values) -> list[_PointSummary]:
-    t0 = time.perf_counter()
-    errors, ranging_s = _slice_errors(cfg, values)
-    stats = [(float(np.mean(xi)), float(np.std(xi, ddof=1)) if xi.size > 1 else 0.0,
-              float(np.median(xi)), float(np.mean(pos)), n_nonconverged, n_boundary)
-             for xi, pos, n_nonconverged, n_boundary in errors]
-    # Ranging time is each point's own share. The rest (nodes, the shared
-    # fix, these summaries) is split evenly, as every point has as many
-    # rows, so the entries sum to the time this call took.
-    shared = (time.perf_counter() - t0 - sum(ranging_s)) / len(values)
-    return [_PointSummary(float(v), *st, elapsed=r + shared)
-            for v, st, r in zip(values, stats, ranging_s)]
+    chunks = (_slice_errors(cfg, values[i:i + step]) for i in range(0, len(values), step))
+    summaries = [(float(np.mean(xi)), float(np.std(xi, ddof=1)) if xi.size > 1 else 0.0,
+                  float(np.median(xi)), float(np.mean(pos)), n_nonconverged, n_boundary)
+                 for chunk in chunks for xi, pos, n_nonconverged, n_boundary in chunk]
+    return summaries, time.perf_counter() - t0
 
 
 class WorkerPoolError(RuntimeError):
@@ -422,24 +402,26 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     slices = _sweep_slices(cfg, _resolve_workers(threads))
     parts = _map_points(_slice_worker,
                         [(cfg, tuple(values[i] for i in idx)) for idx in slices], threads)
-    summaries = [None] * len(values)
-    for idx, part in zip(slices, parts):
+    # Each point's elapsed time is an equal share of its slice's seconds.
+    summaries, elapsed = [None] * len(values), [0.0] * len(values)
+    for idx, (part, seconds) in zip(slices, parts):
         for i, summary in zip(idx, part):
-            summaries[i] = summary
+            summaries[i], elapsed[i] = summary, seconds / len(idx)
+    mean, std, median, mean_position, n_nonconverged, n_boundary = zip(*summaries)
     return ExperimentResult(
         config=cfg,
         sweep_variable=cfg.sweep.variable,
-        sweep_values=tuple(s.value for s in summaries),
-        mean_error=tuple(s.mean for s in summaries),
-        error_std=tuple(s.std for s in summaries),
-        median_error=tuple(s.median for s in summaries),
-        mean_position_error=tuple(s.mean_position for s in summaries),
-        n_nonconverged=tuple(s.n_nonconverged for s in summaries),
-        n_boundary=tuple(s.n_boundary for s in summaries),
+        sweep_values=values,
+        mean_error=mean,
+        error_std=std,
+        median_error=median,
+        mean_position_error=mean_position,
+        n_nonconverged=n_nonconverged,
+        n_boundary=n_boundary,
         n_nodes=_nodes_per_trial(cfg),
         n_trials=cfg.trials,
         seed=cfg.seed,
-        elapsed_s=tuple(s.elapsed for s in summaries),
+        elapsed_s=tuple(elapsed),
         workers=_pool_size(threads, len(slices)),
     )
 
@@ -513,8 +495,8 @@ def run_crlb_comparison(cfg: ExperimentConfig, r_values,
     if not (isinstance(repetitions, Integral) and repetitions >= 2):
         raise ValueError(f"repetitions must be an integer >= 2, got {repetitions!r}")
     rs = [float(r) for r in r_values]
-    if not rs or not all(math.isfinite(r) and r > 0.0 for r in rs):
-        raise ValueError("r_values must be nonempty, finite and positive")
+    if not rs or not all(0.0 < r <= MAX_LENGTH_M for r in rs):
+        raise ValueError(f"r_values must be nonempty, finite, positive and <= {MAX_LENGTH_M:g} m")
     args = [(cfg, r, h, i_r, i_h, repetitions)
             for i_r, r in enumerate(rs)
             for i_h, h in enumerate(cfg.sweep.values)]
@@ -524,17 +506,6 @@ def run_crlb_comparison(cfg: ExperimentConfig, r_values,
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def _jsonable(obj):
-    """JSON-safe copy: dataclass-free, tuples to lists, non-finite to repr."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
 
 
 def _open_for_write(path: Path):
@@ -552,14 +523,33 @@ def write_results(result: ExperimentResult, path) -> None:
     the Python and numpy versions, the CPU count, the worker processes the
     sweep used and how they were started, null when it ran in the calling
     process), and per-point diagnostics.
-    `per_point.elapsed_s` has one entry per point: the time spent drawing
-    its samples, a share of each ranging call that held its batches, in
-    proportion to the rows it had there, and an equal share of the work it
-    shares with the other points of its slice (nodes, the shared fix), so
-    the entries sum to the workers' busy time.
+    `per_point.elapsed_s` has one entry per point, an equal share of the
+    seconds its slice's worker task took, so the entries sum to the
+    workers' busy time. A non-finite value raises ValueError before either
+    file is written.
     """
     from . import __version__
 
+    meta = {
+        "library": {"name": "uavloc", "version": __version__},
+        "config": asdict(result.config),
+        "sweep_variable": result.sweep_variable,
+        "runtime": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "workers": result.workers,
+            "start_method": _START_METHOD if result.workers > 1 else None,
+        },
+        "per_point": {
+            "sweep_values": result.sweep_values,
+            "median_error_m": result.median_error,
+            "n_nonconverged": result.n_nonconverged,
+            "n_boundary_estimates": result.n_boundary,
+            "elapsed_s": result.elapsed_s,
+        },
+    }
+    text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
     path = Path(path)
     with _open_for_write(path) as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -570,30 +560,8 @@ def write_results(result: ExperimentResult, path) -> None:
                              repr(float(result.error_std[i])),
                              repr(float(result.mean_position_error[i])),
                              result.n_nodes, result.n_trials, result.seed])
-
-    meta = {
-        "library": {"name": "uavloc", "version": __version__},
-        "config": _jsonable(asdict(result.config)),
-        "sweep_variable": result.sweep_variable,
-        "runtime": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-            "workers": result.workers,
-            "start_method": _START_METHOD if result.workers > 1 else None,
-        },
-        "per_point": _jsonable({
-            "sweep_values": result.sweep_values,
-            "median_error_m": result.median_error,
-            "n_nonconverged": result.n_nonconverged,
-            "n_boundary_estimates": result.n_boundary,
-            "elapsed_s": result.elapsed_s,
-        }),
-    }
-    sidecar = path.with_suffix(".meta.json")
-    with _open_for_write(sidecar) as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    with _open_for_write(path.with_suffix(".meta.json")) as f:
+        f.write(text + "\n")
 
 
 def write_crlb_table(points: list[CrlbPoint], seed: int, path) -> None:

@@ -17,6 +17,10 @@ _VERTEX_ANGLES = (math.pi / 2.0, math.pi * 7.0 / 6.0, math.pi * 11.0 / 6.0)
 #: Most anchors a constellation may hold. Anchors are built one by one and
 #: every node ranges each of them; the studies use at most 30.
 MAX_ANCHORS = 3000
+#: Longest length (m) a setting may give: a distance, side, altitude,
+#: coordinate or tolerance. Its square stays far from float overflow; the
+#: studies stay within tens of kilometres.
+MAX_LENGTH_M = 1.0e7
 
 
 @dataclass(frozen=True)
@@ -65,12 +69,14 @@ class ConstellationSpec:
         if not (isinstance(n, Integral) and 3 <= n <= MAX_ANCHORS and n % 3 == 0):
             raise ValueError("n_anchors must be a positive integer multiple of 3 up to "
                              f"{MAX_ANCHORS}, got {n!r}")
-        if not (math.isfinite(self.base_side) and self.base_side > 0.0):
-            raise ValueError("base_side must be finite and > 0")
-        if not (math.isfinite(self.side_increment) and self.side_increment >= 0.0):
-            raise ValueError("side_increment must be finite and >= 0")
-        if not (math.isfinite(self.altitude) and self.altitude > 0.0):
-            raise ValueError("altitude must be finite and > 0")
+        if not 0.0 < self.base_side <= MAX_LENGTH_M:
+            raise ValueError(f"base_side must be finite, > 0 and <= {MAX_LENGTH_M:g} m")
+        if not 0.0 <= self.side_increment <= MAX_LENGTH_M:
+            raise ValueError(f"side_increment must be finite, >= 0 and <= {MAX_LENGTH_M:g} m")
+        if not 0.0 < self.altitude <= MAX_LENGTH_M:
+            raise ValueError(f"altitude must be finite, > 0 and <= {MAX_LENGTH_M:g} m")
+        if max(abs(self.centroid.x), abs(self.centroid.y)) > MAX_LENGTH_M:
+            raise ValueError(f"centroid coordinates must be within ±{MAX_LENGTH_M:g} m")
 
 
 def build_constellation(spec: ConstellationSpec) -> list[Anchor]:

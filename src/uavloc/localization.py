@@ -31,7 +31,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import NodePosition, anchors_xy
+from .geometry import MAX_LENGTH_M, NodePosition, anchors_xy
 
 _DIST_FLOOR = 1e-12  # keeps residual directions defined on top of an anchor
 _DAMPING_MIN = 1e-12
@@ -65,8 +65,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
-            raise ValueError("step_tol must be finite and positive")
+        if not 0.0 < self.step_tol <= MAX_LENGTH_M:
+            raise ValueError(f"step_tol must be finite, positive and <= {MAX_LENGTH_M:g} m")
         if not (math.isfinite(self.damping0) and self.damping0 > 0.0):
             raise ValueError("damping0 must be finite and positive")
 

@@ -234,6 +234,61 @@ class TestErrorPaths:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("command,override,message", [
+        pytest.param("altitude-sweep", {"deployment_radius": 1.0e+154},
+                     "deployment_radius must be finite, > 0 and <= 1e+07 m",
+                     id="deployment_radius-1e154"),
+        pytest.param("altitude-sweep", {"deployment_radius": 1.0e+200},
+                     "deployment_radius must be", id="deployment_radius-1e200"),
+        pytest.param("distance-sweep", {"eval_distance": 1.0e+200},
+                     "eval_distance must be", id="eval_distance-1e200"),
+        pytest.param("altitude-sweep", {"constellation": {"base_side": 1.0e+200}},
+                     "base_side must be", id="base_side-1e200"),
+        pytest.param("distance-sweep", {"sweep": {"values": [300.0, 1.0e+200]}},
+                     "sweep values must be <= 1e+07 m", id="distance-value-1e200"),
+        pytest.param("count-sweep", {"constellation": {"side_increment": 1.0e+300}},
+                     "side_increment must be", id="side_increment-1e300"),
+        pytest.param("altitude-sweep", {"constellation": {"centroid": [1.0e+200, 0.0]}},
+                     "centroid coordinates must be within", id="centroid-1e200"),
+        pytest.param("altitude-sweep", {"search": {"d_max": 1.0e+300},
+                                        "sweep": {"values": [300.0, 1.0e+200]}},
+                     "sweep values must be", id="altitude-1e200-d_max-1e300"),
+        pytest.param("altitude-sweep", {"search": {"d_max": 1.0e+300}},
+                     "d_max must be finite, positive and <= 1e+07 m", id="d_max-1e300"),
+        pytest.param("altitude-sweep", {"search": {"tol": 1.0e+300}}, "tol must be",
+                     id="tol-1e300"),
+        pytest.param("altitude-sweep", {"solver": {"step_tol": 1.0e+300}},
+                     "step_tol must be", id="step_tol-1e300"),
+        pytest.param("altitude-sweep", {"search": {"d_max": 900.0}},
+                     "search.d_max = 900 m must exceed the largest anchor altitude, 900 m",
+                     id="altitude-at-d_max"),
+        pytest.param("count-sweep", {"search": {"d_max": 500.0},
+                                     "sweep": {"values": [3, 6]}},
+                     "search.d_max = 500 m must exceed the largest anchor altitude, 1000 m",
+                     id="count-altitude-above-d_max"),
+        pytest.param("crlb", {"search": {"d_max": 600.0}},
+                     "search.d_max = 600 m must exceed", id="crlb-altitude-above-d_max"),
+    ])
+    def test_huge_length_exits_3(self, tmp_path, capsys, command, override, message):
+        body = {"sweep": {"values": [300.0, 900.0]}, **override}
+        if command == "altitude-sweep":
+            body["node_count"] = 20
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(body))
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == cli.EXIT_CONFIG == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("r", ["1.7e+308", "1.0e+7000", "1.0e+8"])
+    def test_huge_crlb_distance_exits_4(self, crlb_cfg, tmp_path, capsys, r):
+        code = cli.main(["crlb", "--config", str(crlb_cfg), "--out", str(tmp_path / "o.csv"),
+                         "--r", r, "--repetitions", "10"])
+        assert code == cli.EXIT_COMPUTE == 4
+        assert "r_values must be nonempty, finite, positive and <= 1e+07 m" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("override,message", [
         pytest.param({"sweep": {"values": ["abc", 200.0]}},
                      "sweep.values must be a number", id="sweep-values-abc"),

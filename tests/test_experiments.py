@@ -5,6 +5,7 @@ import os
 import platform
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ class TestPointErrors:
         cfg = tiny_altitude_config(trials=2)
         res = u.run_sweep(cfg)
         for k, value in enumerate(res.sweep_values):
-            xi, pos, n_nc, n_bd = ex._slice_errors(cfg, (value,))[0][0]
+            xi, pos, n_nc, n_bd = ex._slice_errors(cfg, (value,))[0]
             assert xi.shape == (cfg.trials * cfg.node_count,)
             assert res.mean_error[k] == float(np.mean(xi))
             assert res.error_std[k] == float(np.std(xi, ddof=1))
@@ -184,7 +185,7 @@ class TestPointErrors:
     def test_std_against_streaming_recomputation(self):
         # Independent one-pass (Welford) accumulation of the same samples.
         cfg = tiny_altitude_config(trials=2)
-        xi, _, _, _ = ex._slice_errors(cfg, cfg.sweep.values[:1])[0][0]
+        xi, _, _, _ = ex._slice_errors(cfg, cfg.sweep.values[:1])[0]
         count, mean, m2 = 0, 0.0, 0.0
         for x in xi:
             count += 1
@@ -208,12 +209,12 @@ class TestPointErrors:
         cfg = replace(cfg, constellation=replace(cfg.constellation, altitude=50.0))
         for idx in ex._sweep_slices(cfg, 1):
             slice_values = [values[i] for i in idx]
-            errors, _ = ex._slice_errors(cfg, slice_values)
+            errors = ex._slice_errors(cfg, slice_values)
             for v, got in zip(slice_values, errors):
                 want = _point_errors_reference(cfg, v)
                 _assert_same_errors(got, want)
-                _assert_same_errors(ex._slice_errors(cfg, (v,))[0][0], want)
-        assert sum(ex._slice_errors(cfg, (v,))[0][0][2] for v in values) > 0
+                _assert_same_errors(ex._slice_errors(cfg, (v,))[0], want)
+        assert sum(ex._slice_errors(cfg, (v,))[0][2] for v in values) > 0
 
     @pytest.mark.parametrize("variable,values,trials,pack_rows,packs", [
         # 8-node ring: 24 rows per trial at 3 anchors, 48 at 6; packs of
@@ -240,7 +241,7 @@ class TestPointErrors:
         for idx in ex._sweep_slices(cfg, 1):
             calls.append([])
             slice_values = [values[i] for i in idx]
-            errors, _ = ex._slice_errors(cfg, slice_values)
+            errors = ex._slice_errors(cfg, slice_values)
             for v, got in zip(slice_values, errors):
                 _assert_same_errors(got, _point_errors_reference(cfg, v))
         assert calls == packs
@@ -286,7 +287,7 @@ class TestPointErrors:
         # tolerance, so xi stays under sqrt(N) * tol and positions match.
         cfg = tiny_altitude_config(trials=1, node_count=25)
         cfg = replace(cfg, environment=u.without_shadowing(u.URBAN))
-        xi, pos, n_nc, _ = ex._slice_errors(cfg, (1000.0,))[0][0]
+        xi, pos, n_nc, _ = ex._slice_errors(cfg, (1000.0,))[0]
         n_anchors = cfg.constellation.n_anchors
         assert xi.max() <= math.sqrt(n_anchors) * 5.0 * cfg.search.tol
         assert pos.max() < 1.0
@@ -303,6 +304,41 @@ class TestSweepRunners:
         assert res.n_trials == 2
         assert res.seed == cfg.seed
         assert len(res.elapsed_s) == len(cfg.sweep.values)
+
+    @pytest.mark.parametrize("variable,values", [
+        ("altitude", (300.0, 900.0, 2000.0)),   # one slice of three points
+        ("anchor_count", (3.0, 6.0)),           # one slice per point
+    ])
+    def test_elapsed_is_an_equal_share_of_each_slice(self, monkeypatch, variable, values):
+        # A clock whose steps all differ, so a point timed on its own would
+        # get an entry of its own.
+        readings = []
+
+        def clock():
+            readings.append(float(len(readings) ** 2))
+            return readings[-1]
+
+        seconds = []
+        slice_worker = ex._slice_worker
+
+        def spy(args):
+            first = len(readings)
+            summaries, took = slice_worker(args)
+            assert took == readings[-1] - readings[first]
+            seconds.append(took)
+            return summaries, took
+
+        monkeypatch.setattr(ex, "time", SimpleNamespace(perf_counter=clock))
+        monkeypatch.setattr(ex, "_slice_worker", spy)
+        cfg = u.default_config(variable=variable, node_count=20,
+                               sweep=u.SweepSpec(variable, values))
+        res = u.run_sweep(cfg)
+        slices = ex._sweep_slices(cfg, 1)
+        assert len(seconds) == len(slices)
+        for idx, took in zip(slices, seconds):
+            entries = [res.elapsed_s[i] for i in idx]
+            assert entries == [took / len(idx)] * len(idx)
+            assert sum(entries) == pytest.approx(took, rel=1e-12)
 
     def test_ring_sweeps_report_ring_size(self):
         cfg = u.default_config(variable="anchor_count", trials=2,
@@ -505,6 +541,15 @@ class TestSerialization:
                                    "numpy": np.__version__,
                                    "cpu_count": os.cpu_count(),
                                    "workers": 1, "start_method": None}
+
+    def test_non_finite_value_writes_no_sidecar(self, tmp_path):
+        res = u.run_sweep(tiny_altitude_config(node_count=10))
+        res = replace(res, median_error=(math.inf,) + res.median_error[1:])
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ValueError):
+            u.write_results(res, out)
+        assert not (tmp_path / "sweep.meta.json").exists()
+        assert not out.exists()
 
     def test_sidecar_records_the_pool(self, tmp_path):
         res = u.run_sweep(tiny_altitude_config(node_count=10), threads=2)
