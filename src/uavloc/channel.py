@@ -16,6 +16,7 @@ import numpy as np
 SPEED_OF_LIGHT = 3.0e8  # m/s
 DEFAULT_FREQUENCY_HZ = 2.0e9
 HALF_PI = math.pi / 2.0
+REFERENCE_DISTANCE_M = 1.0  # d_o (m), where the mean path loss is k_ref
 
 #: Minimum anchor altitude (m) for which the sigmoid LoS-probability
 #: approximation is valid when the ground node sits near street level.
@@ -42,10 +43,10 @@ class EnvironmentParams:
     a_los/b_los and a_nlos/b_nlos set the exponential decay of the LoS and
     NLoS shadowing deviations with elevation (dB amplitude, 1/rad rate);
     a_o/b_o shape the LoS-probability sigmoid; a_1 (negative span) and b_1
-    (zero-elevation value) define the path loss exponent. k_ref is the
-    reference-distance loss in dB and c_offset the RSS transduction offset
-    in dBm; both cancel inside the estimators, so only self-consistency
-    matters. d_o is the 1 m reference distance.
+    (zero-elevation value) define the path loss exponent. k_ref is the loss
+    in dB at the reference distance `REFERENCE_DISTANCE_M` and c_offset the
+    RSS transduction offset in dBm; both cancel inside the estimators, so
+    they set only the absolute dB values the channel functions return.
     """
 
     a_los: float
@@ -58,7 +59,6 @@ class EnvironmentParams:
     b_1: float
     k_ref: float = DEFAULT_REFERENCE_LOSS_DB
     c_offset: float = 0.0
-    d_o: float = 1.0
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -76,8 +76,6 @@ class EnvironmentParams:
             raise ValueError("path-loss-exponent span a_1 must be negative")
         if self.b_1 + self.a_1 < 2.0:
             raise ValueError("free-space floor violated: b_1 + a_1 must be >= 2")
-        if self.d_o != 1.0:
-            raise ValueError("reference distance d_o is fixed at 1.0 m")
 
 
 #: Urban channel constants (2 GHz).
@@ -173,11 +171,11 @@ def mean_path_loss(d, theta, env: EnvironmentParams):
     Shadowing-free value: k_ref + 10 * alpha(theta) * log10(d / d_o).
     """
     dd = np.asarray(d, dtype=float)
-    if not np.all((dd >= env.d_o) & np.isfinite(dd)):
+    if not np.all((dd >= REFERENCE_DISTANCE_M) & np.isfinite(dd)):
         raise ValueError("slant distance d must be finite and >= the reference "
-                         f"distance d_o = {env.d_o} m")
+                         f"distance d_o = {REFERENCE_DISTANCE_M} m")
     alpha = path_loss_exponent(theta, env)
-    return _maybe_scalar(env.k_ref + 10.0 * np.asarray(alpha) * np.log10(dd / env.d_o))
+    return _maybe_scalar(env.k_ref + 10.0 * np.asarray(alpha) * np.log10(dd))
 
 
 def mean_rss(d, theta, env: EnvironmentParams):

@@ -16,7 +16,7 @@ import yaml
 from .channel import EnvironmentParams, environment_preset
 from .estimation import SearchConfig
 from .experiments import ExperimentConfig, SweepSpec
-from .geometry import ConstellationSpec, NodePosition
+from .geometry import ConstellationSpec
 from .localization import SolverConfig
 
 
@@ -41,11 +41,12 @@ _SECTIONS = {"environment": EnvironmentParams, "constellation": ConstellationSpe
              "sweep": SweepSpec, "search": SearchConfig, "solver": SolverConfig}
 
 #: Every settable key ("section.key" below the top level) and its annotation,
-#: a string as every module postpones them. d_o is fixed at 1 m.
+#: a string as every module postpones them. k_ref and c_offset cancel in every
+#: result, so they are library parameters only.
 _KEY_TYPES = {
     **{f.name: f.type for f in fields(ExperimentConfig) if f.init and f.name not in _SECTIONS},
     **{f"{name}.{f.name}": f.type for name, cls in _SECTIONS.items() for f in fields(cls)
-       if f.name != "d_o"},
+       if f.name not in ("k_ref", "c_offset")},
     "environment.preset": "str",
     "sweep.start": "float", "sweep.stop": "float", "sweep.step": "float",
 }
@@ -58,7 +59,6 @@ _RING_NODES = {"eval_distance", "eval_azimuths"}
 #: read them ("section" stands for all its keys). These stay accepted:
 #: - sweep.variable: the benchmark sets it, equal to the command's variable;
 #: - constellation.side_increment: it changes results from 6 anchors on;
-#: - environment.k_ref, c_offset: they cancel, but move rounding bits;
 #: - trials under crlb: the benchmark's crlb warm-up config sets it.
 _UNREAD = {
     "altitude-sweep": ("altitude", _RING_NODES | {"constellation.altitude"}),
@@ -175,13 +175,7 @@ def _resolve_constellation(raw, variable: str) -> ConstellationSpec:
     section = {"n_anchors": 3, "base_side": _DEFAULT_BASE_SIDE[variable],
                "altitude": 1000.0, "side_increment": _DEFAULT_SIDE_INCREMENT[variable],
                **_as_mapping(raw, "constellation")}
-    centroid = section.pop("centroid", [0.0, 0.0])
-    if not (isinstance(centroid, (list, tuple)) and len(centroid) == 2):
-        raise ConfigError("constellation.centroid must be a [x, y] pair")
-    return ConstellationSpec(
-        **_numbers(section, "constellation"),
-        centroid=NodePosition(*(_as_float(c, "constellation.centroid") for c in centroid)),
-    )
+    return ConstellationSpec(**_numbers(section, "constellation"))
 
 
 def _resolve_sweep(raw, variable: str | None) -> SweepSpec:

@@ -29,6 +29,7 @@ from numbers import Integral
 import numpy as np
 
 from .channel import (
+    REFERENCE_DISTANCE_M,
     EnvironmentParams,
     LinkGeometry,
     path_loss_exponent,
@@ -118,7 +119,7 @@ def log_likelihood(d, samples, h: float, env: EnvironmentParams):
         raise ValueError("anchor altitude h must be finite and > 0")
     if np.any(dd < h):
         raise ValueError("candidate distance below anchor altitude")
-    if np.any(dd < env.d_o):
+    if np.any(dd < REFERENCE_DISTANCE_M):
         raise ValueError("candidate distance below the reference distance d_o")
     w = _sample_row(samples)
     if not np.all(np.isfinite(w)):
@@ -135,7 +136,7 @@ def crlb_sigma_values(d, theta, env: EnvironmentParams):
     dd = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(dd)):
         raise ValueError("slant distance d must be finite")
-    if np.any(dd < env.d_o):
+    if np.any(dd < REFERENCE_DISTANCE_M):
         raise ValueError("bound invalid below the reference distance d_o")
     alpha = np.asarray(path_loss_exponent(theta, env))
     if np.any(alpha <= 0.0):
@@ -309,7 +310,7 @@ def _loglik(d: np.ndarray, h, n: int, env: EnvironmentParams, s1, s2) -> np.ndar
 def _grid_terms(h: float, n: int, env: EnvironmentParams, search: SearchConfig):
     """The bracketing grid at altitude `h`, its per-column terms and their
     `_bounds`."""
-    lo = max(h, env.d_o)
+    lo = max(h, REFERENCE_DISTANCE_M)
     grid = np.geomspace(lo, search.d_max, search.grid_points)
     grid[0], grid[-1] = lo, search.d_max
     terms = _loglik_terms(grid, h, n, env)
@@ -454,7 +455,7 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
     if not np.all(np.isfinite(samples_2d)):
         raise ValueError("RSS samples must be finite")
     hs = hs.tolist()
-    los = [max(hb, env.d_o) for hb in hs]
+    los = [max(hb, REFERENCE_DISTANCE_M) for hb in hs]
     hi = search.d_max
     if hi <= max(los):
         raise ValueError(f"search upper bound d_max = {hi} must exceed {max(los)}")

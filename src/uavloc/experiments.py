@@ -7,7 +7,8 @@ positions and shadowing draws comes from its own counter-derived stream, so
 a sweep point can be computed anywhere, in any order, on any number of
 workers, and still produce bitwise-identical results. Sweep points reuse the
 per-trial streams, which makes curves over the sweep variable common-random-
-number smooth wherever array shapes allow it.
+number smooth wherever array shapes allow it. The anchors, the node disk
+and the evaluation ring are all centred on the origin.
 
 The parallel unit is a slice of sweep points that share one anchor layout
 (all points of an altitude sweep; each point of a spacing or count sweep on
@@ -88,9 +89,6 @@ class SweepSpec:
             raise ValueError("sweep grid must be strictly increasing")
         if self.variable != "anchor_count" and vals[-1] > MAX_LENGTH_M:
             raise ValueError(f"sweep values must be <= {MAX_LENGTH_M:g} m")
-        if self.variable == "altitude" and vals[0] < MIN_ALTITUDE_M:
-            raise ValueError(f"altitude grid must stay within [h_min, inf) with "
-                             f"h_min = {MIN_ALTITUDE_M:g} m; got {vals[0]:g} m")
         if self.variable == "inter_distance" and vals[0] <= 0.0:
             raise ValueError("inter-distance grid values must be > 0")
         if self.variable == "anchor_count":
@@ -109,7 +107,8 @@ class ExperimentConfig:
     parameter set and the name is kept for reporting. Altitude sweeps draw
     `node_count` nodes uniformly in the deployment disk each trial; the
     spacing and count sweeps instead evaluate a ring of `eval_azimuths`
-    nodes at `eval_distance` from the constellation centroid.
+    nodes at `eval_distance` from the origin. Every anchor altitude lies in
+    [h_min, search.d_max).
     """
 
     environment: EnvironmentParams
@@ -149,6 +148,9 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0 and < 2**128")
         if not 0.0 < self.eval_distance <= MAX_LENGTH_M:
             raise ValueError(f"eval_distance must be finite, > 0 and <= {MAX_LENGTH_M:g} m")
+        bottom = _constellation_at(self, self.sweep.values[0]).altitude
+        if bottom < MIN_ALTITUDE_M:
+            raise ValueError(f"anchor altitude {bottom:g} m is below h_min = {MIN_ALTITUDE_M:g} m")
         top = _constellation_at(self, self.sweep.values[-1]).altitude
         if top >= self.search.d_max:
             raise ValueError(f"search.d_max = {self.search.d_max:g} m must exceed the "
@@ -224,16 +226,15 @@ def _nodes_per_trial(cfg: ExperimentConfig) -> int:
 
 def _trial_nodes(cfg: ExperimentConfig, trial: int) -> np.ndarray:
     """(M, 2) node positions for one trial of the configured study."""
-    c = cfg.constellation.centroid
     if cfg.sweep.variable == "altitude":
         rng = substream(cfg.seed, TAG_NODES, trial)
-        return sample_disk_xy(cfg.node_count, cfg.deployment_radius, (c.x, c.y), rng)
+        return sample_disk_xy(cfg.node_count, cfg.deployment_radius, (0.0, 0.0), rng)
     # Spacing and count studies probe one representative range: a ring of
     # azimuths at eval_distance, the first bearing due east.
     phi = 2.0 * math.pi * np.arange(cfg.eval_azimuths) / cfg.eval_azimuths
     out = np.empty((cfg.eval_azimuths, 2))
-    out[:, 0] = c.x + cfg.eval_distance * np.cos(phi)
-    out[:, 1] = c.y + cfg.eval_distance * np.sin(phi)
+    out[:, 0] = cfg.eval_distance * np.cos(phi)
+    out[:, 1] = cfg.eval_distance * np.sin(phi)
     return out
 
 
@@ -435,8 +436,8 @@ def optimize_altitude(cfg: ExperimentConfig, threads: int = 1) -> AltitudeOptimu
     """Altitude-grid argmin of the mean localization error.
 
     Ties resolve to the smallest altitude. theta_opt = atan(h_opt / r_bar)
-    with r_bar the mean horizontal node distance from the centroid over the
-    sampled population.
+    with r_bar the mean horizontal node distance from the constellation's
+    centre, the origin, over the sampled population.
     """
     _require_altitude(cfg)
     result = run_sweep(cfg, threads)
@@ -444,11 +445,10 @@ def optimize_altitude(cfg: ExperimentConfig, threads: int = 1) -> AltitudeOptimu
     idx = int(np.argmin(errs))  # first minimum = smallest altitude
     h_opt = result.sweep_values[idx]
 
-    c = cfg.constellation.centroid
     acc = 0.0
     for trial in range(cfg.trials):
         pts = _trial_nodes(cfg, trial)
-        acc += float(np.mean(np.hypot(pts[:, 0] - c.x, pts[:, 1] - c.y)))
+        acc += float(np.mean(np.hypot(pts[:, 0], pts[:, 1])))
     r_bar = acc / cfg.trials
     return AltitudeOptimum(h_opt=h_opt, error_at_opt=float(errs[idx]),
                            theta_opt=math.atan2(h_opt, r_bar), r_bar=r_bar,

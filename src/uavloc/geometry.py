@@ -1,7 +1,7 @@
 """Anchor constellations and node sampling.
 
-Constellations are concentric equilateral triangles sharing a centroid and a
-common adjustable altitude; terrestrial nodes live in the z = 0 plane.
+Constellations are concentric equilateral triangles centred on the origin
+at a common adjustable altitude; terrestrial nodes live in the z = 0 plane.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ _VERTEX_ANGLES = (math.pi / 2.0, math.pi * 7.0 / 6.0, math.pi * 11.0 / 6.0)
 #: Most anchors a constellation may hold. Anchors are built one by one and
 #: every node ranges each of them; the studies use at most 30.
 MAX_ANCHORS = 3000
-#: Longest length (m) a setting may give: a distance, side, altitude,
-#: coordinate or tolerance. Its square stays far from float overflow; the
-#: studies stay within tens of kilometres.
+#: Longest length (m) a setting may give: a distance, side, altitude or
+#: tolerance. Its square stays far from float overflow; the studies stay
+#: within tens of kilometres.
 MAX_LENGTH_M = 1.0e7
 
 
@@ -55,14 +55,13 @@ class ConstellationSpec:
     """Concentric-triangle constellation layout.
 
     Triangle k (0-based) has side base_side + k * side_increment; all
-    triangles share the centroid, the orientation and the altitude.
+    triangles share the origin as centroid, the orientation and the altitude.
     """
 
     n_anchors: int
     base_side: float
     altitude: float
     side_increment: float = 0.0
-    centroid: NodePosition = NodePosition(0.0, 0.0)
 
     def __post_init__(self) -> None:
         n = self.n_anchors
@@ -75,8 +74,6 @@ class ConstellationSpec:
             raise ValueError(f"side_increment must be finite, >= 0 and <= {MAX_LENGTH_M:g} m")
         if not 0.0 < self.altitude <= MAX_LENGTH_M:
             raise ValueError(f"altitude must be finite, > 0 and <= {MAX_LENGTH_M:g} m")
-        if max(abs(self.centroid.x), abs(self.centroid.y)) > MAX_LENGTH_M:
-            raise ValueError(f"centroid coordinates must be within ±{MAX_LENGTH_M:g} m")
 
 
 def build_constellation(spec: ConstellationSpec) -> list[Anchor]:
@@ -87,8 +84,8 @@ def build_constellation(spec: ConstellationSpec) -> list[Anchor]:
         circumradius = side / math.sqrt(3.0)
         for angle in _VERTEX_ANGLES:
             anchors.append(Anchor(
-                x=spec.centroid.x + circumradius * math.cos(angle),
-                y=spec.centroid.y + circumradius * math.sin(angle),
+                x=circumradius * math.cos(angle),
+                y=circumradius * math.sin(angle),
                 h=spec.altitude,
             ))
     return anchors

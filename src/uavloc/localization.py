@@ -121,17 +121,15 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
     decrease the objective.
 
     Every quantity a row's iteration computes (normal equations, step,
-    accept test, damping) depends on that row alone. So a row that
-    converges, passes the damping cap or has taken its own `max_iter` steps
-    is written back once and dropped from the working set, and the rows
-    left take bit-for-bit the path they would take alone. Rows join in
+    accept test, damping, step count) depends on that row alone. So a row
+    that converges, passes the damping cap or has taken its own `max_iter`
+    steps is written back once and dropped from the working set, and the
+    rows left take bit-for-bit the path they would take alone. Rows join in
     order, the first `_DESCENT_ROWS` at once and the others whenever leaving
     rows bring the set to half that size, so numpy passes stay long until
-    the last rows finish. The set stays sorted by row, so the rows reaching
-    `max_iter` at one iteration, having joined together, are a prefix of it.
-    The anchor sums keep the order the module docstring fixes; a working set
-    of one row is carried as two identical copies. A zero-row batch does no
-    iteration.
+    the last rows finish. The anchor sums keep the order the module
+    docstring fixes; a working set of one row is carried as two identical
+    copies. A zero-row batch does no iteration.
     """
     L, N = rhat.shape
     p0 = np.broadcast_to(p0, (L, 2))
@@ -140,22 +138,21 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
     converged = np.zeros(L, dtype=bool)
 
     anchors = axy.T[:, :, None].copy()
-    rows, lam, p, r = np.empty(0, dtype=np.intp), np.empty(0), np.empty((2, 0)), np.empty((N, 0))
+    rows, steps = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    lam, p, r = np.empty(0), np.empty((2, 0)), np.empty((N, 0))
     d, dist, err, obj = _residuals(p, anchors, r)
-    # (last iteration, end row) per intake: at that iteration's end, the
-    # rows below the end row have taken max_iter steps.
-    expiry, t, joined = [], 0, 0
+    joined = 0
     while True:
         if joined < L and 2 * rows.size <= _DESCENT_ROWS:
             new = np.arange(joined, min(L, joined + _DESCENT_ROWS - rows.size))
             joined = new[-1] + 1
-            expiry.append((t + solver.max_iter - 1, joined))
             new = _no_lone_row(new) if rows.size == 0 else new
             p_new, r_new = p0[new].T, rhat[new].T
             fresh = (new, p_new, *_residuals(p_new, anchors, r_new),
-                     np.full(new.size, solver.damping0), r_new)
-            rows, p, d, dist, err, obj, lam, r = (np.concatenate(pair, axis=-1) for pair in
-                                                  zip((rows, p, d, dist, err, obj, lam, r), fresh))
+                     np.full(new.size, solver.damping0), r_new, np.zeros_like(new))
+            rows, p, d, dist, err, obj, lam, r, steps = (
+                np.concatenate(pair, axis=-1)
+                for pair in zip((rows, p, d, dist, err, obj, lam, r, steps), fresh))
         if rows.size == 0:
             break
         ux, uy = d / dist
@@ -178,10 +175,8 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
 
         # A vanishing damped step means a stationary point, accepted or not.
         done = step_norm < solver.step_tol
-        leave = done | (lam > _DAMPING_MAX)
-        if expiry[0][0] == t:
-            leave[:np.searchsorted(rows, expiry.pop(0)[1])] = True
-        t += 1
+        steps += 1
+        leave = done | (lam > _DAMPING_MAX) | (steps == solver.max_iter)
         if leave.any():
             gone = rows[leave]
             p_out[gone] = p[:, leave].T
@@ -189,8 +184,8 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
             converged[gone] = done[leave]
             keep = np.flatnonzero(~leave)
             keep = _no_lone_row(keep) if joined == L else keep
-            rows, p, d, dist, err, obj, lam, r = (
-                a.take(keep, axis=-1) for a in (rows, p, d, dist, err, obj, lam, r))
+            rows, p, d, dist, err, obj, lam, r, steps = (
+                a.take(keep, axis=-1) for a in (rows, p, d, dist, err, obj, lam, r, steps))
     return p_out, obj_out, converged
 
 

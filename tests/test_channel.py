@@ -5,7 +5,7 @@ import pytest
 
 import uavloc as u
 from uavloc._streams import TAG_RSS, substream
-from uavloc.channel import DEFAULT_FREQUENCY_HZ, SPEED_OF_LIGHT
+from uavloc.channel import DEFAULT_FREQUENCY_HZ, REFERENCE_DISTANCE_M, SPEED_OF_LIGHT
 
 from conftest import ORACLE
 
@@ -23,7 +23,6 @@ class TestEnvironmentPresets:
         assert env.b_o == 10.0
         assert env.a_1 == -1.5
         assert env.b_1 == 3.5
-        assert env.d_o == 1.0
 
     def test_suburban_constants(self):
         env = u.SUBURBAN
@@ -62,9 +61,13 @@ class TestEnvironmentPresets:
                 u.EnvironmentParams(**params)
 
     def test_reference_distance_fixed_at_one_metre(self):
-        with pytest.raises(ValueError):
+        # d_o is a module constant, not a parameter an environment can move.
+        assert REFERENCE_DISTANCE_M == 1.0
+        with pytest.raises(TypeError):
             u.EnvironmentParams(a_los=10.0, b_los=2.5, a_nlos=30.0, b_nlos=1.7,
                                 a_o=45.0, b_o=10.0, a_1=-1.5, b_1=3.5, d_o=2.0)
+        with pytest.raises(ValueError, match="d_o = 1.0 m"):
+            u.mean_path_loss(np.nextafter(1.0, 0.0), 0.3, u.URBAN)
 
     def test_without_shadowing(self):
         quiet = u.without_shadowing(u.URBAN)
@@ -201,8 +204,7 @@ class TestPathLossAndRss:
     def test_loss_at_reference_distance_is_k_ref(self):
         # at d = d_o = 1 m the distance term vanishes
         env = u.URBAN
-        assert u.mean_path_loss(1.0, 0.3, env) == pytest.approx(
-            env.k_ref, rel=1e-14)
+        assert u.mean_path_loss(1.0, 0.3, env) == env.k_ref
 
     def test_below_reference_distance_rejected(self):
         with pytest.raises(ValueError):

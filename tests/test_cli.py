@@ -203,6 +203,15 @@ class TestErrorPaths:
         assert code == 3
         assert "h_min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["count-sweep", "distance-sweep"])
+    def test_constellation_altitude_floor_exits_3(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("constellation:\n  altitude: 10.0\n")
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == cli.EXIT_CONFIG == 3
+        assert "anchor altitude 10 m is below h_min = 50 m" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("override,key", [
         pytest.param({"solver": {"step_tol": math.nan}}, "step_tol",
                      id="solver-step_tol-.nan"),
@@ -249,7 +258,7 @@ class TestErrorPaths:
         pytest.param("count-sweep", {"constellation": {"side_increment": 1.0e+300}},
                      "side_increment must be", id="side_increment-1e300"),
         pytest.param("altitude-sweep", {"constellation": {"centroid": [1.0e+200, 0.0]}},
-                     "centroid coordinates must be within", id="centroid-1e200"),
+                     "unknown config key constellation.'centroid'", id="centroid-1e200"),
         pytest.param("altitude-sweep", {"search": {"d_max": 1.0e+300},
                                         "sweep": {"values": [300.0, 1.0e+200]}},
                      "sweep values must be", id="altitude-1e200-d_max-1e300"),
@@ -447,10 +456,8 @@ NON_DEFAULT = {
     "environment.preset": "suburban", "environment.a_los": 8.0, "environment.b_los": 3.0,
     "environment.a_nlos": 25.0, "environment.b_nlos": 2.0, "environment.a_o": 40.0,
     "environment.b_o": 12.0, "environment.a_1": -1.4, "environment.b_1": 3.6,
-    "environment.k_ref": 40.0, "environment.c_offset": 7.0,
     "constellation.n_anchors": 6, "constellation.base_side": 300.0,
     "constellation.altitude": 500.0, "constellation.side_increment": 50.0,
-    "constellation.centroid": [100.0, 50.0],
     "search.d_max": 5000.0, "search.grid_points": 64, "search.tol": 1.0,
     "solver.max_iter": 2, "solver.step_tol": 10.0, "solver.damping0": 10.0,
 }
@@ -463,10 +470,14 @@ SWEEP_CHANGE = {"altitude": {"values": [300.0, 600.0], "start": 400.0, "stop": 1
                 "inter_distance": {"values": [300.0, 600.0], "start": 400.0,
                                    "stop": 1500.0, "step": 300.0},
                 "anchor_count": {"values": [3, 9], "start": 6, "stop": 9, "step": 6}}
+#: Settings that no result depends on, so no command accepts them as keys:
+#: the scene is centred on the origin, and k_ref and c_offset cancel.
+REMOVED = {"constellation.centroid": [100.0, 50.0], "environment.k_ref": 40.0,
+           "environment.c_offset": 7.0}
 #: Accepted keys that leave these small studies unchanged; config.COMMANDS
 #: says why each stays accepted.
 #: Three anchors form one triangle, so side_increment has none to grow.
-UNCHANGED = {"sweep.variable", "environment.k_ref", "environment.c_offset"}
+UNCHANGED = {"sweep.variable"}
 UNCHANGED_BY = {"altitude-sweep": {"constellation.side_increment"},
                 "distance-sweep": {"constellation.side_increment"},
                 "count-sweep": set(),
@@ -482,15 +493,16 @@ def _study(tmp_path, command: str, key: str | None = None) -> tuple[int, bytes]:
     if "node_count" in COMMANDS[command][1]:
         body["node_count"] = 20
     section, _, name = (key or "").rpartition(".")
+    value = {**NON_DEFAULT, **REMOVED}.get(key)
     if section == "sweep":
         body["sweep"] = ({"values": SWEEP_CHANGE[variable]["values"]} if name == "values"
                          else {**BASE_SWEEP[variable], name: SWEEP_CHANGE[variable][name]})
     elif section == "environment":
-        body["environment"] = {"preset": "urban", name: NON_DEFAULT[key]}
+        body["environment"] = {"preset": "urban", name: value}
     elif section:
-        body[section] = {name: NON_DEFAULT[key]}
+        body[section] = {name: value}
     elif key is not None:
-        body[key] = NON_DEFAULT[key]
+        body[key] = value
     cfg, out = tmp_path / f"{command}-{key}.yaml", tmp_path / f"{command}-{key}.csv"
     cfg.write_text(yaml.safe_dump(body))
     extra = ["--repetitions", "50"] if command == "crlb" else []
@@ -509,8 +521,8 @@ class TestCommandKeys:
         assert ALL_KEYS == set(NON_DEFAULT) | {f"sweep.{k}" for k in
                                               ("variable", "values", "start", "stop", "step")}
         assert {c: len(reads) for c, (_, reads) in COMMANDS.items()} == {
-            "altitude-sweep": 31, "distance-sweep": 31, "count-sweep": 31,
-            "crlb": 22, "optimize": 31}
+            "altitude-sweep": 28, "distance-sweep": 28, "count-sweep": 28,
+            "crlb": 20, "optimize": 28}
 
     @pytest.mark.parametrize("command,key", [
         (command, key) for command, (_, reads) in COMMANDS.items()
@@ -531,4 +543,13 @@ class TestCommandKeys:
         section, _, name = key.rpartition(".")
         shown = f"{section}.{name!r}" if section else repr(name)
         assert f"config key {shown} is not read by the {command!r} command" in err
+        assert csv_bytes == b""
+
+    @pytest.mark.parametrize("command,key", [(command, key) for command in COMMANDS
+                                             for key in sorted(REMOVED)])
+    def test_removed_key_exits_3(self, tmp_path, capsys, command, key):
+        code, csv_bytes = _study(tmp_path, command, key)
+        section, _, name = key.rpartition(".")
+        assert code == cli.EXIT_CONFIG == 3
+        assert f"unknown config key {section}.{name!r}" in capsys.readouterr().err
         assert csv_bytes == b""

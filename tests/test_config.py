@@ -126,7 +126,6 @@ constellation:
   base_side: 200.0
   altitude: 750.0
   side_increment: 25.0
-  centroid: [10.0, -20.0]
 sweep:
   variable: altitude
   values: [200, 400, 800]
@@ -142,8 +141,8 @@ solver:
         cfg = u.load_config(p)
         assert cfg.environment is u.SUBURBAN
         assert cfg.seed == 9 and cfg.trials == 4 and cfg.node_count == 50
-        assert cfg.constellation.centroid == u.NodePosition(10.0, -20.0)
-        assert cfg.constellation.n_anchors == 6
+        assert cfg.constellation == u.ConstellationSpec(n_anchors=6, base_side=200.0,
+                                                        altitude=750.0, side_increment=25.0)
         assert cfg.sweep.values == (200.0, 400.0, 800.0)
         assert cfg.search == u.SearchConfig(d_max=10000.0, grid_points=128,
                                             tol=0.05)
@@ -278,9 +277,11 @@ sweep:
             u.load_config(p)
 
     def test_bad_centroid(self, tmp_path):
-        p = write_yaml(tmp_path, "constellation:\n  centroid: [1.0]\n")
-        with pytest.raises(u.ConfigError, match="centroid"):
-            u.load_config(p)
+        # The scene is centred on the origin: any centroid is an unknown key.
+        for value in ("[1.0]", "[10.0, -20.0]"):
+            p = write_yaml(tmp_path, f"constellation:\n  centroid: {value}\n")
+            with pytest.raises(u.ConfigError, match="unknown config key constellation.'centroid'"):
+                u.load_config(p)
 
     def test_command_rejects_keys_it_does_not_read(self, tmp_path):
         p = write_yaml(tmp_path, "node_count: 7\n")

@@ -52,7 +52,7 @@ def mle_distance_batch_reference(samples_2d, h, env, search=None):
     """
     search = search or u.SearchConfig()
     samples_2d = np.asarray(samples_2d, dtype=float)
-    lo = max(h, env.d_o)
+    lo = max(h, 1.0)  # the 1 m reference distance
     hi = search.d_max
     n = samples_2d.shape[1]
     s1, s2 = est._suffstats(samples_2d)

@@ -41,12 +41,6 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             u.SweepSpec("altitude", (100.0, 100.0))
 
-    def test_altitude_floor_named_in_message(self):
-        with pytest.raises(ValueError, match="h_min = 50"):
-            u.SweepSpec("altitude", (40.0, 100.0))
-        # 50 m itself is legal.
-        assert u.SweepSpec("altitude", (50.0,)).values == (50.0,)
-
     def test_anchor_count_grid(self):
         assert u.SweepSpec("anchor_count", (3, 6, 9)).values == (3.0, 6.0, 9.0)
         with pytest.raises(ValueError):
@@ -96,6 +90,19 @@ class TestExperimentConfig:
     def test_rejects_non_integral_counts(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             replace(tiny_altitude_config(), **{field: bad})
+
+    def test_altitude_floor_named_in_message(self):
+        # The lowest anchor altitude, from the sweep or the constellation.
+        base = tiny_altitude_config()
+        with pytest.raises(ValueError, match="anchor altitude 40 m is below h_min = 50 m"):
+            replace(base, sweep=u.SweepSpec("altitude", (40.0, 100.0)))
+        for variable, values in (("inter_distance", (300.0,)), ("anchor_count", (3.0,))):
+            with pytest.raises(ValueError, match="anchor altitude 10 m is below h_min = 50 m"):
+                replace(base, sweep=u.SweepSpec(variable, values),
+                        constellation=replace(base.constellation, altitude=10.0))
+        # 50 m itself is legal, and a sweep grid alone is not checked.
+        assert replace(base, sweep=u.SweepSpec("altitude", (50.0,))).sweep.values == (50.0,)
+        assert u.SweepSpec("altitude", (40.0,)).values == (40.0,)
 
     def test_integral_types_accepted(self):
         cfg = replace(tiny_altitude_config(), node_count=np.int64(7), seed=np.uint64(3))

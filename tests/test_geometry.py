@@ -44,7 +44,10 @@ class TestConstellationSpec:
     def test_defaults(self):
         spec = u.ConstellationSpec(n_anchors=3, base_side=500.0, altitude=1000.0)
         assert spec.side_increment == 0.0
-        assert spec.centroid == u.NodePosition(0.0, 0.0)
+        # The constellation is centred on the origin; there is no centroid to set.
+        with pytest.raises(TypeError):
+            u.ConstellationSpec(n_anchors=3, base_side=500.0, altitude=1000.0,
+                                centroid=u.NodePosition(1.0, 2.0))
 
 
 class TestBuildConstellation:
@@ -84,15 +87,6 @@ class TestBuildConstellation:
         for a_in, a_out in zip(inner, outer):
             assert math.atan2(a_in.y, a_in.x) == pytest.approx(
                 math.atan2(a_out.y, a_out.x), abs=1e-12)
-
-    def test_offset_centroid(self):
-        spec = u.ConstellationSpec(n_anchors=3, base_side=200.0, altitude=100.0,
-                                   centroid=u.NodePosition(-40.0, 70.0))
-        anchors = u.build_constellation(spec)
-        cx = sum(a.x for a in anchors) / 3.0
-        cy = sum(a.y for a in anchors) / 3.0
-        assert cx == pytest.approx(-40.0, abs=1e-9)
-        assert cy == pytest.approx(70.0, abs=1e-9)
 
     def test_anchors_xy_layout(self):
         spec = u.ConstellationSpec(n_anchors=6, base_side=100.0, altitude=50.0,

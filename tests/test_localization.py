@@ -8,9 +8,8 @@ import uavloc as u
 from uavloc import localization as loc
 
 
-def triangle_anchors(side=500.0, h=1000.0, centroid=(0.0, 0.0)):
-    spec = u.ConstellationSpec(n_anchors=3, base_side=side, altitude=h,
-                               centroid=u.NodePosition(*centroid))
+def triangle_anchors(side=500.0, h=1000.0):
+    spec = u.ConstellationSpec(n_anchors=3, base_side=side, altitude=h)
     return u.build_constellation(spec)
 
 

@@ -115,8 +115,8 @@ def test_descent_equals_reference_loop(n, rows, sigma, seed, centroid_start, sol
 @given(n=st.integers(3, 30), rows=st.integers(1, 40), sigma=st.floats(0.0, 2000.0),
        seed=st.integers(0, 2 ** 16), centroid_start=st.booleans(),
        cap=st.integers(1, 45),
-       solver=st.sampled_from([u.SolverConfig(max_iter=5), u.SolverConfig(max_iter=12),
-                               u.SolverConfig(step_tol=1e-30)]))
+       solver=st.sampled_from([u.SolverConfig(max_iter=1), u.SolverConfig(max_iter=5),
+                               u.SolverConfig(max_iter=12), u.SolverConfig(step_tol=1e-30)]))
 def test_refilled_descent_equals_reference_loop(n, rows, sigma, seed, centroid_start, cap,
                                                 solver):
     # Rows join the working set as others leave; each keeps its own step
