@@ -56,21 +56,13 @@ from .experiments import (
     write_crlb_table,
     write_results,
 )
-from .geometry import (
-    Anchor,
-    ConstellationSpec,
-    NodePosition,
-    anchors_xy,
-    build_constellation,
-    sample_disk_xy,
-)
+from .geometry import ConstellationSpec, build_constellation, sample_disk_xy
 from .localization import (
     DegenerateGeometryError,
     PositionFix,
     SolverConfig,
     multilaterate,
     multilaterate_batch,
-    position_error,
 )
 
 __all__ = [name for name, value in globals().items()

@@ -15,7 +15,7 @@ import yaml
 
 from .channel import EnvironmentParams, environment_preset
 from .estimation import SearchConfig
-from .experiments import ExperimentConfig, SweepSpec
+from .experiments import UNREAD_KEYS, ExperimentConfig, SweepSpec
 from .geometry import ConstellationSpec
 from .localization import SolverConfig
 
@@ -53,19 +53,17 @@ _KEY_TYPES = {
 #: The constants an environment mapping without a preset must give.
 _CHANNEL_CONSTANTS = {f.name for f in fields(EnvironmentParams) if f.default is MISSING}
 
-_DISK_NODES = {"node_count", "deployment_radius"}
-_RING_NODES = {"eval_distance", "eval_azimuths"}
 #: Each command's sweep variable and the keys it rejects, as it does not
 #: read them ("section" stands for all its keys). These stay accepted:
 #: - sweep.variable: the benchmark sets it, equal to the command's variable;
 #: - constellation.side_increment: it changes results from 6 anchors on;
 #: - trials under crlb: the benchmark's crlb warm-up config sets it.
 _UNREAD = {
-    "altitude-sweep": ("altitude", _RING_NODES | {"constellation.altitude"}),
-    "distance-sweep": ("inter_distance", _DISK_NODES | {"constellation.base_side"}),
-    "count-sweep": ("anchor_count", _DISK_NODES | {"constellation.n_anchors"}),
-    "crlb": ("altitude", _DISK_NODES | _RING_NODES | {"constellation", "solver"}),
-    "optimize": ("altitude", _RING_NODES | {"constellation.altitude"}),
+    "altitude-sweep": ("altitude", UNREAD_KEYS["altitude"]),
+    "distance-sweep": ("inter_distance", UNREAD_KEYS["inter_distance"]),
+    "count-sweep": ("anchor_count", UNREAD_KEYS["anchor_count"]),
+    "crlb": ("altitude", set().union(*UNREAD_KEYS.values(), {"constellation", "solver"})),
+    "optimize": ("altitude", UNREAD_KEYS["altitude"]),
 }
 #: The CLI commands: (sweep variable, the keys the command reads) each.
 COMMANDS = {command: (variable, frozenset(k for k in _KEY_TYPES if k not in unread

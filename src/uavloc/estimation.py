@@ -468,7 +468,6 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
     # that share one altitude.
     a = np.empty(links)
     b = np.empty(links)
-    grids = {}
     best = np.empty(links, dtype=np.intp)
     buf = np.empty(min(links, _BOUND_ROWS) * min(_BOUND_COLS, search.grid_points))
     run = 0
@@ -478,9 +477,7 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
         start, stop, run = bounds[run], bounds[k + 1], k + 1
         if start == stop:
             continue
-        if hb not in grids:
-            grids[hb] = _grid_terms(hb, n, env, search)
-        grid, terms, blocks = grids[hb]
+        grid, terms, blocks = _grid_terms(hb, n, env, search)
         for i in range(start, stop, _BOUND_ROWS):
             j = min(i + _BOUND_ROWS, stop)
             best[i:j] = _bracket(s1[i:j], s2[i:j], n, terms, blocks, buf)

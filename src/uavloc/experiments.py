@@ -55,11 +55,20 @@ from .channel import (
     shadowing_sigma,
 )
 from .estimation import SearchConfig, crlb_sigma, mle_distance_batch
-from .geometry import (MAX_ANCHORS, MAX_LENGTH_M, ConstellationSpec, anchors_xy,
-                       build_constellation, sample_disk_xy)
+from .geometry import (MAX_ANCHORS, MAX_LENGTH_M, ConstellationSpec, build_constellation,
+                       sample_disk_xy)
 from .localization import SolverConfig, multilaterate_batch
 
 SWEEP_VARIABLES = ("altitude", "inter_distance", "anchor_count")
+
+#: Per sweep variable, the config keys ("section.key" below the top level)
+#: its study does not read: the other node population and the constellation
+#: field the sweep sets.
+UNREAD_KEYS = {
+    "altitude": {"eval_distance", "eval_azimuths", "constellation.altitude"},
+    "inter_distance": {"node_count", "deployment_radius", "constellation.base_side"},
+    "anchor_count": {"node_count", "deployment_radius", "constellation.n_anchors"},
+}
 
 #: Exact header of every sweep-result CSV.
 CSV_HEADER = "sweep_value,mean_error_m,error_std_m,mean_position_error_m,n_nodes,n_trials,seed"
@@ -228,7 +237,7 @@ def _trial_nodes(cfg: ExperimentConfig, trial: int) -> np.ndarray:
     """(M, 2) node positions for one trial of the configured study."""
     if cfg.sweep.variable == "altitude":
         rng = substream(cfg.seed, TAG_NODES, trial)
-        return sample_disk_xy(cfg.node_count, cfg.deployment_radius, (0.0, 0.0), rng)
+        return sample_disk_xy(cfg.node_count, cfg.deployment_radius, rng)
     # Spacing and count studies probe one representative range: a ring of
     # azimuths at eval_distance, the first bearing due east.
     phi = 2.0 * math.pi * np.arange(cfg.eval_azimuths) / cfg.eval_azimuths
@@ -241,7 +250,7 @@ def _trial_nodes(cfg: ExperimentConfig, trial: int) -> np.ndarray:
 def _layout(cfg: ExperimentConfig, value: float) -> tuple[np.ndarray, float]:
     """Anchor projections (N, 2) and anchor altitude at one sweep point."""
     spec = _constellation_at(cfg, value)
-    return anchors_xy(build_constellation(spec)), spec.altitude
+    return build_constellation(spec), spec.altitude
 
 
 #: Most links ranged in one call. Consecutive (trial, point) batches of a
@@ -325,7 +334,7 @@ def _slice_worker(args) -> tuple[list[tuple], float]:
     """
     t0 = time.perf_counter()
     cfg, values = args
-    per_point = cfg.trials * _nodes_per_trial(cfg) * _layout(cfg, values[0])[0].shape[0]
+    per_point = cfg.trials * _nodes_per_trial(cfg) * _constellation_at(cfg, values[0]).n_anchors
     step = max(1, _SLICE_RANGES // per_point)
     chunks = (_slice_errors(cfg, values[i:i + step]) for i in range(0, len(values), step))
     summaries = [(float(np.mean(xi)), float(np.std(xi, ddof=1)) if xi.size > 1 else 0.0,
@@ -519,10 +528,11 @@ def write_results(result: ExperimentResult, path) -> None:
     """Write one CSV row per sweep point plus a JSON metadata sidecar.
 
     The sidecar (<stem>.meta.json next to the CSV) records every resolved
-    config parameter, the library version, what ran the study (`runtime`:
-    the Python and numpy versions, the CPU count, the worker processes the
-    sweep used and how they were started, null when it ran in the calling
-    process), and per-point diagnostics.
+    config parameter the sweep reads (all but its variable's `UNREAD_KEYS`),
+    the library version, what ran the study (`runtime`: the Python and
+    numpy versions, the CPU count, the worker processes the sweep used and
+    how they were started, null when it ran in the calling process), and
+    per-point diagnostics.
     `per_point.elapsed_s` has one entry per point, an equal share of the
     seconds its slice's worker task took, so the entries sum to the
     workers' busy time. A non-finite value raises ValueError before either
@@ -530,9 +540,13 @@ def write_results(result: ExperimentResult, path) -> None:
     """
     from . import __version__
 
+    config = asdict(result.config)
+    for key in UNREAD_KEYS[result.sweep_variable]:
+        section, _, name = key.rpartition(".")
+        del (config[section] if section else config)[name]
     meta = {
         "library": {"name": "uavloc", "version": __version__},
-        "config": asdict(result.config),
+        "config": config,
         "sweep_variable": result.sweep_variable,
         "runtime": {
             "python": platform.python_version(),

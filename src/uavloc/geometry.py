@@ -1,7 +1,9 @@
 """Anchor constellations and node sampling.
 
 Constellations are concentric equilateral triangles centred on the origin
-at a common adjustable altitude; terrestrial nodes live in the z = 0 plane.
+at a common adjustable altitude. A layout is the (N, 2) array of the
+anchors' ground projections; its altitude is the spec's. Terrestrial nodes
+live in the z = 0 plane.
 """
 
 from __future__ import annotations
@@ -21,33 +23,6 @@ MAX_ANCHORS = 3000
 #: tolerance. Its square stays far from float overflow; the studies stay
 #: within tens of kilometres.
 MAX_LENGTH_M = 1.0e7
-
-
-@dataclass(frozen=True)
-class NodePosition:
-    """Ground-plane position of a terrestrial node."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("node coordinates must be finite")
-
-
-@dataclass(frozen=True)
-class Anchor:
-    """An aerial anchor: ground projection (x, y) and altitude h."""
-
-    x: float
-    y: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("anchor projection coordinates must be finite")
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise ValueError("anchor altitude h must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -76,42 +51,31 @@ class ConstellationSpec:
             raise ValueError(f"altitude must be finite, > 0 and <= {MAX_LENGTH_M:g} m")
 
 
-def build_constellation(spec: ConstellationSpec) -> list[Anchor]:
-    """Anchors of the constellation, triangle by triangle, vertex by vertex."""
-    anchors = []
+def build_constellation(spec: ConstellationSpec) -> np.ndarray:
+    """(N, 2) anchor ground projections, triangle by triangle, vertex by vertex."""
+    xy = np.empty((spec.n_anchors, 2))
     for k in range(spec.n_anchors // 3):
         side = spec.base_side + k * spec.side_increment
         circumradius = side / math.sqrt(3.0)
-        for angle in _VERTEX_ANGLES:
-            anchors.append(Anchor(
-                x=circumradius * math.cos(angle),
-                y=circumradius * math.sin(angle),
-                h=spec.altitude,
-            ))
-    return anchors
+        for j, angle in enumerate(_VERTEX_ANGLES):
+            xy[3 * k + j] = circumradius * math.cos(angle), circumradius * math.sin(angle)
+    return xy
 
 
-def sample_disk_xy(n: int, radius: float, center_xy, rng: np.random.Generator) -> np.ndarray:
-    """(n, 2) array of i.i.d. points uniform over a disk.
+def sample_disk_xy(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """(n, 2) array of i.i.d. points uniform over the origin-centred disk.
 
-    Raises ValueError unless n is an integer >= 1, the radius is finite
-    and > 0 and the center is finite.
+    Raises ValueError unless n is an integer >= 1 and the radius is finite
+    and > 0.
     """
     if not (isinstance(n, Integral) and n >= 1):
         raise ValueError(f"node count n must be an integer >= 1, got {n!r}")
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and > 0, got {radius}")
-    if not (math.isfinite(center_xy[0]) and math.isfinite(center_xy[1])):
-        raise ValueError(f"disk center must be finite, got ({center_xy[0]}, {center_xy[1]})")
     u = rng.random(n)
     phi = rng.random(n) * 2.0 * math.pi
     rr = radius * np.sqrt(u)
     out = np.empty((n, 2))
-    out[:, 0] = center_xy[0] + rr * np.cos(phi)
-    out[:, 1] = center_xy[1] + rr * np.sin(phi)
+    out[:, 0] = rr * np.cos(phi)
+    out[:, 1] = rr * np.sin(phi)
     return out
-
-
-def anchors_xy(anchors) -> np.ndarray:
-    """(N, 2) array of anchor ground projections."""
-    return np.array([[a.x, a.y] for a in anchors], dtype=float)

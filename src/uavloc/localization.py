@@ -1,10 +1,11 @@
 """Position fixes from per-anchor horizontal range estimates.
 
-The objective is the sum of squared differences between candidate-to-anchor
-planar distances and the estimated ranges. It is minimized with a damped
-Gauss-Newton iteration started at the anchor centroid. A row that leaves
-the descent without accepting a step keeps its start point (see
-`multilaterate_batch`).
+The anchors are the (N, 2) array of their ground projections, as
+`build_constellation` gives them. The objective is the sum of squared
+differences between candidate-to-anchor planar distances and the estimated
+ranges. It is minimized with a damped Gauss-Newton iteration started at the
+anchor centroid. A row that leaves the descent without accepting a step
+keeps its start point (see `multilaterate_batch`).
 
 The descent holds its working arrays anchor-major: for N anchors and a
 working set of W rows (see `_lm_descend`), offsets are (2, N, W) and
@@ -31,7 +32,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import MAX_LENGTH_M, NodePosition, anchors_xy
+from .geometry import MAX_LENGTH_M
 
 _DIST_FLOOR = 1e-12  # keeps residual directions defined on top of an anchor
 _DAMPING_MIN = 1e-12
@@ -79,11 +80,6 @@ class PositionFix:
     y_hat: float
     residual: float
     converged: bool
-
-
-def position_error(fix: PositionFix, truth: NodePosition) -> float:
-    """Planar distance between the estimated and the true node position."""
-    return math.hypot(fix.x_hat - truth.x, fix.y_hat - truth.y)
 
 
 def _no_lone_row(rows: np.ndarray) -> np.ndarray:
@@ -189,7 +185,12 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
     return p_out, obj_out, converged
 
 
-def _check_geometry(axy: np.ndarray) -> None:
+def _check_anchors(axy) -> np.ndarray:
+    axy = np.asarray(axy, dtype=float)
+    if axy.ndim != 2 or axy.shape[1] != 2:
+        raise ValueError(f"anchors must be an (N, 2) array, got shape {axy.shape}")
+    if not np.all(np.isfinite(axy)):
+        raise ValueError("anchor projections must be finite")
     if axy.shape[0] < 3:
         raise ValueError("multilateration needs at least 3 anchors")
     centered = axy - axy.mean(axis=0)
@@ -197,25 +198,21 @@ def _check_geometry(axy: np.ndarray) -> None:
     scale = max(svals[0], 1.0)
     if svals[-1] <= 1e-9 * scale:
         raise DegenerateGeometryError("anchor projections are collinear")
+    return axy
 
 
-def multilaterate(anchors, r_hats, solver: SolverConfig | None = None) -> PositionFix:
-    """Least-squares position fix from anchors and estimated planar ranges.
+def multilaterate(axy, r_hats, solver: SolverConfig | None = None) -> PositionFix:
+    """Least-squares position fix from an (N, 2) anchor layout and its ranges.
 
     Solves the ranges as a one-row `multilaterate_batch`, which validates them.
     """
-    axy = anchors_xy(anchors)
-    rhat = np.asarray(r_hats, dtype=float)
-    if rhat.ndim != 1:
-        raise ValueError("r_hats must be 1-D with one entry per anchor")
-    p, obj, conv = multilaterate_batch(axy, rhat[None, :], solver)
+    p, obj, conv = multilaterate_batch(axy, [r_hats], solver)
     return PositionFix(x_hat=float(p[0, 0]), y_hat=float(p[0, 1]),
                        residual=float(obj[0]), converged=bool(conv[0]))
 
 
-def multilaterate_batch(axy: np.ndarray, rhat: np.ndarray,
-                        solver: SolverConfig | None = None):
-    """Position fixes for many range vectors against one shared anchor set.
+def multilaterate_batch(axy, rhat, solver: SolverConfig | None = None):
+    """Position fixes for many range vectors against one shared anchor layout.
 
     Starts the damped Gauss-Newton iteration at the anchor-projection
     centroid. Returns (positions (L, 2), residuals (L,), converged (L,)).
@@ -225,7 +222,9 @@ def multilaterate_batch(axy: np.ndarray, rhat: np.ndarray,
     `max_iter` too small for the damping to grow, or a gradient so large
     that the damped step is still `step_tol` long at the damping cap. A
     centroid at a stationary point converges at once.
-    Ranges must be finite and >= 0, one column per anchor.
+    axy must be a finite (N, 2) array of at least 3 anchor projections, not
+    all on one line, and rhat a finite (L, N) array in [0, MAX_LENGTH_M];
+    anything else raises ValueError before any descent.
 
     One descent takes every row: at most `_DESCENT_ROWS` rows work at a
     time, refilled from those waiting as others leave. Each row's descent
@@ -233,12 +232,12 @@ def multilaterate_batch(axy: np.ndarray, rhat: np.ndarray,
     working-set size, nor on which other rows share the call.
     """
     solver = solver or SolverConfig()
-    _check_geometry(axy)
+    axy = _check_anchors(axy)
     rhat = np.asarray(rhat, dtype=float)
     if rhat.ndim != 2 or rhat.shape[1] != axy.shape[0]:
         raise ValueError("ranges must be (L, N) with one column per anchor")
-    if np.any(rhat < 0.0) or not np.all(np.isfinite(rhat)):
-        raise ValueError("estimated ranges must be finite and >= 0")
+    if not np.all((rhat >= 0.0) & (rhat <= MAX_LENGTH_M)):
+        raise ValueError(f"estimated ranges must be finite and >= 0, at most {MAX_LENGTH_M:g} m")
     if rhat.shape[0] == 0:
         return np.empty((0, 2)), np.empty(0), np.empty(0, dtype=bool)
     return _lm_descend(axy, rhat, axy.mean(axis=0), solver)

@@ -820,12 +820,13 @@ class TestMultiBatchMatchesAlone:
         range_together(batches, ENV)
         total = sum(rows)
         grid = u.SearchConfig().grid_points
-        # One grid per distinct altitude with rows, the two starting points,
-        # then each step on the rows whose batch still refines, and the
-        # final value.
+        # One grid per run of equal altitudes that holds rows (400 m twice,
+        # as the empty 700 m batch splits its run, then 1500 m and 50 m), the
+        # two starting points, then each step on the rows whose batch still
+        # refines, and the final value.
         active = [sum(r for r, s in zip(rows, steps) if r and s > t)
                   for t in range(max(steps))]
-        assert sizes == [grid] * 3 + [total] * 2 + active + [total]
+        assert sizes == [grid] * 4 + [total] * 2 + active + [total]
         assert active[0] == total and active[-1] < total
 
     def test_offsets_validation(self):

@@ -4,7 +4,7 @@ import multiprocessing
 import os
 import platform
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -138,7 +138,7 @@ def _point_errors_reference(cfg, value):
     call: the results a slice's shared fix must reproduce."""
     env = cfg.environment
     spec = ex._constellation_at(cfg, value)
-    axy = u.anchors_xy(u.build_constellation(spec))
+    axy = u.build_constellation(spec)
     h = spec.altitude
     n_anchors = axy.shape[0]
     xi_parts, pts_parts, r_hat_parts = [], [], []
@@ -548,6 +548,30 @@ class TestSerialization:
                                    "numpy": np.__version__,
                                    "cpu_count": os.cpu_count(),
                                    "workers": 1, "start_method": None}
+
+    @pytest.mark.parametrize("variable,value,unread", [
+        ("altitude", 300.0, {"eval_distance", "eval_azimuths", "constellation.altitude"}),
+        ("inter_distance", 200.0,
+         {"node_count", "deployment_radius", "constellation.base_side"}),
+        ("anchor_count", 3.0, {"node_count", "deployment_radius", "constellation.n_anchors"}),
+    ])
+    def test_sidecar_config_holds_only_read_keys(self, tmp_path, variable, value, unread):
+        # The sidecar leaves out exactly the keys the sweep does not read: the
+        # other node population and the constellation field the sweep sets.
+        cfg = u.default_config(variable=variable, trials=1, node_count=10,
+                               eval_azimuths=4, sweep=u.SweepSpec(variable, (value,)))
+        u.write_results(u.run_sweep(cfg), tmp_path / "s.csv")
+        config = json.loads((tmp_path / "s.meta.json").read_text())["config"]
+
+        def key_paths(mapping):
+            return {f"{k}.{sub}" if isinstance(v, dict) else k for k, v in mapping.items()
+                    for sub in (v if isinstance(v, dict) else (None,))}
+
+        everything = key_paths(asdict(cfg))
+        assert unread <= everything
+        assert key_paths(config) == everything - unread
+        assert ex.UNREAD_KEYS[variable] == unread
+        assert config["constellation"]["side_increment"] == cfg.constellation.side_increment
 
     def test_non_finite_value_writes_no_sidecar(self, tmp_path):
         res = u.run_sweep(tiny_altitude_config(node_count=10))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.optimize import minimize
 
 import uavloc as u
 from uavloc import localization as loc
+from uavloc.geometry import MAX_LENGTH_M
 
 
 def triangle_anchors(side=500.0, h=1000.0):
@@ -13,9 +15,8 @@ def triangle_anchors(side=500.0, h=1000.0):
     return u.build_constellation(spec)
 
 
-def true_ranges(anchors, node_xy):
-    return np.array([math.hypot(node_xy[0] - a.x, node_xy[1] - a.y)
-                     for a in anchors])
+def true_ranges(axy, node_xy):
+    return np.array([math.hypot(node_xy[0] - x, node_xy[1] - y) for x, y in axy])
 
 
 def _lm_descend_full_batch(axy, rhat, p0, solver):
@@ -96,12 +97,6 @@ def objective(p, axy, rhat):
     return float(((dist - rhat) ** 2).sum())
 
 
-class TestErrorMetrics:
-    def test_position_error(self):
-        fix = u.PositionFix(x_hat=3.0, y_hat=4.0, residual=0.0, converged=True)
-        assert u.position_error(fix, u.NodePosition(0.0, 0.0)) == pytest.approx(5.0)
-
-
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -120,10 +115,10 @@ class TestSolverConfig:
 class TestMultilaterate:
     def test_exact_recovery_zero_noise(self):
         rng = np.random.default_rng(12)
-        anchors = triangle_anchors()
+        axy = triangle_anchors()
         for _ in range(12):
             node = rng.uniform(-800.0, 800.0, size=2)
-            fix = u.multilaterate(anchors, true_ranges(anchors, node))
+            fix = u.multilaterate(axy, true_ranges(axy, node))
             assert fix.converged
             assert fix.x_hat == pytest.approx(node[0], abs=1e-3)
             assert fix.y_hat == pytest.approx(node[1], abs=1e-3)
@@ -132,22 +127,21 @@ class TestMultilaterate:
     def test_exact_recovery_many_anchors(self):
         spec = u.ConstellationSpec(n_anchors=9, base_side=100.0, altitude=50.0,
                                    side_increment=20.0)
-        anchors = u.build_constellation(spec)
+        axy = u.build_constellation(spec)
         node = (640.0, -120.0)
-        fix = u.multilaterate(anchors, true_ranges(anchors, node))
+        fix = u.multilaterate(axy, true_ranges(axy, node))
         assert fix.converged
         assert fix.x_hat == pytest.approx(node[0], abs=1e-3)
         assert fix.y_hat == pytest.approx(node[1], abs=1e-3)
 
     def test_matches_reference_minimizer_on_noisy_ranges(self):
         rng = np.random.default_rng(44)
-        anchors = triangle_anchors(side=400.0)
-        axy = u.anchors_xy(anchors)
+        axy = triangle_anchors(side=400.0)
         for _ in range(10):
             node = rng.uniform(-600.0, 600.0, size=2)
-            rhat = true_ranges(anchors, node) + rng.normal(0.0, 40.0, size=3)
+            rhat = true_ranges(axy, node) + rng.normal(0.0, 40.0, size=3)
             rhat = np.maximum(rhat, 0.0)
-            fix = u.multilaterate(anchors, rhat)
+            fix = u.multilaterate(axy, rhat)
             ref = minimize(objective, axy.mean(axis=0), args=(axy, rhat),
                            method="Nelder-Mead",
                            options={"xatol": 1e-8, "fatol": 1e-12,
@@ -156,56 +150,93 @@ class TestMultilaterate:
             assert fix.residual <= float(ref.fun) + 1e-6
 
     def test_residual_matches_objective(self):
-        anchors = triangle_anchors()
-        axy = u.anchors_xy(anchors)
+        axy = triangle_anchors()
         rhat = np.array([900.0, 650.0, 700.0])
-        fix = u.multilaterate(anchors, rhat)
+        fix = u.multilaterate(axy, rhat)
         assert fix.residual == pytest.approx(
             objective(np.array([fix.x_hat, fix.y_hat]), axy, rhat), rel=1e-12)
 
     def test_collinear_anchors_rejected(self):
-        anchors = [u.Anchor(x=float(k), y=2.0 * float(k), h=100.0)
-                   for k in range(3)]
+        axy = np.array([[float(k), 2.0 * float(k)] for k in range(3)])
         with pytest.raises(u.DegenerateGeometryError):
-            u.multilaterate(anchors, np.array([10.0, 10.0, 10.0]))
+            u.multilaterate(axy, np.array([10.0, 10.0, 10.0]))
         # DegenerateGeometryError is a ValueError, so one handler suffices.
         assert issubclass(u.DegenerateGeometryError, ValueError)
 
     def test_too_few_anchors_rejected(self):
-        anchors = triangle_anchors()[:2]
+        axy = triangle_anchors()[:2]
         with pytest.raises(ValueError):
-            u.multilaterate(anchors, np.array([10.0, 10.0]))
+            u.multilaterate(axy, np.array([10.0, 10.0]))
 
     def test_bad_ranges_rejected(self):
-        anchors = triangle_anchors()
+        axy = triangle_anchors()
         with pytest.raises(ValueError):
-            u.multilaterate(anchors, np.array([10.0, -1.0, 10.0]))
+            u.multilaterate(axy, np.array([10.0, -1.0, 10.0]))
         with pytest.raises(ValueError):
-            u.multilaterate(anchors, np.array([10.0, math.nan, 10.0]))
+            u.multilaterate(axy, np.array([10.0, math.nan, 10.0]))
         with pytest.raises(ValueError):
-            u.multilaterate(anchors, np.array([10.0, 10.0]))
+            u.multilaterate(axy, np.array([10.0, 10.0]))
+
+
+def _bad_layout(kind):
+    axy = triangle_anchors()
+    if kind == "1-D":
+        return axy[:, 0]
+    if kind == "N-by-3":  # projections with the altitude appended
+        return np.column_stack([axy, np.full(3, 1000.0)])
+    axy[1, 0] = math.nan if kind == "nan" else -math.inf
+    return axy
+
+
+class TestAnchorLayoutChecks:
+    # Both entries reject a layout that is not a finite (N, 2) array where
+    # it enters, with a message naming the cause, before any descent.
+    @pytest.mark.parametrize("kind", ["1-D", "N-by-3", "nan", "inf"])
+    def test_bad_layout_rejected(self, kind):
+        axy = _bad_layout(kind)
+        cause = "must be finite" if kind in ("nan", "inf") else r"an \(N, 2\) array"
+        with pytest.raises(ValueError, match=cause):
+            u.multilaterate(axy, np.full(3, 100.0))
+        with pytest.raises(ValueError, match=cause):
+            u.multilaterate_batch(axy, np.full((2, 3), 100.0))
+
+    def test_layout_from_nested_lists(self):
+        axy = triangle_anchors()
+        rhat = np.array([[400.0, 300.0, 350.0]])
+        want = u.multilaterate_batch(axy, rhat)
+        assert_descents_equal(want, u.multilaterate_batch(axy.tolist(), rhat))
+
+    def test_ranges_capped_at_max_length(self):
+        axy = triangle_anchors()
+        cap = re.escape(f"at most {MAX_LENGTH_M:g} m")
+        for big in (np.nextafter(MAX_LENGTH_M, math.inf), 1e300):
+            with pytest.raises(ValueError, match=cap):
+                u.multilaterate_batch(axy, [[100.0, big, 100.0]])
+            with pytest.raises(ValueError, match=cap):
+                u.multilaterate(axy, [big] * 3)
+        # The cap itself is a range the solver takes.
+        p, obj, _ = u.multilaterate_batch(axy, [[MAX_LENGTH_M] * 3])
+        assert np.all(np.isfinite(p)) and np.isfinite(obj[0])
 
 
 class TestMultilaterateBatch:
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
-        anchors = triangle_anchors()
-        axy = u.anchors_xy(anchors)
+        axy = triangle_anchors()
         nodes = rng.uniform(-700.0, 700.0, size=(25, 2))
         rhat = np.linalg.norm(nodes[:, None, :] - axy[None, :, :], axis=2)
         rhat = np.maximum(rhat + rng.normal(0.0, 25.0, size=rhat.shape), 0.0)
         p, obj, conv = u.multilaterate_batch(axy, rhat)
         assert p.shape == (25, 2) and obj.shape == (25,) and conv.shape == (25,)
         for i in range(25):
-            fix = u.multilaterate(anchors, rhat[i])
+            fix = u.multilaterate(axy, rhat[i])
             assert fix.x_hat == pytest.approx(p[i, 0], abs=1e-6)
             assert fix.y_hat == pytest.approx(p[i, 1], abs=1e-6)
             assert fix.residual == pytest.approx(obj[i], rel=1e-9, abs=1e-9)
             assert fix.converged == bool(conv[i])
 
     def test_batch_zero_noise(self):
-        anchors = triangle_anchors(side=300.0, h=200.0)
-        axy = u.anchors_xy(anchors)
+        axy = triangle_anchors(side=300.0, h=200.0)
         nodes = np.array([[0.0, 0.0], [500.0, 100.0], [-250.0, 410.0]])
         rhat = np.linalg.norm(nodes[:, None, :] - axy[None, :, :], axis=2)
         p, obj, conv = u.multilaterate_batch(axy, rhat)
@@ -215,14 +246,14 @@ class TestMultilaterateBatch:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_batch_rejects_bad_ranges(self, bad):
-        axy = u.anchors_xy(triangle_anchors())
+        axy = triangle_anchors()
         rhat = np.full((4, 3), 200.0)
         rhat[2, 1] = bad
         with pytest.raises(ValueError, match="finite and >= 0"):
             u.multilaterate_batch(axy, rhat)
 
     def test_batch_rejects_wrong_shape(self):
-        axy = u.anchors_xy(triangle_anchors())
+        axy = triangle_anchors()
         with pytest.raises(ValueError, match="one column per anchor"):
             u.multilaterate_batch(axy, np.full((4, 2), 200.0))
         with pytest.raises(ValueError, match="one column per anchor"):
@@ -246,7 +277,7 @@ class TestCompactedDescent:
         # damping cap.
         spec = u.ConstellationSpec(n_anchors=n_anchors, base_side=base_side,
                                    altitude=100.0, side_increment=20.0)
-        axy = u.anchors_xy(u.build_constellation(spec))
+        axy = u.build_constellation(spec)
         rng = np.random.default_rng(n_anchors)
         solvers = (u.SolverConfig(), u.SolverConfig(max_iter=5),
                    u.SolverConfig(step_tol=1e-30))
@@ -272,7 +303,7 @@ class TestCompactedDescent:
         # anchor sum over one row leaves the reference's order.
         spec = u.ConstellationSpec(n_anchors=n_anchors, base_side=100.0,
                                    altitude=100.0, side_increment=20.0)
-        axy = u.anchors_xy(u.build_constellation(spec))
+        axy = u.build_constellation(spec)
         rng = np.random.default_rng(100 + n_anchors)
         nodes = rng.uniform(-1500.0, 1500.0, size=(40, 2))
         rhat = np.linalg.norm(nodes[:, None, :] - axy[None, :, :], axis=2)
@@ -417,7 +448,7 @@ class TestBlockedDescent:
         # from 8 anchors on numpy would sum one row pairwise.
         spec = u.ConstellationSpec(n_anchors=n_anchors, base_side=100.0,
                                    altitude=100.0, side_increment=20.0)
-        axy = u.anchors_xy(u.build_constellation(spec))
+        axy = u.build_constellation(spec)
         rng = np.random.default_rng(n_anchors)
         nodes = rng.uniform(-1500.0, 1500.0, size=(2, 2))
         rhat = np.linalg.norm(nodes[:, None, :] - axy[None, :, :], axis=2)
