@@ -39,7 +39,6 @@ from .estimation import (
     mle_distance,
     mle_distance_batch,
     score,
-    theta_from_distance,
 )
 from .experiments import (
     CSV_HEADER,

@@ -12,12 +12,11 @@ lower bound on its maximum, and each block of columns whose upper bound
 reaches it is evaluated densely. The result is the same bits as a full
 grid pass, with no fallback to one.
 
-Inputs are checked where they enter: `theta_from_distance`,
-`log_likelihood`, `score`, `crlb_sigma_values` and `mle_distance_batch`
-reject non-finite or out-of-domain values with a `ValueError` naming the
-cause. The likelihood kernel behind `log_likelihood` and the search
-(`_loglik_terms`, `_loglik`) checks nothing; its callers guarantee h > 0
-and max(h, d_o) <= d < inf.
+Inputs are checked where they enter: `log_likelihood`, `score`,
+`crlb_sigma_values` and `mle_distance_batch` reject non-finite or
+out-of-domain values with a `ValueError` naming the cause. The likelihood
+kernel behind `log_likelihood` and the search (`_loglik_terms`, `_loglik`)
+checks nothing; its callers guarantee h > 0 and max(h, d_o) <= d < inf.
 """
 
 from __future__ import annotations
@@ -76,24 +75,6 @@ class RangeEstimate:
     r_hat: float
     log_likelihood: float
     boundary: bool = False
-
-
-def theta_from_distance(d, h):
-    """Elevation angle asin(h / d) implied by slant distance d and altitude h.
-
-    `h` may be a scalar or an array that broadcasts against `d`.
-    """
-    dd = np.asarray(d, dtype=float)
-    hh = np.asarray(h, dtype=float)
-    if not np.all(np.isfinite(hh) & (hh > 0.0)):
-        raise ValueError("anchor altitude h must be finite and > 0")
-    if not np.all(np.isfinite(dd)):
-        raise ValueError("slant distance d must be finite")
-    if (dd < hh).any():
-        raise ValueError("slant distance must be >= anchor altitude")
-    # d >= h > 0 makes h / d lie in (0, 1] exactly.
-    out = np.arcsin(hh / dd)
-    return float(out) if out.ndim == 0 else out
 
 
 def _sample_row(samples) -> np.ndarray:
@@ -246,7 +227,7 @@ def _loglik_terms(d: np.ndarray, h, n: int, env: EnvironmentParams):
     Unchecked kernel: `d` is a float array of one dimension or more with
     max(h, d_o) <= d < inf, and `h` > 0 a scalar or an array of d's shape.
     theta and P_LoS are computed once and shared by alpha and sigma. Every
-    operation is the one `theta_from_distance`, `path_loss_exponent` and
+    operation is the one `np.arcsin(h / d)`, `path_loss_exponent` and
     `shadowing_sigma` perform on arrays, applied in the same order, so the
     terms equal that composition bit for bit. (On numpy scalars `x ** 2`
     calls pow, which can differ from the square used here in the last bit,

@@ -29,7 +29,7 @@ def make_samples(geom, env, n, rng):
 def reference_moments(d, h, env):
     """Mean RSS and shadowing variance at distances `d` through the public
     functions: the composition the likelihood kernel reproduces."""
-    theta = u.theta_from_distance(d, h)
+    theta = np.arcsin(h / d)
     alpha = u.path_loss_exponent(theta, env)
     mu = env.c_offset - env.k_ref - 10.0 * np.asarray(alpha) * np.log10(d)
     sigma = np.maximum(np.asarray(u.shadowing_sigma(theta, env)), est._SIGMA_FLOOR)
@@ -112,34 +112,6 @@ def ranging_batch(env, rows, n, h, seed):
         w[0] = u.mean_rss(h, math.pi / 2.0, env) + 0.02
         w[-1] = -400.0
     return w
-
-
-class TestThetaFromDistance:
-    def test_values(self):
-        assert u.theta_from_distance(200.0, 100.0) == pytest.approx(
-            math.asin(0.5), rel=1e-15)
-        assert u.theta_from_distance(100.0, 100.0) == pytest.approx(
-            math.pi / 2.0, rel=1e-12)
-
-    def test_array(self):
-        d = np.array([100.0, 200.0, 400.0])
-        out = u.theta_from_distance(d, 100.0)
-        np.testing.assert_allclose(out, np.arcsin(100.0 / d), rtol=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            u.theta_from_distance(99.0, 100.0)
-        with pytest.raises(ValueError):
-            u.theta_from_distance(200.0, 0.0)
-
-    @pytest.mark.parametrize("d, h, cause", [
-        (math.nan, 100.0, "distance d"), (math.inf, 100.0, "distance d"),
-        ([200.0, math.nan], 100.0, "distance d"),
-        (200.0, math.nan, "altitude h"), (200.0, math.inf, "altitude h"),
-        (200.0, [100.0, math.nan], "altitude h")])
-    def test_rejects_non_finite(self, d, h, cause):
-        with pytest.raises(ValueError, match=f"{cause} must be finite"):
-            u.theta_from_distance(d, h)
 
 
 class TestCrlb:
@@ -344,7 +316,7 @@ KERNEL_ENV_IDS = ["urban", "suburban", "const", "no_shadowing", "offset"]
 
 
 class TestLikelihoodKernel:
-    """The unchecked kernel equals the public composition theta_from_distance
+    """The unchecked kernel equals the public composition asin(h / d)
     -> path_loss_exponent / shadowing_sigma -> log-density, byte for byte."""
 
     @staticmethod

@@ -3,8 +3,13 @@ import math
 import multiprocessing
 import os
 import platform
+import signal
+import subprocess
+import sys
 import threading
+import time
 from dataclasses import asdict, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,10 +23,56 @@ from uavloc.experiments import CRLB_CSV_HEADER, _trial_nodes
 
 from conftest import tiny_altitude_config
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def _parent_pid(_):
     """Pool task: the pid of the process that started this worker."""
     return os.getppid()
+
+
+def _worker_pid(_):
+    """Pool task: the pid of the worker that ran it. The short wait lets
+    every worker of the pool take a task."""
+    time.sleep(0.02)
+    return os.getpid()
+
+
+def _square(i):
+    return i * i
+
+
+def _exit_worker(_):
+    """Pool task that kills its worker."""
+    os._exit(1)
+
+
+def _bounded(run):
+    """`run()`, in a daemon thread whose wait is bounded, so that a hung pool
+    fails the test instead of stalling the suite."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = run()
+        except BaseException as exc:
+            box["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive()
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def _group_alive(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestSweepSpec:
@@ -373,18 +424,8 @@ class TestSweepRunners:
     @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
                         reason="platform has no fork server")
     def test_parallel_runs_fork_workers_from_one_server(self):
-        parents = []
-
-        def two_runs():
-            for _ in range(2):
-                parents.extend(ex._map_points(_parent_pid, range(6), 2))
-
-        # A daemon thread bounds the wait: a hung pool fails the test
-        # instead of stalling the suite.
-        runner = threading.Thread(target=two_runs, daemon=True)
-        runner.start()
-        runner.join(timeout=120)
-        assert not runner.is_alive()
+        parents = _bounded(lambda: [pid for _ in range(2)
+                                    for pid in ex._map_points(_parent_pid, range(6), 2)])
         assert len(parents) == 12
         assert len(set(parents)) == 1
         assert parents[0] != os.getpid()
@@ -426,6 +467,134 @@ class TestSweepRunners:
         # The range-error norm is taken over one term per anchor, so it
         # grows with the anchor count even as the position fix improves.
         assert res.mean_error[2] > res.mean_error[0]
+
+
+class TestWorkerPool:
+    """One pool of worker processes per process, reused across parallel runs."""
+
+    def test_parallel_runs_reuse_the_workers(self):
+        first, second = _bounded(
+            lambda: [ex._map_points(_worker_pid, range(8), 2) for _ in range(2)])
+        assert os.getpid() not in first
+        assert set(first) & set(second)
+        assert len(set(first) | set(second)) <= 2
+
+    def test_another_worker_count_replaces_the_workers(self):
+        two, three, three_again, two_again = _bounded(
+            lambda: [ex._map_points(_worker_pid, range(9), t) for t in (2, 3, 3, 2)])
+        assert set(three) & set(three_again)
+        assert len(set(three) | set(three_again)) <= 3
+        assert not set(two) & set(three)
+        assert not set(three_again) & set(two_again)
+        assert not set(two) & set(two_again)
+
+    def test_dead_worker_drops_the_pool(self):
+        def runs():
+            with pytest.raises(u.WorkerPoolError, match="__name__"):
+                ex._map_points(_exit_worker, range(4), 2)
+            return [ex._map_points(_worker_pid, range(8), 2) for _ in range(2)]
+
+        after, again = _bounded(runs)
+        assert set(after) & set(again)
+        assert len(set(after) | set(again)) <= 2
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_worker_killed_while_idle_is_replaced(self):
+        def runs():
+            first = ex._map_points(_worker_pid, range(8), 2)
+            os.kill(first[0], signal.SIGKILL)
+            return first, ex._map_points(_worker_pid, range(8), 2)
+
+        first, second = _bounded(runs)
+        assert len(second) == 8
+        assert first[0] not in second
+
+    def test_pool_of_another_process_is_left_alone(self):
+        class Foreign:
+            def __getattr__(self, name):
+                raise AssertionError(f"used another process's pool: .{name}")
+
+        saved = ex._pool
+        ex._pool = (os.getppid(), 2, Foreign())
+        try:
+            pids = _bounded(lambda: ex._map_points(_worker_pid, range(4), 2))
+            assert ex._pool[:2] == (os.getpid(), 2)
+            assert os.getpid() not in pids
+        finally:
+            if ex._pool is not saved and ex._pool[0] == os.getpid():
+                ex._pool[2].shutdown()
+            ex._pool = saved
+
+    def test_concurrent_runs_with_other_worker_counts(self):
+        # More workers than cores, and each run of a thread needs a pool of
+        # another size than its last: every run replaces the pool that the
+        # other threads' runs may be using.
+        def run(k):
+            return [ex._map_points(_square, range(6), 2 + (k + i) % 2) for i in range(4)]
+
+        def all_threads():
+            results = [None] * 4
+
+            def target(k):
+                results[k] = run(k)
+
+            threads = [threading.Thread(target=target, args=(k,), daemon=True)
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            return results
+
+        want = [i * i for i in range(6)]
+        assert _bounded(all_threads) == [[want] * 4] * 4
+
+    def test_back_to_back_parallel_sweeps_equal_serial(self):
+        cfg = u.default_config(variable="anchor_count", trials=2,
+                               sweep=u.SweepSpec("anchor_count", (3.0, 6.0, 9.0)))
+        serial = u.run_sweep(cfg, threads=1)
+        runs = _bounded(lambda: [u.run_sweep(cfg, threads=2) for _ in range(2)])
+        assert runs == [serial, serial]
+        assert [r.workers for r in runs] == [2, 2]
+
+    def test_back_to_back_parallel_crlb_tables_equal_serial(self):
+        cfg = tiny_altitude_config()
+        serial = u.run_crlb_comparison(cfg, [250.0, 1000.0], repetitions=40)
+        runs = _bounded(lambda: [u.run_crlb_comparison(cfg, [250.0, 1000.0], repetitions=40,
+                                                       threads=2) for _ in range(2)])
+        assert runs == [serial, serial]
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+    def test_exit_leaves_no_process_behind(self, tmp_path):
+        # Two parallel count sweeps in a guarded script, in a session of its
+        # own: once it exits, its workers and fork server must be gone
+        # within the 5 s after which perfbench/run.py kills the group.
+        script = tmp_path / "twice.py"
+        script.write_text(
+            "import uavloc as u\n"
+            "if __name__ == \"__main__\":\n"
+            "    cfg = u.default_config(variable=\"anchor_count\", sweep=u.SweepSpec(\n"
+            "        \"anchor_count\", (3.0, 6.0, 9.0)))\n"
+            "    for _ in range(2):\n"
+            "        print(u.run_sweep(cfg, threads=2).workers)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen([sys.executable, str(script)], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+            deadline = time.monotonic() + 5.0
+            while _group_alive(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _group_alive(proc.pid)
+        finally:
+            if _group_alive(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == 0, err
+        assert out.split() == ["2", "2"]
 
 
 class TestOptimizeAltitude:
