@@ -22,12 +22,13 @@ changes any result bit.
 Parallel slices run in worker processes forked from a fork server (fresh
 interpreters where the platform has none, as on Windows). The first parallel
 run starts the server, which imports numpy and uavloc once, and a pool of
-workers. Both live as long as the calling process: later parallel runs reuse
-the workers, and a run that needs another worker count, or finds a worker
-dead, replaces the pool. Each idle worker keeps its memory until exit: about
-41 MB after a 50-trial count sweep of 3-30 anchors. Workers still import the
-calling script, which must therefore start a parallel run under
-`if __name__ == "__main__":`.
+workers. Both live as long as the calling process: later parallel runs with
+the same `threads` reuse the workers, and a run with another `threads`, or
+one that finds a worker dead, replaces the pool. Only a process that makes
+several parallel runs gains from this; the `uavloc` command makes one. Each
+idle worker keeps its memory until exit: about 41 MB after a 50-trial count
+sweep of 3-30 anchors. Workers still import the calling script, which must
+therefore start a parallel run under `if __name__ == "__main__":`.
 """
 
 from __future__ import annotations
@@ -375,8 +376,7 @@ _pool_lock = threading.Lock()
 
 def _map_points(worker, args_list, threads: int):
     global _pool
-    workers = _pool_size(threads, len(args_list))
-    if workers <= 1:
+    if _pool_size(threads, len(args_list)) <= 1:
         return [worker(a) for a in args_list]
     # Each task derives its own substreams, so the schedule cannot change
     # any result. The fork server starts on the first parallel run, as a
@@ -386,11 +386,13 @@ def _map_points(worker, args_list, threads: int):
     # Python 3.11's server ignores the caller's runtime `sys.path` edits; if
     # uavloc is importable only through one, the preload fails silently and
     # each worker imports uavloc on its first task, which is still correct
-    # and cheaper than a fresh interpreter. The workers start once per
-    # process, serve every later run with the same worker count, are
-    # replaced when it changes and stay, idle, until exit.
-    pid = os.getpid()
+    # and cheaper than a fresh interpreter. The pool holds up to `threads`
+    # workers, each started when a task finds none idle, so a run with fewer
+    # tasks reuses it. It serves every later run with the same `threads` and
+    # stays, idle, until exit.
+    pid, workers = os.getpid(), _resolve_workers(threads)
     while True:
+        submitted = False
         try:
             # `map` submits every task before it returns, so a concurrent
             # run that replaces the pool waits for them in `shutdown`.
@@ -406,20 +408,23 @@ def _map_points(worker, args_list, threads: int):
                              ProcessPoolExecutor(max_workers=workers, mp_context=ctx))
                 pool = _pool[2]
                 results = pool.map(worker, args_list)
+            submitted = True
             return list(results)
         except BrokenProcessPool as exc:
             with _pool_lock:
                 if _pool is not None and _pool[2] is pool:
                     _pool = None
             pool.shutdown()
-            if fresh:
+            if fresh or submitted:
                 raise WorkerPoolError(
                     "a worker process died before returning its result. Workers are "
                     f"started with {_START_METHOD!r} and import the calling script as "
                     "a module, so a script that starts a parallel run must do so under "
                     "`if __name__ == \"__main__\":`") from exc
-            # A worker of a reused pool may have died while idle, killed from
-            # outside; the tasks are pure, so run them again on fresh workers.
+            # The kept pool refused the tasks at submission: a worker died
+            # before this run, say killed while idle. The tasks are pure, so
+            # they go once more to fresh workers. A task that kills its own
+            # worker does so after submission, so the run raises.
 
 
 def _sweep_slices(cfg: ExperimentConfig, workers: int) -> list[tuple[int, ...]]:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -47,6 +48,25 @@ def _exit_worker(_):
     os._exit(1)
 
 
+def _record_and_exit(args):
+    """Pool task that leaves a file named after its index, then kills its worker."""
+    folder, i = args
+    Path(folder, f"{i}-{os.getpid()}").touch()
+    os._exit(1)
+
+
+def _wait_until_broken(pool):
+    """Return once `pool` has noticed that one of its workers died."""
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        try:
+            pool.submit(_square, 0).result()
+        except BrokenProcessPool:
+            return
+        time.sleep(0.05)
+    raise AssertionError("the pool did not notice its dead worker")
+
+
 def _bounded(run):
     """`run()`, in a daemon thread whose wait is bounded, so that a hung pool
     fails the test instead of stalling the suite."""
@@ -68,11 +88,18 @@ def _bounded(run):
 
 
 def _group_alive(pgid):
-    try:
-        os.killpg(pgid, 0)
-    except ProcessLookupError:
-        return False
-    return True
+    """Whether a process of group `pgid` is still running. Zombies do not
+    count: they have exited and wait only to be reaped by their parent, which
+    for an orphan is whatever runs as pid 1."""
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # pid (comm) state ppid pgrp ...; comm may hold spaces and ')'.
+            state, _, pgrp = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except (OSError, IndexError, ValueError):
+            continue  # the process exited while the group was read
+        if int(pgrp) == pgid and state != "Z":
+            return True
+    return False
 
 
 class TestSweepSpec:
@@ -488,6 +515,11 @@ class TestWorkerPool:
         assert not set(three_again) & set(two_again)
         assert not set(two) & set(two_again)
 
+    def test_run_with_fewer_tasks_reuses_the_workers(self):
+        full, few = _bounded(lambda: [ex._map_points(_worker_pid, range(n), 3) for n in (24, 2)])
+        assert os.getpid() not in few
+        assert set(few) <= set(full)
+
     def test_dead_worker_drops_the_pool(self):
         def runs():
             with pytest.raises(u.WorkerPoolError, match="__name__"):
@@ -503,11 +535,23 @@ class TestWorkerPool:
         def runs():
             first = ex._map_points(_worker_pid, range(8), 2)
             os.kill(first[0], signal.SIGKILL)
+            _wait_until_broken(ex._pool[2])
             return first, ex._map_points(_worker_pid, range(8), 2)
 
         first, second = _bounded(runs)
         assert len(second) == 8
         assert first[0] not in second
+
+    def test_task_that_kills_a_kept_worker_is_not_run_again(self, tmp_path):
+        def runs():
+            ex._map_points(_worker_pid, range(8), 2)
+            with pytest.raises(u.WorkerPoolError, match="__name__"):
+                ex._map_points(_record_and_exit, [(str(tmp_path), i) for i in range(4)], 2)
+
+        _bounded(runs)
+        ran = [f.name.split("-")[0] for f in tmp_path.iterdir()]
+        assert ran
+        assert len(ran) == len(set(ran))
 
     def test_pool_of_another_process_is_left_alone(self):
         class Foreign:
@@ -564,7 +608,8 @@ class TestWorkerPool:
                                                        threads=2) for _ in range(2)])
         assert runs == [serial, serial]
 
-    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process states from /proc")
     def test_exit_leaves_no_process_behind(self, tmp_path):
         # Two parallel count sweeps in a guarded script, in a session of its
         # own: once it exits, its workers and fork server must be gone
