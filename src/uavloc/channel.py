@@ -139,10 +139,15 @@ def _maybe_scalar(value: np.ndarray):
     return float(value) if value.ndim == 0 else value
 
 
+def _p_los(th: np.ndarray, env: EnvironmentParams) -> np.ndarray:
+    """Unchecked P_LoS at elevation angles `th` already passed through `_as_theta`."""
+    return 1.0 / (1.0 + env.a_o * np.exp(-env.b_o * th))
+
+
 def prob_los(theta, env: EnvironmentParams):
     """Line-of-sight probability at elevation `theta`, in (0, 1)."""
     th = _as_theta(theta)
-    return _maybe_scalar(1.0 / (1.0 + env.a_o * np.exp(-env.b_o * th)))
+    return _maybe_scalar(_p_los(th, env))
 
 
 def shadowing_sigma(theta, env: EnvironmentParams):
@@ -152,7 +157,7 @@ def shadowing_sigma(theta, env: EnvironmentParams):
     sqrt(P^2 sigma_LoS^2 + (1-P)^2 sigma_NLoS^2).
     """
     th = _as_theta(theta)
-    p = 1.0 / (1.0 + env.a_o * np.exp(-env.b_o * th))
+    p = _p_los(th, env)
     s_los = env.a_los * np.exp(-env.b_los * th)
     s_nlos = env.a_nlos * np.exp(-env.b_nlos * th)
     return _maybe_scalar(np.sqrt((p * s_los) ** 2 + ((1.0 - p) * s_nlos) ** 2))
@@ -161,7 +166,7 @@ def shadowing_sigma(theta, env: EnvironmentParams):
 def path_loss_exponent(theta, env: EnvironmentParams):
     """Elevation-dependent path loss exponent a_1 * P_LoS(theta) + b_1."""
     th = _as_theta(theta)
-    p = 1.0 / (1.0 + env.a_o * np.exp(-env.b_o * th))
+    p = _p_los(th, env)
     return _maybe_scalar(env.a_1 * p + env.b_1)
 
 

@@ -280,12 +280,18 @@ def _loglik(d: np.ndarray, h, n: int, env: EnvironmentParams, s1, s2) -> np.ndar
     `s1` and `s2` are scalars or arrays of d's shape; same contract as
     `_loglik_terms`.
     """
-    c0, two_mu, n_mu2, two_var = _loglik_terms(d, h, n, env)
-    two_mu *= s1
-    np.subtract(s2, two_mu, out=two_mu)
-    two_mu += n_mu2
-    two_mu /= two_var
-    return np.subtract(c0, two_mu, out=c0)
+    terms = _loglik_terms(d, h, n, env)
+    return _log_density(terms, s1, s2, out=terms[1])
+
+
+def _log_density(terms, s1, s2, out: np.ndarray) -> np.ndarray:
+    """c0 - ((s2 - 2 mu * s1) + n mu^2) / (2 var) from `_loglik_terms`' terms, in `out`."""
+    c0, two_mu, n_mu2, two_var = terms
+    np.multiply(two_mu, s1, out=out)
+    np.subtract(s2, out, out=out)
+    out += n_mu2
+    out /= two_var
+    return np.subtract(c0, out, out=out)
 
 
 def _grid_terms(h: float, n: int, env: EnvironmentParams, search: SearchConfig):
@@ -316,14 +322,9 @@ def _dense_argmax(s1, s2, terms, lo: int, hi: int, buf):
     The max runs down the columns; the first column holding it is the max
     of reversed column ids over the columns equal to it, as ties and
     +-0.0 compare equal there just as they do in `np.argmax`."""
-    c0, two_mu, n_mu2, two_var = (t[lo:hi, None] for t in terms)
-    width = c0.shape[0]
-    ll = buf[:width * s1.size].reshape(width, s1.size)
-    np.multiply(two_mu, s1, out=ll)
-    np.subtract(s2, ll, out=ll)
-    ll += n_mu2
-    ll /= two_var
-    np.subtract(c0, ll, out=ll)
+    block = [t[lo:hi, None] for t in terms]
+    width = block[0].shape[0]
+    ll = _log_density(block, s1, s2, out=buf[:width * s1.size].reshape(width, s1.size))
     top = ll.max(axis=0)
     rev = np.arange(width, 0, -1, dtype=np.min_scalar_type(width))[:, None]
     return lo + width - np.multiply(ll == top, rev).max(axis=0).astype(np.intp), top
@@ -333,7 +334,7 @@ def _bracket(s1, s2, n: int, terms, blocks, buf):
     """Each row's first argmax over the whole grid, from the blocks its
     bound cannot rule out (see `mle_distance_batch`)."""
     c_b, mu_mid, mu_half, nv_b, (c_abs, tm_abs, nm2_max, tv_min) = blocks
-    c0, two_mu, n_mu2, two_var = terms
+    two_mu = terms[1]
     m = s1 / n
     # U = C_b - (S / n + dist(m, mu interval)^2) * n / V2_b, as (blocks, rows).
     ub = m - mu_mid
@@ -347,7 +348,7 @@ def _bracket(s1, s2, n: int, terms, blocks, buf):
     # Stage 1: L1, each row's value at its probe column, where mu would
     # cross m if mu fell along the grid (any column gives a valid L1).
     at = np.minimum(np.searchsorted(-two_mu, -2.0 * m), two_mu.size - 1)
-    low = c0[at] - ((s2 - two_mu[at] * s1) + n_mu2[at]) / two_var[at]
+    low = _log_density([t[at] for t in terms], s1, s2, out=np.empty_like(s1))
     reach = ub >= low - (n + 8) * 2.0 ** -50 * (
         c_abs + (np.abs(s1) * tm_abs + s2 + nm2_max) / tv_min)
     # Stage 2: one dense pass per block over the rows it reaches, in column

@@ -10,14 +10,14 @@ per-trial streams, which makes curves over the sweep variable common-random-
 number smooth wherever array shapes allow it. The anchors, the node disk
 and the evaluation ring are all centred on the origin.
 
-The parallel unit is a slice of sweep points that share one anchor layout
-(all points of an altitude sweep; each point of a spacing or count sweep on
-its own). Each (trial, point) pair of a slice is one ranging batch; small
-batches are packed into one ranging call, each keeping its own golden-
-section iteration count, and all of the slice's nodes are fixed in one
-solver call. Each range depends only on its own batch and each fix only on
-its own row, so neither the packing, the slicing nor the worker count
-changes any result bit.
+The parallel unit is a slice of sweep points that share one anchor layout.
+`_sweep_slices` alone cuts a sweep into slices: an altitude sweep into one
+per worker, or more under a memory bound, any other into one per point.
+Each (trial, point) pair of a slice is one ranging batch; small batches are
+packed into one ranging call, each keeping its own golden-section iteration
+count, and all of the slice's nodes are fixed in one solver call. Each range
+depends only on its own batch and each fix only on its own row, so neither
+the packing, the slicing nor the worker count changes any result bit.
 
 Parallel slices run in worker processes forked from a fork server (fresh
 interpreters where the platform has none, as on Windows). The first parallel
@@ -234,10 +234,6 @@ def _constellation_at(cfg: ExperimentConfig, value: float) -> ConstellationSpec:
     return replace(cfg.constellation, n_anchors=int(value))
 
 
-def _nodes_per_trial(cfg: ExperimentConfig) -> int:
-    return cfg.node_count if cfg.sweep.variable == "altitude" else cfg.eval_azimuths
-
-
 def _trial_nodes(cfg: ExperimentConfig, trial: int) -> np.ndarray:
     """(M, 2) node positions for one trial of the configured study."""
     if cfg.sweep.variable == "altitude":
@@ -252,12 +248,6 @@ def _trial_nodes(cfg: ExperimentConfig, trial: int) -> np.ndarray:
     return out
 
 
-def _layout(cfg: ExperimentConfig, value: float) -> tuple[np.ndarray, float]:
-    """Anchor projections (N, 2) and anchor altitude at one sweep point."""
-    spec = _constellation_at(cfg, value)
-    return build_constellation(spec), spec.altitude
-
-
 #: Most links ranged in one call. Consecutive (trial, point) batches of a
 #: slice are packed up to this many rows, so the per-call cost of the
 #: golden-section steps is paid once per pack, not once per small batch; a
@@ -266,7 +256,7 @@ _PACK_ROWS = 4096
 
 
 def _slice_errors(cfg: ExperimentConfig, values):
-    """Per-node errors at several sweep points that share one anchor layout.
+    """Per-node errors at sweep points that share the first one's anchor layout.
 
     Returns (xi, position_error, n_nonconverged, n_boundary) per value, xi
     being the norm of each node's per-anchor range errors. Node positions,
@@ -280,8 +270,8 @@ def _slice_errors(cfg: ExperimentConfig, values):
     results equal one call per point.
     """
     env = cfg.environment
-    layouts = [_layout(cfg, v) for v in values]
-    axy = layouts[0][0]
+    axy = build_constellation(_constellation_at(cfg, values[0]))
+    heights = [_constellation_at(cfg, v).altitude for v in values]
     n_anchors = axy.shape[0]
     s = cfg.samples_per_anchor
     trial_pts = [_trial_nodes(cfg, trial) for trial in range(cfg.trials)]
@@ -296,7 +286,7 @@ def _slice_errors(cfg: ExperimentConfig, values):
 
     def range_pack():
         _, r_hat, _, boundary = mle_distance_batch(
-            np.concatenate([w for _, _, w, _ in pack]), [layouts[k][1] for k, _, _, _ in pack],
+            np.concatenate([w for _, _, w, _ in pack]), [heights[k] for k, _, _, _ in pack],
             env, cfg.search, offsets=np.arange(len(pack) + 1) * rows)
         for i, (k, trial, _, r_true) in enumerate(pack):
             r = r_hat[i * rows:(i + 1) * rows].reshape(m, n_anchors)
@@ -308,7 +298,7 @@ def _slice_errors(cfg: ExperimentConfig, values):
     for trial in range(cfg.trials):
         r_true = np.linalg.norm(trial_pts[trial][:, None, :] - axy[None, :, :], axis=2)
         z = substream(cfg.seed, TAG_RSS, trial).standard_normal((m, n_anchors, s))
-        for k, (_, h) in enumerate(layouts):
+        for k, h in enumerate(heights):
             if pack and (len(pack) + 1) * rows > _PACK_ROWS:
                 range_pack()
             d_true = np.hypot(r_true, h)
@@ -325,12 +315,6 @@ def _slice_errors(cfg: ExperimentConfig, values):
              n_boundary[k]) for k in range(len(values))]
 
 
-#: Most range estimates (rows x anchors) one shared fix holds, 8 MB. A
-#: slice with more is fixed in chunks of whole points, so a chunk holds at
-#: most max(this, one point's trials x nodes x anchors) ranges.
-_SLICE_RANGES = 1 << 20
-
-
 def _slice_worker(args) -> tuple[list[tuple], float]:
     """One summary row per point of a slice, and the seconds the slice took.
 
@@ -338,13 +322,9 @@ def _slice_worker(args) -> tuple[list[tuple], float]:
     position error, the non-converged fixes and the boundary-pinned ranges.
     """
     t0 = time.perf_counter()
-    cfg, values = args
-    per_point = cfg.trials * _nodes_per_trial(cfg) * _constellation_at(cfg, values[0]).n_anchors
-    step = max(1, _SLICE_RANGES // per_point)
-    chunks = (_slice_errors(cfg, values[i:i + step]) for i in range(0, len(values), step))
     summaries = [(float(np.mean(xi)), float(np.std(xi, ddof=1)) if xi.size > 1 else 0.0,
                   float(np.median(xi)), float(np.mean(pos)), n_nonconverged, n_boundary)
-                 for chunk in chunks for xi, pos, n_nonconverged, n_boundary in chunk]
+                 for xi, pos, n_nonconverged, n_boundary in _slice_errors(*args)]
     return summaries, time.perf_counter() - t0
 
 
@@ -427,16 +407,25 @@ def _map_points(worker, args_list, threads: int):
             # worker does so after submission, so the run raises.
 
 
-def _sweep_slices(cfg: ExperimentConfig, workers: int) -> list[tuple[int, ...]]:
-    """Indices of the sweep points, grouped by byte-equal anchor projections.
+#: Most range estimates (rows x anchors) one slice's shared fix holds, 8 MB.
+_SLICE_RANGES = 1 << 20
 
-    Each group is cut into at most `workers` interleaved slices.
+
+def _sweep_slices(cfg: ExperimentConfig, workers: int) -> list[tuple[int, ...]]:
+    """Indices of the sweep points, one tuple per `_slice_errors` call.
+
+    `build_constellation` never reads the altitude, so only an altitude
+    sweep's points share a layout. They are dealt round-robin into one slice
+    per worker, or more so that none holds over `_SLICE_RANGES` range
+    estimates unless one point does; any other point is a slice of its own.
     """
-    groups: dict[bytes, list[int]] = {}
-    for i, v in enumerate(cfg.sweep.values):
-        groups.setdefault(_layout(cfg, v)[0].tobytes(), []).append(i)
-    return [tuple(idx[k::workers]) for idx in groups.values()
-            for k in range(min(workers, len(idx)))]
+    n = len(cfg.sweep.values)
+    if cfg.sweep.variable != "altitude":
+        return [(i,) for i in range(n)]
+    per_point = cfg.trials * cfg.node_count * cfg.constellation.n_anchors
+    step = max(1, _SLICE_RANGES // per_point)
+    k = min(n, max(workers, math.ceil(n / step)))
+    return [tuple(range(j, n, k)) for j in range(k)]
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -465,7 +454,7 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         mean_position_error=mean_position,
         n_nonconverged=n_nonconverged,
         n_boundary=n_boundary,
-        n_nodes=_nodes_per_trial(cfg),
+        n_nodes=cfg.node_count if cfg.sweep.variable == "altitude" else cfg.eval_azimuths,
         n_trials=cfg.trials,
         seed=cfg.seed,
         elapsed_s=tuple(elapsed),
@@ -561,6 +550,19 @@ def _open_for_write(path: Path):
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write rows of numbers under `header`: integers as they are, any other
+    value as the repr of a float. A non-finite value raises ValueError before
+    the file is opened."""
+    cells = [[v if isinstance(v, Integral) else float(v) for v in row] for row in rows]
+    if not all(math.isfinite(v) for row in cells for v in row if isinstance(v, float)):
+        raise ValueError(f"cannot write a non-finite value to {path}")
+    with _open_for_write(path) as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header.split(","))
+        writer.writerows(cells)
+
+
 def write_results(result: ExperimentResult, path) -> None:
     """Write one CSV row per sweep point plus a JSON metadata sidecar.
 
@@ -602,29 +604,20 @@ def write_results(result: ExperimentResult, path) -> None:
     }
     text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
     path = Path(path)
-    with _open_for_write(path) as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for i, v in enumerate(result.sweep_values):
-            writer.writerow([repr(float(v)),
-                             repr(float(result.mean_error[i])),
-                             repr(float(result.error_std[i])),
-                             repr(float(result.mean_position_error[i])),
-                             result.n_nodes, result.n_trials, result.seed])
+    _write_csv(path, CSV_HEADER, [
+        (v, mean, std, pos, result.n_nodes, result.n_trials, result.seed)
+        for v, mean, std, pos in zip(result.sweep_values, result.mean_error,
+                                     result.error_std, result.mean_position_error)])
     with _open_for_write(path.with_suffix(".meta.json")) as f:
         f.write(text + "\n")
 
 
 def write_crlb_table(points: list[CrlbPoint], seed: int, path) -> None:
-    """Write the bound-versus-estimator table as CSV."""
-    path = Path(path)
-    with _open_for_write(path) as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CRLB_CSV_HEADER.split(","))
-        for pt in points:
-            writer.writerow([repr(pt.r), repr(pt.h), repr(pt.crlb_sigma),
-                             repr(pt.mle_sigma), repr(pt.mle_mean),
-                             repr(pt.boundary_fraction), pt.repetitions, seed])
+    """Write the bound-versus-estimator table as CSV. A non-finite value
+    raises ValueError before the file is opened."""
+    _write_csv(Path(path), CRLB_CSV_HEADER, [
+        (pt.r, pt.h, pt.crlb_sigma, pt.mle_sigma, pt.mle_mean, pt.boundary_fraction,
+         pt.repetitions, seed) for pt in points])
 
 
 def read_results_csv(path) -> dict[str, np.ndarray]:

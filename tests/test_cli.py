@@ -2,6 +2,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,12 +169,13 @@ class TestDispatch:
         assert not np.array_equal(ca["mean_error_m"], cb["mean_error_m"])
         np.testing.assert_array_equal(ca["sweep_value"], cb["sweep_value"])
 
-    def test_threads_flag_keeps_results(self, alt_cfg, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        cli.main(["altitude-sweep", "--config", str(alt_cfg), "--out", str(a)])
-        cli.main(["altitude-sweep", "--config", str(alt_cfg), "--out", str(b),
-                  "--threads", "2"])
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_threads_flag_keeps_results(self, tmp_path, capsys, command):
+        serial = _study(tmp_path, command)
+        printed = capsys.readouterr().out
+        assert serial[0] == 0
+        assert _study(tmp_path, command, threads=2) == serial
+        assert capsys.readouterr().out == printed
 
     def test_preset_flag(self, alt_cfg, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -426,6 +428,21 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_non_finite_crlb_value_exits_4(self, crlb_cfg, tmp_path, capsys, monkeypatch):
+        run_crlb_comparison = cli.run_crlb_comparison
+
+        def spoiled(*args, **kwargs):
+            points = run_crlb_comparison(*args, **kwargs)
+            return points[:-1] + [replace(points[-1], mle_sigma=math.nan)]
+
+        monkeypatch.setattr(cli, "run_crlb_comparison", spoiled)
+        out = tmp_path / "o.csv"
+        code = cli.main(["crlb", "--config", str(crlb_cfg), "--out", str(out),
+                         "--repetitions", "50"])
+        assert code == cli.EXIT_COMPUTE == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_computation_error_exits_4(self, crlb_cfg, tmp_path, capsys):
         code = cli.main(["crlb", "--config", str(crlb_cfg),
                          "--out", str(tmp_path / "o.csv"),
@@ -486,7 +503,8 @@ UNCHANGED_BY = {"altitude-sweep": {"constellation.side_increment"},
 ALL_KEYS = frozenset().union(*(reads for _, reads in COMMANDS.values()))
 
 
-def _study(tmp_path, command: str, key: str | None = None) -> tuple[int, bytes]:
+def _study(tmp_path, command: str, key: str | None = None,
+           threads: int = 1) -> tuple[int, bytes]:
     """Exit code and CSV bytes of a small study whose config sets `key`."""
     variable = COMMANDS[command][0]
     body = {"sweep": dict(BASE_SWEEP[variable])}
@@ -506,6 +524,7 @@ def _study(tmp_path, command: str, key: str | None = None) -> tuple[int, bytes]:
     cfg, out = tmp_path / f"{command}-{key}.yaml", tmp_path / f"{command}-{key}.csv"
     cfg.write_text(yaml.safe_dump(body))
     extra = ["--repetitions", "50"] if command == "crlb" else []
+    extra += ["--threads", str(threads)]
     code = cli.main([command, "--config", str(cfg), "--out", str(out), *extra])
     return code, out.read_bytes() if out.exists() else b""
 

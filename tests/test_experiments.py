@@ -365,6 +365,7 @@ class TestPointErrors:
         monkeypatch.setattr(ex, "multilaterate_batch", spy)
         monkeypatch.setattr(ex, "_SLICE_RANGES", 2 * 240 + 239)
         assert u.run_sweep(cfg) == whole
+        # Two points fit under the bound: slices (0, 2) and (1,), one fix each.
         assert rows == [160, 80]
 
     def test_xi_is_norm_of_per_anchor_range_errors(self):
@@ -457,14 +458,50 @@ class TestSweepRunners:
         assert len(set(parents)) == 1
         assert parents[0] != os.getpid()
 
-    def test_slices_group_points_by_anchor_layout(self):
-        alt = tiny_altitude_config(sweep=u.SweepSpec("altitude", (100, 200, 300, 400, 500)))
-        assert ex._sweep_slices(alt, 1) == [(0, 1, 2, 3, 4)]
-        assert ex._sweep_slices(alt, 2) == [(0, 2, 4), (1, 3)]
-        assert ex._sweep_slices(alt, 8) == [(0,), (1,), (2,), (3,), (4,)]
-        count = u.default_config(variable="anchor_count",
-                                 sweep=u.SweepSpec("anchor_count", (3.0, 6.0, 9.0)))
-        assert ex._sweep_slices(count, 1) == ex._sweep_slices(count, 2) == [(0,), (1,), (2,)]
+    @pytest.mark.parametrize("variable", ex.SWEEP_VARIABLES)
+    def test_slices_share_only_byte_equal_layouts(self, monkeypatch, variable):
+        values = (3.0, 6.0, 9.0, 12.0, 15.0) if variable == "anchor_count" else \
+            (100.0, 200.0, 300.0, 400.0, 500.0)
+        cfg = u.default_config(variable=variable, trials=2, node_count=40,
+                               sweep=u.SweepSpec(variable, values))
+        # The rule `_sweep_slices` states is checked against the layouts
+        # themselves, so a sweep variable the layout depends on cannot share
+        # slices.
+        layouts = [u.build_constellation(ex._constellation_at(cfg, v)).tobytes()
+                   for v in values]
+        per_point = cfg.trials * cfg.node_count * cfg.constellation.n_anchors
+        for bound in (ex._SLICE_RANGES, 2 * per_point + 1, 1):
+            monkeypatch.setattr(ex, "_SLICE_RANGES", bound)
+            for workers in (1, 2, 8):
+                slices = ex._sweep_slices(cfg, workers)
+                assert sorted(i for idx in slices for i in idx) == list(range(len(values)))
+                assert len(slices) >= min(workers, len(values))
+                for idx in slices:
+                    assert len({layouts[i] for i in idx}) == 1
+                    if variable == "altitude":
+                        assert len(idx) == 1 or len(idx) * per_point <= bound
+                    else:
+                        assert len(idx) == 1
+        if variable == "altitude":
+            # Dealt round-robin: one slice per worker, more under the bound.
+            monkeypatch.setattr(ex, "_SLICE_RANGES", 1 << 20)
+            assert ex._sweep_slices(cfg, 1) == [(0, 1, 2, 3, 4)]
+            assert ex._sweep_slices(cfg, 2) == [(0, 2, 4), (1, 3)]
+            assert ex._sweep_slices(cfg, 8) == [(0,), (1,), (2,), (3,), (4,)]
+            monkeypatch.setattr(ex, "_SLICE_RANGES", 2 * per_point + 1)
+            assert ex._sweep_slices(cfg, 1) == ex._sweep_slices(cfg, 2) == \
+                [(0, 3), (1, 4), (2,)]
+
+    def test_bounded_slices_on_two_workers_keep_results(self, monkeypatch):
+        cfg = tiny_altitude_config(node_count=10, sweep=u.SweepSpec(
+            "altitude", (300.0, 500.0, 700.0, 900.0, 1100.0, 1300.0, 1500.0, 1700.0)))
+        serial = u.run_sweep(cfg)
+        # Two points per slice: eight points make four slices.
+        monkeypatch.setattr(ex, "_SLICE_RANGES", 2 * cfg.node_count * cfg.constellation.n_anchors)
+        assert ex._sweep_slices(cfg, 2) == [(0, 4), (1, 5), (2, 6), (3, 7)]
+        parallel = _bounded(lambda: u.run_sweep(cfg, threads=2))
+        assert parallel == serial
+        assert parallel.workers == 2
 
     def test_zero_noise_collapse(self):
         cfg = tiny_altitude_config(trials=1, node_count=25,
@@ -787,9 +824,12 @@ class TestSerialization:
         assert ex.UNREAD_KEYS[variable] == unread
         assert config["constellation"]["side_increment"] == cfg.constellation.side_increment
 
-    def test_non_finite_value_writes_no_sidecar(self, tmp_path):
+    @pytest.mark.parametrize("column", ["median_error", "mean_error", "error_std",
+                                        "mean_position_error"])
+    def test_non_finite_value_writes_no_sidecar(self, tmp_path, column):
+        # median_error goes to the sidecar, the others to the CSV.
         res = u.run_sweep(tiny_altitude_config(node_count=10))
-        res = replace(res, median_error=(math.inf,) + res.median_error[1:])
+        res = replace(res, **{column: (math.inf,) + getattr(res, column)[1:]})
         out = tmp_path / "sweep.csv"
         with pytest.raises(ValueError):
             u.write_results(res, out)
