@@ -195,7 +195,7 @@ def sample_rss(geom: LinkGeometry, env: EnvironmentParams, n: int,
     Each sample is the mean RSS minus a zero-mean normal shadowing term with
     the elevation-dependent deviation. Deterministic for a given `rng` state.
     """
-    if not (isinstance(n, Integral) and n >= 1):
+    if not (isinstance(n, Integral) and not isinstance(n, bool) and n >= 1):
         raise ValueError(f"sample count n must be an integer >= 1, got {n!r}")
     mu = mean_rss(geom.d, geom.theta, env)
     sigma = shadowing_sigma(geom.theta, env)

@@ -133,7 +133,8 @@ def crlb_sigma(geom: LinkGeometry, env: EnvironmentParams, n_samples: int = 1) -
     The single-observation bound is d * ln(10)/10 * sigma(theta) / alpha(theta);
     with `n_samples` i.i.d. observations it shrinks by 1/sqrt(n_samples).
     """
-    if not (isinstance(n_samples, Integral) and n_samples >= 1):
+    if not (isinstance(n_samples, Integral) and not isinstance(n_samples, bool)
+            and n_samples >= 1):
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     return float(crlb_sigma_values(geom.d, geom.theta, env)) / math.sqrt(n_samples)
 
@@ -165,7 +166,7 @@ def fisher_information_numeric(geom: LinkGeometry, env: EnvironmentParams,
     Draws shadowing realizations, evaluates the squared score and averages;
     1/sqrt of the result converges to the closed-form bound.
     """
-    if not (isinstance(mc, Integral) and mc >= 1):
+    if not (isinstance(mc, Integral) and not isinstance(mc, bool) and mc >= 1):
         raise ValueError(f"Monte Carlo draw count mc must be an integer >= 1, got {mc!r}")
     theta = geom.theta
     sigma = shadowing_sigma(theta, env)

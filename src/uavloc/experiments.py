@@ -13,11 +13,12 @@ and the evaluation ring are all centred on the origin.
 The parallel unit is a slice of sweep points that share one anchor layout.
 `_sweep_slices` alone cuts a sweep into slices: an altitude sweep into one
 per worker, or more under a memory bound, any other into one per point.
-Each (trial, point) pair of a slice is one ranging batch; small batches are
-packed into one ranging call, each keeping its own golden-section iteration
-count, and all of the slice's nodes are fixed in one solver call. Each range
-depends only on its own batch and each fix only on its own row, so neither
-the packing, the slicing nor the worker count changes any result bit.
+Slices are submitted largest first. Each (trial, point) pair of a slice is
+one ranging batch; small batches are packed into one ranging call, each
+keeping its own golden-section iteration count, and all of the slice's
+nodes are fixed in one solver call. Each range depends only on its own batch
+and each fix only on its own row, so neither the packing, the slicing, the
+order of the slices nor the worker count changes any result bit.
 
 Parallel slices run in worker processes forked from a fork server (fresh
 interpreters where the platform has none, as on Windows). The first parallel
@@ -152,11 +153,11 @@ class ExperimentConfig:
                     break
         for name in ("node_count", "trials", "samples_per_anchor", "eval_azimuths"):
             count = getattr(self, name)
-            if not (isinstance(count, Integral) and count >= 1):
+            if not (isinstance(count, Integral) and not isinstance(count, bool) and count >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
         if not 0.0 < self.deployment_radius <= MAX_LENGTH_M:
             raise ValueError(f"deployment_radius must be finite, > 0 and <= {MAX_LENGTH_M:g} m")
-        if not isinstance(self.seed, Integral):
+        if not isinstance(self.seed, Integral) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**128:
             raise ValueError("seed must be >= 0 and < 2**128")
@@ -259,15 +260,17 @@ def _slice_errors(cfg: ExperimentConfig, values):
     """Per-node errors at sweep points that share the first one's anchor layout.
 
     Returns (xi, position_error, n_nonconverged, n_boundary) per value, xi
-    being the norm of each node's per-anchor range errors. Node positions,
-    true ranges and shadowing draws depend on the trial only, so every point
-    of the slice uses the same ones. Each (trial, point) pair is one ranging
-    batch; consecutive batches, trial by trial and point by point, are
-    packed into calls of at most `_PACK_ROWS` rows, and only one pack's
-    samples are held at a time. Every batch keeps its own golden-section
-    iteration count, so its ranges equal ranging it alone. All points' fixes
-    go through one solver call; each fix depends only on its own row, so the
-    results equal one call per point.
+    being the norm of each node's per-anchor range errors. Shadowing draws
+    depend on the trial only, and so do node positions and true ranges in
+    an altitude sweep, so every point of the slice uses the same ones. A
+    ring sweep scores the same ring in every trial, so its true ranges and
+    each point's channel moments are computed once per slice.
+    Each (trial, point) pair is one ranging batch; consecutive batches,
+    trial by trial and point by point, are packed into calls of at most
+    `_PACK_ROWS` rows, and only one pack's samples are held at a time. Every
+    batch keeps its own golden-section iteration count, so its ranges equal
+    ranging it alone. All points' fixes go through one solver call; each fix
+    depends only on its own row, so the results equal one call per point.
     """
     env = cfg.environment
     axy = build_constellation(_constellation_at(cfg, values[0]))
@@ -288,25 +291,39 @@ def _slice_errors(cfg: ExperimentConfig, values):
         _, r_hat, _, boundary = mle_distance_batch(
             np.concatenate([w for _, _, w, _ in pack]), [heights[k] for k, _, _, _ in pack],
             env, cfg.search, offsets=np.arange(len(pack) + 1) * rows)
-        for i, (k, trial, _, r_true) in enumerate(pack):
-            r = r_hat[i * rows:(i + 1) * rows].reshape(m, n_anchors)
-            r_hat_all[k, trial * m:(trial + 1) * m] = r
-            xi[k, trial * m:(trial + 1) * m] = np.linalg.norm(r - r_true, axis=1)
-            n_boundary[k] += int(np.count_nonzero(boundary[i * rows:(i + 1) * rows]))
+        # Both reductions run per row along the anchor axis, so they equal
+        # one call per batch bit for bit.
+        r_hat = r_hat.reshape(len(pack), m, n_anchors)
+        errors = np.linalg.norm(r_hat - np.stack([r for *_, r in pack]), axis=2)
+        pins = np.count_nonzero(boundary.reshape(len(pack), rows), axis=1)
+        for i, (k, trial, _, _) in enumerate(pack):
+            r_hat_all[k, trial * m:(trial + 1) * m] = r_hat[i]
+            xi[k, trial * m:(trial + 1) * m] = errors[i]
+            n_boundary[k] += int(pins[i])
         pack.clear()
 
+    def true_ranges(trial):
+        return np.linalg.norm(trial_pts[trial][:, None, :] - axy[None, :, :], axis=2)
+
+    def moments(r_true, h):
+        """Mean RSS and shadowing spread of each link, as (m, N, 1) arrays."""
+        theta = np.arctan2(h, r_true)
+        return (np.asarray(mean_rss(np.hypot(r_true, h), theta, env))[:, :, None],
+                np.asarray(shadowing_sigma(theta, env))[:, :, None])
+
+    ring = cfg.sweep.variable != "altitude"
+    if ring:
+        r_true = true_ranges(0)
+        ring_moments = [moments(r_true, h) for h in heights]
     for trial in range(cfg.trials):
-        r_true = np.linalg.norm(trial_pts[trial][:, None, :] - axy[None, :, :], axis=2)
+        if not ring:
+            r_true = true_ranges(trial)
         z = substream(cfg.seed, TAG_RSS, trial).standard_normal((m, n_anchors, s))
         for k, h in enumerate(heights):
             if pack and (len(pack) + 1) * rows > _PACK_ROWS:
                 range_pack()
-            d_true = np.hypot(r_true, h)
-            theta = np.arctan2(h, r_true)
-            mu = mean_rss(d_true, theta, env)
-            sigma = shadowing_sigma(theta, env)
-            w = np.asarray(mu)[:, :, None] - np.asarray(sigma)[:, :, None] * z
-            pack.append((k, trial, w.reshape(rows, s), r_true))
+            mu, sigma = ring_moments[k] if ring else moments(r_true, h)
+            pack.append((k, trial, (mu - sigma * z).reshape(rows, s), r_true))
     range_pack()
 
     p, _, conv = multilaterate_batch(axy, r_hat_all.reshape(-1, n_anchors), cfg.solver)
@@ -418,14 +435,22 @@ def _sweep_slices(cfg: ExperimentConfig, workers: int) -> list[tuple[int, ...]]:
     sweep's points share a layout. They are dealt round-robin into one slice
     per worker, or more so that none holds over `_SLICE_RANGES` range
     estimates unless one point does; any other point is a slice of its own.
+    The slices come largest first, by range estimates, so that the pool
+    does not end on its largest task; ties keep the order of their points.
     """
-    n = len(cfg.sweep.values)
+    values = cfg.sweep.values
+    n = len(values)
     if cfg.sweep.variable != "altitude":
-        return [(i,) for i in range(n)]
-    per_point = cfg.trials * cfg.node_count * cfg.constellation.n_anchors
-    step = max(1, _SLICE_RANGES // per_point)
-    k = min(n, max(workers, math.ceil(n / step)))
-    return [tuple(range(j, n, k)) for j in range(k)]
+        slices = [(i,) for i in range(n)]
+    else:
+        per_point = cfg.trials * cfg.node_count * cfg.constellation.n_anchors
+        step = max(1, _SLICE_RANGES // per_point)
+        k = min(n, max(workers, math.ceil(n / step)))
+        slices = [tuple(range(j, n, k)) for j in range(k)]
+    # Every point of a sweep ranges the same trials and nodes, so a slice's
+    # range estimates scale with the anchors summed over its points.
+    return sorted(slices, reverse=True,
+                  key=lambda idx: sum(_constellation_at(cfg, values[i]).n_anchors for i in idx))
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:

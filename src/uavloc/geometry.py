@@ -68,7 +68,7 @@ def sample_disk_xy(n: int, radius: float, rng: np.random.Generator) -> np.ndarra
     Raises ValueError unless n is an integer >= 1 and the radius is finite
     and > 0.
     """
-    if not (isinstance(n, Integral) and n >= 1):
+    if not (isinstance(n, Integral) and not isinstance(n, bool) and n >= 1):
         raise ValueError(f"node count n must be an integer >= 1, got {n!r}")
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and > 0, got {radius}")

@@ -64,7 +64,8 @@ class SolverConfig:
     damping0: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+        if not (isinstance(self.max_iter, Integral) and not isinstance(self.max_iter, bool)
+                and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not 0.0 < self.step_tol <= MAX_LENGTH_M:
             raise ValueError(f"step_tol must be finite, positive and <= {MAX_LENGTH_M:g} m")

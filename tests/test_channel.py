@@ -248,5 +248,6 @@ class TestPathLossAndRss:
         g = u.LinkGeometry(r=100.0, h=100.0)
         with pytest.raises(ValueError):
             u.sample_rss(g, u.URBAN, 0, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="n must be an integer"):
-            u.sample_rss(g, u.URBAN, 2.5, np.random.default_rng(0))
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                u.sample_rss(g, u.URBAN, bad, np.random.default_rng(0))

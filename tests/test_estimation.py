@@ -138,7 +138,7 @@ class TestCrlb:
                 base / math.sqrt(n), rel=1e-14)
         with pytest.raises(ValueError):
             u.crlb_sigma(g, ENV, n_samples=0)
-        for bad in (math.nan, 2.5):
+        for bad in (math.nan, 2.5, True):
             with pytest.raises(ValueError, match="n_samples must be an integer"):
                 u.crlb_sigma(g, ENV, n_samples=bad)
 
@@ -231,8 +231,9 @@ class TestScoreAndFisher:
         g = u.LinkGeometry(r=500.0, h=500.0)
         with pytest.raises(ValueError):
             u.fisher_information_numeric(g, ENV, 0, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="mc must be an integer"):
-            u.fisher_information_numeric(g, ENV, 2.5, np.random.default_rng(0))
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="mc must be an integer"):
+                u.fisher_information_numeric(g, ENV, bad, np.random.default_rng(0))
 
 
 class TestLogLikelihood:

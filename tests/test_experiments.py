@@ -164,7 +164,9 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("field", ["node_count", "trials", "samples_per_anchor",
                                        "eval_azimuths", "seed"])
-    @pytest.mark.parametrize("bad", [2.5, 5.5])
+    # True is an Integral equal to 1, but would be written as "True" into
+    # the CSV's n_trials and seed columns.
+    @pytest.mark.parametrize("bad", [2.5, 5.5, True])
     def test_rejects_non_integral_counts(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             replace(tiny_altitude_config(), **{field: bad})
@@ -209,6 +211,14 @@ class TestTrialNodes:
         np.testing.assert_allclose(np.diff(phi[:4]), step, rtol=1e-9)
         # Ring does not depend on the trial index.
         np.testing.assert_array_equal(pts, _trial_nodes(cfg, 3))
+
+    @pytest.mark.parametrize("variable", ["inter_distance", "anchor_count"])
+    def test_ring_is_byte_equal_in_every_trial(self, variable):
+        # `_slice_errors` computes a ring's true ranges and channel moments
+        # once per slice on the strength of this.
+        cfg = u.default_config(variable=variable, trials=6)
+        first = _trial_nodes(cfg, 0).tobytes()
+        assert all(_trial_nodes(cfg, t).tobytes() == first for t in range(cfg.trials))
 
 
 def _point_errors_reference(cfg, value):
@@ -285,6 +295,8 @@ class TestPointErrors:
     @pytest.mark.parametrize("variable,values,trials", [
         ("altitude", (50.0, 300.0, 900.0, 2000.0), 2),
         ("anchor_count", (3.0, 30.0), 5),
+        ("anchor_count", (3.0, 30.0), 3),
+        ("inter_distance", (100.0, 1000.0), 3),
     ])
     def test_shared_fix_equals_points_alone(self, variable, values, trials):
         # Low altitudes and many anchors add non-converged and boundary-
@@ -303,8 +315,8 @@ class TestPointErrors:
 
     @pytest.mark.parametrize("variable,values,trials,pack_rows,packs", [
         # 8-node ring: 24 rows per trial at 3 anchors, 48 at 6; packs of
-        # whole trials cross trial boundaries.
-        ("anchor_count", (3.0, 6.0), 5, 50, [[48, 48, 24], [48] * 5]),
+        # whole trials cross trial boundaries. The 6-anchor slice comes first.
+        ("anchor_count", (3.0, 6.0), 5, 50, [[48] * 5, [48, 48, 24]]),
         # 40 nodes x 3 anchors = 120 rows per (trial, point), points inner:
         # packs cross point and trial boundaries.
         ("altitude", (50.0, 300.0, 900.0, 2000.0), 2, 360, [[360, 360, 240]]),
@@ -367,6 +379,25 @@ class TestPointErrors:
         assert u.run_sweep(cfg) == whole
         # Two points fit under the bound: slices (0, 2) and (1,), one fix each.
         assert rows == [160, 80]
+
+    @pytest.mark.parametrize("variable,values", [
+        ("altitude", (300.0, 900.0)),
+        ("inter_distance", (200.0, 600.0)),
+        ("anchor_count", (3.0, 6.0)),
+    ])
+    def test_ring_channel_moments_once_per_point(self, monkeypatch, variable, values):
+        cfg = u.default_config(variable=variable, trials=3, node_count=20,
+                               sweep=u.SweepSpec(variable, values))
+        calls = {"mean_rss": 0, "shadowing_sigma": 0}
+        for name in calls:
+            def spy(*args, _fn=getattr(ex, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(ex, name, spy)
+        u.run_sweep(cfg)
+        # A ring is the same in every trial; an altitude sweep's nodes are not.
+        per_point = cfg.trials if variable == "altitude" else 1
+        assert calls == dict.fromkeys(calls, per_point * len(values))
 
     def test_xi_is_norm_of_per_anchor_range_errors(self):
         # Zero shadowing: every per-anchor range error is below the search
@@ -491,6 +522,18 @@ class TestSweepRunners:
             monkeypatch.setattr(ex, "_SLICE_RANGES", 2 * per_point + 1)
             assert ex._sweep_slices(cfg, 1) == ex._sweep_slices(cfg, 2) == \
                 [(0, 3), (1, 4), (2,)]
+
+    def test_slice_order_changes_no_result(self, monkeypatch):
+        cfg = u.default_config(variable="anchor_count", trials=2, sweep=u.SweepSpec(
+            "anchor_count", (3.0, 6.0, 9.0, 12.0, 15.0)))
+        # Largest first: the pool does not end on its largest task.
+        assert ex._sweep_slices(cfg, 1) == ex._sweep_slices(cfg, 2) == \
+            [(4,), (3,), (2,), (1,), (0,)]
+        want = u.run_sweep(cfg)
+        shuffled = [(1,), (4,), (0,), (3,), (2,)]
+        monkeypatch.setattr(ex, "_sweep_slices", lambda cfg, workers: shuffled)
+        for threads in (1, 2):
+            assert _bounded(lambda: u.run_sweep(cfg, threads=threads)) == want
 
     def test_bounded_slices_on_two_workers_keep_results(self, monkeypatch):
         cfg = tiny_altitude_config(node_count=10, sweep=u.SweepSpec(

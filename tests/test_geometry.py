@@ -127,8 +127,9 @@ class TestNodeSampling:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             u.sample_disk_xy(0, 100.0, rng)
-        with pytest.raises(ValueError, match="n must be an integer"):
-            u.sample_disk_xy(2.5, 100.0, rng)
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                u.sample_disk_xy(bad, 100.0, rng)
         with pytest.raises(ValueError):
             u.sample_disk_xy(10, 0.0, rng)
 

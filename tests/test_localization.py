@@ -106,7 +106,7 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             u.SolverConfig(damping0=-1.0)
 
-    @pytest.mark.parametrize("bad", [2.5, 5.5])
+    @pytest.mark.parametrize("bad", [2.5, 5.5, True])
     def test_rejects_non_integral_max_iter(self, bad):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             u.SolverConfig(max_iter=bad)
