@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, metavar="N",
                         help="master seed override (wins over the config seed)")
     common.add_argument("--out", required=True, metavar="PATH",
-                        help="output CSV path; sweeps also write a .meta.json sidecar")
+                        help="output CSV path; a .meta.json sidecar is written next to it")
     common.add_argument("--threads", type=_worker_count, default=1, metavar="N",
                         help="worker processes; 0 selects the CPU count")
 
@@ -107,7 +107,7 @@ def dispatch(args: argparse.Namespace) -> int:
             points = run_crlb_comparison(cfg, args.r or (500.0,),
                                          repetitions=args.repetitions,
                                          threads=args.threads)
-            write_crlb_table(points, cfg.seed, args.out)
+            write_crlb_table(points, cfg, args.out, threads=args.threads)
             gaps = [abs(p.mle_sigma - p.crlb_sigma) / p.crlb_sigma for p in points if p.crlb_sigma]
             print(f"crlb: max relative gap {max(gaps, default=0.0):.1%} over {len(gaps)} "
                   f"points; wrote {args.out}")

@@ -15,7 +15,7 @@ import yaml
 
 from .channel import EnvironmentParams, environment_preset
 from .estimation import SearchConfig
-from .experiments import UNREAD_KEYS, ExperimentConfig, SweepSpec
+from .experiments import CRLB_UNREAD_KEYS, UNREAD_KEYS, ExperimentConfig, SweepSpec
 from .geometry import ConstellationSpec
 from .localization import SolverConfig
 
@@ -62,7 +62,7 @@ _UNREAD = {
     "altitude-sweep": ("altitude", UNREAD_KEYS["altitude"]),
     "distance-sweep": ("inter_distance", UNREAD_KEYS["inter_distance"]),
     "count-sweep": ("anchor_count", UNREAD_KEYS["anchor_count"]),
-    "crlb": ("altitude", set().union(*UNREAD_KEYS.values(), {"constellation", "solver"})),
+    "crlb": ("altitude", CRLB_UNREAD_KEYS),
     "optimize": ("altitude", UNREAD_KEYS["altitude"]),
 }
 #: The CLI commands: (sweep variable, the keys the command reads) each.

@@ -75,6 +75,10 @@ UNREAD_KEYS = {
     "inter_distance": {"node_count", "deployment_radius", "constellation.base_side"},
     "anchor_count": {"node_count", "deployment_radius", "constellation.n_anchors"},
 }
+#: The config keys ("section" for all its keys) the crlb table does not
+#: read: the node populations, the constellation and the solver.
+CRLB_UNREAD_KEYS = {"node_count", "deployment_radius", "eval_distance", "eval_azimuths",
+                    "constellation", "solver"}
 
 #: Exact header of every sweep-result CSV.
 CSV_HEADER = "sweep_value,mean_error_m,error_std_m,mean_position_error_m,n_nodes,n_trials,seed"
@@ -588,61 +592,79 @@ def _write_csv(path: Path, header: str, rows) -> None:
         writer.writerows(cells)
 
 
+def _write_with_sidecar(path, header: str, rows, config: ExperimentConfig, unread,
+                        workers: int, **blocks) -> None:
+    """Write the CSV and its <stem>.meta.json sidecar.
+
+    The sidecar holds the library version, `config`: every resolved config
+    parameter but the `unread` keys ("section.key", or "section" for all
+    its keys), `runtime`: the Python and numpy versions, the CPU count, the
+    worker processes the study used and how they were started (null when
+    it ran in the calling process), and `blocks`. A non-finite value raises
+    ValueError before either file is written.
+    """
+    from . import __version__
+
+    resolved = asdict(config)
+    for key in unread:
+        section, _, name = key.rpartition(".")
+        del (resolved[section] if section else resolved)[name]
+    meta = {
+        "library": {"name": "uavloc", "version": __version__},
+        "config": resolved,
+        "runtime": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "workers": workers,
+            "start_method": _START_METHOD if workers > 1 else None,
+        },
+        **blocks,
+    }
+    text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
+    path = Path(path)
+    _write_csv(path, header, rows)
+    with _open_for_write(path.with_suffix(".meta.json")) as f:
+        f.write(text + "\n")
+
+
 def write_results(result: ExperimentResult, path) -> None:
     """Write one CSV row per sweep point plus a JSON metadata sidecar.
 
-    The sidecar (<stem>.meta.json next to the CSV) records every resolved
-    config parameter the sweep reads (all but its variable's `UNREAD_KEYS`),
-    the library version, what ran the study (`runtime`: the Python and
-    numpy versions, the CPU count, the worker processes the sweep used and
-    how they were started, null when it ran in the calling process), and
-    per-point diagnostics.
+    The sidecar (see `_write_with_sidecar`) leaves out the sweep variable's
+    `UNREAD_KEYS` and adds the variable and per-point diagnostics.
     `per_point.elapsed_s` has one entry per point, an equal share of the
     seconds its slice's worker task took, so the entries sum to the
     workers' busy time. A non-finite value raises ValueError before either
     file is written.
     """
-    from . import __version__
-
-    config = asdict(result.config)
-    for key in UNREAD_KEYS[result.sweep_variable]:
-        section, _, name = key.rpartition(".")
-        del (config[section] if section else config)[name]
-    meta = {
-        "library": {"name": "uavloc", "version": __version__},
-        "config": config,
-        "sweep_variable": result.sweep_variable,
-        "runtime": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-            "workers": result.workers,
-            "start_method": _START_METHOD if result.workers > 1 else None,
-        },
-        "per_point": {
+    _write_with_sidecar(path, CSV_HEADER, [
+        (v, mean, std, pos, result.n_nodes, result.n_trials, result.seed)
+        for v, mean, std, pos in zip(result.sweep_values, result.mean_error,
+                                     result.error_std, result.mean_position_error)],
+        result.config, UNREAD_KEYS[result.sweep_variable], result.workers,
+        sweep_variable=result.sweep_variable,
+        per_point={
             "sweep_values": result.sweep_values,
             "median_error_m": result.median_error,
             "n_nonconverged": result.n_nonconverged,
             "n_boundary_estimates": result.n_boundary,
             "elapsed_s": result.elapsed_s,
-        },
-    }
-    text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
-    path = Path(path)
-    _write_csv(path, CSV_HEADER, [
-        (v, mean, std, pos, result.n_nodes, result.n_trials, result.seed)
-        for v, mean, std, pos in zip(result.sweep_values, result.mean_error,
-                                     result.error_std, result.mean_position_error)])
-    with _open_for_write(path.with_suffix(".meta.json")) as f:
-        f.write(text + "\n")
+        })
 
 
-def write_crlb_table(points: list[CrlbPoint], seed: int, path) -> None:
-    """Write the bound-versus-estimator table as CSV. A non-finite value
-    raises ValueError before the file is opened."""
-    _write_csv(Path(path), CRLB_CSV_HEADER, [
+def write_crlb_table(points: list[CrlbPoint], cfg: ExperimentConfig, path,
+                     threads: int = 1) -> None:
+    """Write the bound-versus-estimator table as CSV plus a JSON sidecar.
+
+    The sidecar (see `_write_with_sidecar`) leaves out `CRLB_UNREAD_KEYS`
+    and counts workers as `run_crlb_comparison` did at `threads`. A
+    non-finite value raises ValueError before either file is written.
+    """
+    _write_with_sidecar(path, CRLB_CSV_HEADER, [
         (pt.r, pt.h, pt.crlb_sigma, pt.mle_sigma, pt.mle_mean, pt.boundary_fraction,
-         pt.repetitions, seed) for pt in points])
+         pt.repetitions, cfg.seed) for pt in points],
+        cfg, CRLB_UNREAD_KEYS, _pool_size(threads, len(points)))
 
 
 def read_results_csv(path) -> dict[str, np.ndarray]:

@@ -7,18 +7,26 @@ ranges. It is minimized with a damped Gauss-Newton iteration started at the
 anchor centroid. A row that leaves the descent without accepting a step
 keeps its start point (see `multilaterate_batch`).
 
-The descent holds its working arrays anchor-major: for N anchors and a
-working set of W rows (see `_lm_descend`), offsets are (2, N, W) and
+The descent evaluates points in `_residuals`, anchor-major: for N anchors
+and a working set of W rows (see `_lm_descend`), offsets are (2, N, W) and
 distances and residuals (N, W), so every element-wise step runs along
-contiguous rows of W values. The order of each sum over anchors is part of
-the results, and is fixed:
+contiguous rows of W values. Of each evaluation it keeps one (8, W) block:
+the position, the objective and the five anchor sums of the normal
+equations. Between iterations a row carries only that block, its ranges,
+its damping and its step count. The order of each sum over anchors is part
+of the results, and is fixed:
 
-- The normal equations add the anchor terms in sequence, anchor 0 first.
+- The anchor sums add the anchor terms in sequence, anchor 0 first.
   `.sum(axis=0)` of an (N, W) array does so for W >= 2, but numpy sums an
-  (N, 1) array pairwise, which changes the order from N = 8 on. So a
-  working set of one row carries it as two identical copies.
-- The objective is numpy's `.sum(axis=1)` of a C-contiguous (W, N) array of
-  squared residuals: sequential below 8 anchors, pairwise from 8 on.
+  (N, 1) array pairwise, which changes the order from N = 8 on. So no
+  evaluation takes one row alone: a working set of one row is carried as
+  two identical copies, and a lone row that joins others is evaluated as
+  two.
+- The objective adds a row's squared residuals in numpy's order for a
+  contiguous row of N values: in sequence below 8 anchors, pairwise from 8
+  on. Below 8 anchors it is `.sum(axis=0)` of the (N, W) squares, which
+  adds in sequence too; from 8 on, `.sum(axis=1)` of a C-contiguous (W, N)
+  copy.
 
 The tests hold the descent bit for bit equal to a reference loop on
 row-major (L, N, 2) arrays that sums with `np.einsum`.
@@ -40,9 +48,10 @@ _DAMPING_MAX = 1e12
 #: Most rows in the descent's working set. It bounds the working arrays
 #: however many rows a caller passes, and is refilled at half this size.
 #: Measured on a 2-vCPU Xeon, median time of `multilaterate_batch` on the
-#: 60,000 rows of a 60-altitude urban study with 3 anchors, per size: 1024:
-#: 376, 2048: 305, 4096: 224, 8192: 250 and 16384: 256 ms (444 ms at 4096
-#: when each block of rows ran until its slowest row finished).
+#: 60,000 rows of a 60-altitude urban study with 3 anchors, per size, over 7
+#: alternating rounds: 1024: 272, 2048: 186, 4096: 175, 8192: 174 and
+#: 16384: 168 ms. 16384 beat 4096 in 5 of 10 further alternating pairs, so
+#: no larger set wins and the smaller one stays.
 _DESCENT_ROWS = 4096
 
 
@@ -92,21 +101,33 @@ def _no_lone_row(rows: np.ndarray) -> np.ndarray:
     return rows if rows.size != 1 else np.repeat(rows, 2)
 
 
-def _residuals(p: np.ndarray, anchors: np.ndarray, r: np.ndarray):
-    """Offsets, distances, residuals and objectives at positions p (2, L).
+def _residuals(p: np.ndarray, anchors: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """What the descent keeps of positions p (2, W): one (8, W) block.
 
-    anchors is the C-contiguous (2, N, 1) transpose of axy, so that the
-    offsets (2, N, L) come out C-contiguous too. Distances and residuals
-    against the ranges r are (N, L), objectives (L,).
+    Its rows are the position, the objective and the anchor sums Σux²,
+    Σuy², Σux·uy, Σux·e and Σuy·e of the unit offsets u and the residuals e
+    against the ranges r (N, W), in the order the module docstring fixes,
+    which takes W >= 2. anchors is the C-contiguous (2, N, 1) transpose of
+    axy, so that the offsets (2, N, W) come out C-contiguous too.
     """
     d = p[:, None, :] - anchors
     dist = np.sqrt(d[0] * d[0] + d[1] * d[1])
     np.maximum(dist, _DIST_FLOOR, out=dist)
     err = dist - r
-    # Summed as rows of a C-contiguous (L, N) array: the objective's order.
-    sq = np.empty(err.shape[::-1])
-    np.square(err.T, out=sq)
-    return d, dist, err, sq.sum(axis=1)
+    ux, uy = np.divide(d, dist, out=d)
+    block = np.empty((8, p.shape[1]))
+    block[:2] = p
+    prod = np.empty_like(err)
+    for i, (a, b) in enumerate(((ux, ux), (uy, uy), (ux, uy), (ux, err), (uy, err)), start=3):
+        np.multiply(a, b, out=prod).sum(axis=0, out=block[i])
+    sq = np.square(err, out=err)
+    if r.shape[0] < 8:
+        # numpy sums a row of fewer than 8 values in sequence, as axis 0
+        # does, so the objective needs no (W, N) copy below 8 anchors.
+        sq.sum(axis=0, out=block[2])
+    else:
+        np.ascontiguousarray(sq.T).sum(axis=1, out=block[2])
+    return block
 
 
 def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
@@ -124,9 +145,14 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
     rows left take bit-for-bit the path they would take alone. Rows join in
     order, the first `_DESCENT_ROWS` at once and the others whenever leaving
     rows bring the set to half that size, so numpy passes stay long until
-    the last rows finish. The anchor sums keep the order the module
-    docstring fixes; a working set of one row is carried as two identical
-    copies. A zero-row batch does no iteration.
+    the last rows finish.
+
+    A working-set row carries its `_residuals` block at the current point,
+    its ranges, damping and step count. An iteration solves the damped
+    normal equations from the carried sums, evaluates the trial point once
+    and keeps, per row, the trial's block or the current one. No evaluation
+    takes one row alone (see the module docstring). A zero-row batch does
+    no iteration.
     """
     L, N = rhat.shape
     p0 = np.broadcast_to(p0, (L, 2))
@@ -136,38 +162,34 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
 
     anchors = axy.T[:, :, None].copy()
     rows, steps = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    lam, p, r = np.empty(0), np.empty((2, 0)), np.empty((N, 0))
-    d, dist, err, obj = _residuals(p, anchors, r)
+    state, lam, r = np.empty((8, 0)), np.empty(0), np.empty((N, 0))
     joined = 0
     while True:
         if joined < L and 2 * rows.size <= _DESCENT_ROWS:
             new = np.arange(joined, min(L, joined + _DESCENT_ROWS - rows.size))
             joined = new[-1] + 1
-            new = _no_lone_row(new) if rows.size == 0 else new
-            p_new, r_new = p0[new].T, rhat[new].T
-            fresh = (new, p_new, *_residuals(p_new, anchors, r_new),
-                     np.full(new.size, solver.damping0), r_new, np.zeros_like(new))
-            rows, p, d, dist, err, obj, lam, r, steps = (
-                np.concatenate(pair, axis=-1)
-                for pair in zip((rows, p, d, dist, err, obj, lam, r, steps), fresh))
+            # Evaluated as at least two rows; a lone row joins others as one.
+            both = _no_lone_row(new)
+            k = new.size if rows.size else both.size
+            r_new = rhat[both].T
+            fresh = _residuals(p0[both].T, anchors, r_new)
+            rows, state, lam, r, steps = (
+                np.concatenate(pair, axis=-1) for pair in zip(
+                    (rows, state, lam, r, steps),
+                    (both[:k], fresh[:, :k], np.full(k, solver.damping0), r_new[:, :k],
+                     np.zeros(k, dtype=np.intp))))
         if rows.size == 0:
             break
-        ux, uy = d / dist
-        a11 = (ux * ux).sum(axis=0) + lam
-        a22 = (uy * uy).sum(axis=0) + lam
-        a12 = (ux * uy).sum(axis=0)
-        gx = (ux * err).sum(axis=0)
-        gy = (uy * err).sum(axis=0)
+        a11 = state[3] + lam
+        a22 = state[4] + lam
+        a12, gx, gy = state[5:]
         det = np.maximum(a11 * a22 - a12 ** 2, 1e-300)
         step = -np.array([a22 * gx - a12 * gy, a11 * gy - a12 * gx]) / det
         step_norm = np.hypot(step[0], step[1])
 
-        p_new = p + step
-        d_new, dist_new, err_new, obj_new = _residuals(p_new, anchors, r)
-
-        accept = obj_new < obj
-        for a, b in ((p, p_new), (d, d_new), (dist, dist_new), (err, err_new), (obj, obj_new)):
-            np.copyto(a, b, where=accept)
+        trial = _residuals(state[:2] + step, anchors, r)
+        accept = trial[2] < state[2]
+        state = np.where(accept, trial, state)
         lam = np.where(accept, np.maximum(lam / 3.0, _DAMPING_MIN), lam * 10.0)
 
         # A vanishing damped step means a stationary point, accepted or not.
@@ -175,14 +197,15 @@ def _lm_descend(axy: np.ndarray, rhat: np.ndarray, p0: np.ndarray,
         steps += 1
         leave = done | (lam > _DAMPING_MAX) | (steps == solver.max_iter)
         if leave.any():
-            gone = rows[leave]
-            p_out[gone] = p[:, leave].T
-            obj_out[gone] = obj[leave]
-            converged[gone] = done[leave]
+            at = np.flatnonzero(leave)
+            gone, left = rows[at], state[:, at]
+            p_out[gone] = left[:2].T
+            obj_out[gone] = left[2]
+            converged[gone] = done[at]
             keep = np.flatnonzero(~leave)
             keep = _no_lone_row(keep) if joined == L else keep
-            rows, p, d, dist, err, obj, lam, r, steps = (
-                a.take(keep, axis=-1) for a in (rows, p, d, dist, err, obj, lam, r, steps))
+            rows, state, lam, r, steps = (
+                a.take(keep, axis=-1) for a in (rows, state, lam, r, steps))
     return p_out, obj_out, converged
 
 

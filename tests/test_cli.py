@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import subprocess
@@ -76,6 +77,8 @@ class TestParser:
                   for name in ("r_m", "repetitions", "seed")}
         assert column == {"r_m": ["300.0", "300.0", "700.0", "700.0"],
                           "repetitions": ["50"] * 4, "seed": ["5"] * 4}
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        assert meta["config"]["seed"] == 5 and meta["runtime"]["workers"] == 2
 
     def test_empty_out_exits_2(self, alt_cfg, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -146,7 +149,7 @@ class TestDispatch:
         want = tmp_path / "want.csv"
         config = u.load_config(cfg)
         u.write_crlb_table(u.run_crlb_comparison(config, (500.0,), repetitions=50),
-                           config.seed, want)
+                           config, want)
         assert out.read_bytes() == want.read_bytes()
         assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == \
             ["0.0", "0.0"]
@@ -441,7 +444,7 @@ class TestErrorPaths:
                          "--repetitions", "50"])
         assert code == cli.EXIT_COMPUTE == 4
         assert "non-finite" in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.exists() and not out.with_suffix(".meta.json").exists()
 
     def test_computation_error_exits_4(self, crlb_cfg, tmp_path, capsys):
         code = cli.main(["crlb", "--config", str(crlb_cfg),

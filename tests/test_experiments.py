@@ -937,7 +937,7 @@ class TestSerialization:
         cfg = tiny_altitude_config(sweep=u.SweepSpec("altitude", (500.0,)))
         points = u.run_crlb_comparison(cfg, (400.0,), repetitions=200)
         out = tmp_path / "crlb.csv"
-        u.write_crlb_table(points, cfg.seed, out)
+        u.write_crlb_table(points, cfg, out)
         lines = out.read_text().splitlines()
         assert lines[0] == CRLB_CSV_HEADER
         cells = lines[1].split(",")
@@ -946,3 +946,25 @@ class TestSerialization:
         assert float(cells[2]) == points[0].crlb_sigma
         assert int(cells[6]) == 200
         assert int(cells[7]) == cfg.seed
+
+    def test_crlb_table_sidecar(self, tmp_path):
+        # The sidecar holds the library, the config without the keys the
+        # table does not read, and what ran it; no per-cell block. A
+        # non-finite cell writes neither file.
+        cfg = tiny_altitude_config(sweep=u.SweepSpec("altitude", (300.0, 500.0)))
+        points = u.run_crlb_comparison(cfg, (400.0,), repetitions=50)
+        u.write_crlb_table(points, cfg, tmp_path / "crlb.csv")
+        meta = json.loads((tmp_path / "crlb.meta.json").read_text())
+        assert set(meta) == {"library", "config", "runtime"}
+        assert meta["library"] == {"name": "uavloc", "version": u.__version__}
+        want = asdict(cfg)
+        for key in ("node_count", "deployment_radius", "eval_distance", "eval_azimuths",
+                    "constellation", "solver"):
+            del want[key]
+        assert meta["config"] == json.loads(json.dumps(want))
+        assert ex.CRLB_UNREAD_KEYS == set(asdict(cfg)) - set(want)
+        assert meta["runtime"]["workers"] == 1 and meta["runtime"]["start_method"] is None
+        out = tmp_path / "bad.csv"
+        with pytest.raises(ValueError):
+            u.write_crlb_table(points[:-1] + [replace(points[-1], mle_mean=math.inf)], cfg, out)
+        assert not out.exists() and not (tmp_path / "bad.meta.json").exists()

@@ -317,6 +317,25 @@ class TestCompactedDescent:
                 *ref, _ = _lm_descend_full_batch(*args)
                 assert_descents_equal(ref, loc._lm_descend(*args))
 
+    @pytest.mark.parametrize("rows", [2, 40])
+    @pytest.mark.parametrize("n_anchors", range(3, 13))
+    def test_both_objective_sums_equal_full_batch(self, n_anchors, rows):
+        # Below 8 anchors the objective is summed along axis 0 of the
+        # (N, W) squares, from 8 on along the rows of a (W, N) copy. Both
+        # must keep the reference's order, on a working set of two rows
+        # (a lone row is carried as two) and of more.
+        rng = np.random.default_rng(200 + n_anchors)
+        axy = rng.uniform(-800.0, 800.0, size=(n_anchors, 2))
+        nodes = rng.uniform(-1500.0, 1500.0, size=(rows, 2))
+        rhat = np.linalg.norm(nodes[:, None, :] - axy[None, :, :], axis=2)
+        sigma = np.resize([1.0, 30.0, 300.0, 1500.0], (rows, 1))
+        rhat = np.maximum(rhat + rng.normal(0.0, 1.0, size=rhat.shape) * sigma, 0.0)
+        starts = np.concatenate([np.tile(axy.mean(axis=0), (rows // 2, 1)),
+                                 rng.uniform(-1500.0, 1500.0, size=(rows - rows // 2, 2))])
+        for solver in (u.SolverConfig(), u.SolverConfig(step_tol=1e-30)):
+            *ref, _ = _lm_descend_full_batch(axy, rhat, starts, solver)
+            assert_descents_equal(ref, loc._lm_descend(axy, rhat, starts, solver))
+
     def test_stuck_rows_return_the_centroid(self):
         # An irregular triangle: from its centroid, the first damped step
         # for one long range and two zero ranges is rejected. Exact ranges
@@ -470,6 +489,42 @@ class TestBlockedDescent:
             assert_descents_equal(want, loc._lm_descend(axy, rhat, p0, solver))
             sets = [w for w in widths if w]  # the empty start takes none
             assert sets[0] == 4 and 2 in sets and 1 not in sets
+
+    @pytest.mark.parametrize("n_anchors", [9, 12, 30])
+    def test_lone_row_joining_rows_is_evaluated_as_two(self, monkeypatch, n_anchors):
+        # The first row starts at its fix and leaves after one step while
+        # the second still descends, so the third joins it alone. From 8
+        # anchors on numpy would sum that row's anchor terms pairwise, so
+        # they must come from an evaluation of two columns.
+        spec = u.ConstellationSpec(n_anchors=n_anchors, base_side=100.0,
+                                   altitude=100.0, side_increment=20.0)
+        axy = u.build_constellation(spec)
+        center = axy.mean(axis=0)
+        # At each N, seed 10 gives ranges whose pairwise anchor sums differ
+        # from the sequential ones in the last bit, so results show it.
+        rng = np.random.default_rng(10)
+        nodes = rng.uniform(-1500.0, 1500.0, size=(2, 2))
+        noisy = np.linalg.norm(nodes[:, None, :] - axy[None, :, :], axis=2)
+        noisy = np.maximum(noisy + rng.normal(0.0, 300.0, size=noisy.shape), 0.0)
+        rhat = np.vstack([np.linalg.norm(center - axy, axis=1), noisy])
+        p0 = np.tile(center, (3, 1))
+        first = _lm_descend_full_batch(axy, rhat[:2], p0[:2], u.SolverConfig(max_iter=1))
+        assert first[2][0] and not first[3][0] and first[4][1]
+        monkeypatch.setattr(loc, "_DESCENT_ROWS", 2)
+        widths = []
+        residuals = loc._residuals
+
+        def spy(p, *args):
+            widths.append(p.shape[1])
+            return residuals(p, *args)
+
+        monkeypatch.setattr(loc, "_residuals", spy)
+        for solver in (u.SolverConfig(max_iter=2), u.SolverConfig(),
+                       u.SolverConfig(step_tol=1e-30)):
+            widths.clear()
+            *want, _ = self._alone(axy, rhat, p0, solver)
+            assert_descents_equal(want, loc._lm_descend(axy, rhat, p0, solver))
+            assert widths[:3] == [2, 2, 2] and 1 not in widths
 
     def test_zero_rows_do_no_descent(self, monkeypatch):
         axy, rhat = self._rows()

@@ -117,10 +117,13 @@ def test_descent_equals_reference_loop(n, rows, sigma, seed, centroid_start, sol
        cap=st.integers(1, 45),
        solver=st.sampled_from([u.SolverConfig(max_iter=1), u.SolverConfig(max_iter=5),
                                u.SolverConfig(max_iter=12), u.SolverConfig(step_tol=1e-30)]))
+@example(n=8, rows=4, sigma=300.0, seed=1, centroid_start=False, cap=2,
+         solver=u.SolverConfig(max_iter=12))
 def test_refilled_descent_equals_reference_loop(n, rows, sigma, seed, centroid_start, cap,
                                                 solver):
     # Rows join the working set as others leave; each keeps its own step
     # count, so it leaves at its own max_iter, bit for bit as in one batch.
+    # The example has a lone row join a working set of one, at 8 anchors.
     axy, rhat, p0 = descent_rows(n, rows, sigma, seed, centroid_start)
     *want, _ = _lm_descend_full_batch(axy, rhat, p0, solver)
     saved = loc._DESCENT_ROWS
