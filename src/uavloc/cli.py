@@ -14,6 +14,7 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .experiments import (
+    MAX_THREADS,
     WorkerPoolError,
     optimize_altitude,
     run_crlb_comparison,
@@ -29,10 +30,10 @@ EXIT_CONFIG = 3
 EXIT_COMPUTE = 4
 EXIT_IO = 5
 
-_EPILOG = """\
+_EPILOG = f"""\
 exit codes:
   0  success
-  2  usage error (unknown command or flag)
+  2  usage error (unknown command or flag, or --threads outside 0-{MAX_THREADS})
   3  configuration error (unreadable file, unknown or unread key, constraint violation)
   4  computation error (degenerate geometry, invalid experiment input, a
      study too large for memory or a worker process that died)
@@ -43,8 +44,8 @@ exit codes:
 
 def _worker_count(text: str) -> int:
     count = int(text)
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
+    if not 0 <= count <= MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"must be in [0, {MAX_THREADS}], got {count}")
     return count
 
 
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, metavar="PATH",
                         help="output CSV path; a .meta.json sidecar is written next to it")
     common.add_argument("--threads", type=_worker_count, default=1, metavar="N",
-                        help="worker processes; 0 selects the CPU count")
+                        help=f"worker processes, at most {MAX_THREADS}; 0 selects the CPU count")
 
     sub.add_parser("altitude-sweep", parents=[common],
                    help="mean localization error of the node population vs altitude")

@@ -197,6 +197,19 @@ _BOUND_COLS = 16
 #: 16-column pass over 4096 rows took 500, 357 and 272 us in chunks of 256,
 #: 1024 and 4096 rows, so a pass is never chunked.
 _BOUND_ROWS = 4096
+#: Golden-section steps evaluate the kernel once per search-tree node while
+#: _NODE_SHARE x the next level's nodes are at most the rows still refining,
+#: and once per row from the first level with more nodes. Replaying the
+#: seed-3 ranging calls of the three benchmark studies on a 2-vCPU Xeon
+#: (altitude-urban in packs of five 3000-row batches, every sixth 10^4-row
+#: crlb-table cell, count-lowalt in packs of four 4096-row calls), the time
+#: relative to per-row steps throughout was, at shares 2, 3, 4 and 6:
+#: 0.949, 0.941, 0.950 and 0.952; 0.923, 0.918, 0.919 and 0.917; and 0.972,
+#: 0.969, 0.986 and 0.976 (medians of 16 interleaved rounds). Gathering a
+#: node's terms costs each row about a third of a per-row step, and about
+#: 35 us per call of fixed kernel cost, so on 3000-row calls a shared step
+#: only breaks even.
+_NODE_SHARE = 3
 
 
 def _select(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -295,6 +308,26 @@ def _log_density(terms, s1, s2, out: np.ndarray) -> np.ndarray:
     return np.subtract(c0, out, out=out)
 
 
+def _loglik_at(d: np.ndarray, h, node, n: int, env: EnvironmentParams, s1, s2):
+    """`_loglik` of each row at `d`, or, when `node` is not None, at
+    d[node]: the kernel runs once per entry of `d`, and each row gathers
+    its entry's terms."""
+    if node is None:
+        return _loglik(d, h, n, env, s1, s2)
+    terms = [np.take(t, node) for t in _loglik_terms(d, h, n, env)]
+    return _log_density(terms, s1, s2, out=terms[1])
+
+
+def _dense_ids(keys: np.ndarray, size: int):
+    """Ids 0, 1, ... of the distinct `keys` (integers in [0, size)) in key
+    order, per key, and those keys in that order."""
+    mark = np.zeros(size, dtype=bool)
+    mark[keys] = True
+    ids = np.cumsum(mark, dtype=np.intp)
+    ids -= 1
+    return ids[keys], np.flatnonzero(mark)
+
+
 def _grid_terms(h: float, n: int, env: EnvironmentParams, search: SearchConfig):
     """The bracketing grid at altitude `h`, its per-column terms and their
     `_bounds`."""
@@ -382,10 +415,10 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
     its batch, and ranging batches together gives every row the result of
     its batch ranged alone, byte for byte. That batch dependence is kept on
     purpose: making the count per row is a change of its own, because it
-    moves results. All batches step in
-    lockstep: when a batch has taken its steps, its rows take their
-    estimates and leave the working arrays by one mask compaction, so each
-    step evaluates the likelihood once, on the rows still refining.
+    moves results. All batches step in lockstep: when a batch has taken its
+    steps, its rows take their estimates and leave the working arrays by one
+    mask compaction, so each step makes one kernel call, on at most the rows
+    still refining.
 
     Bracketing takes each row's first argmax on the grid of its batch's
     altitude, whose terms are computed once per distinct altitude, without
@@ -417,6 +450,24 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
     same element-wise operations on its own row, so the result equals
     evaluating both points and discarding one; the selects copy bits by
     masks, as `np.where` does.
+
+    Rows also share those evaluations. A row's points after t steps are a
+    function of its root, the bracket (a, b) with its altitude, and of its
+    first t comparisons, so the rows of one run of equal altitudes that
+    bracket on the same column walk one binary search tree, across batches,
+    until a comparison parts them; a batch that has taken its steps only
+    leaves the tree. So at first each row holds just the index of its node,
+    and a node table holds the points (a, b, x1, x2) and the altitude. A step
+    derives each child node from its parent with the per-row operations,
+    runs `_loglik_terms` once per child at its new point, and each row
+    gathers its child's four terms with `np.take`, which copies bits, and
+    forms its own log-density from its s1 and s2. The kernel is element-wise,
+    so each term is the one a per-row evaluation of the same bits gives,
+    whatever the array it sits in, and the result is the same bytes. Child
+    keys (parent, side) get dense ids in key order by a boolean scatter and
+    a cumulative sum (`_dense_ids`). When the next level would hold more
+    than one node per `_NODE_SHARE` rows still refining, every row takes its
+    node's points and steps on its own, as above, to the end.
     """
     search = search or SearchConfig()
     samples_2d = np.asarray(samples_2d, dtype=float)
@@ -448,12 +499,13 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
         raise ValueError("sum of squared RSS samples overflows")
 
     # Coarse bracketing on each batch's log-spaced grid, over runs of rows
-    # that share one altitude.
+    # that share one altitude. A row's search-tree root is its bracket:
+    # key = run number * grid points + grid argmax.
     a = np.empty(links)
     b = np.empty(links)
-    best = np.empty(links, dtype=np.intp)
+    key = np.empty(links, dtype=np.intp)
     buf = np.empty(min(links, _BOUND_ROWS) * min(_BOUND_COLS, search.grid_points))
-    run = 0
+    run = runs = 0
     for k, hb in enumerate(hs):
         if k + 1 < len(hs) and hs[k + 1] == hb:
             continue
@@ -463,9 +515,12 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
         grid, terms, blocks = _grid_terms(hb, n, env, search)
         for i in range(start, stop, _BOUND_ROWS):
             j = min(i + _BOUND_ROWS, stop)
-            best[i:j] = _bracket(s1[i:j], s2[i:j], n, terms, blocks, buf)
-        a[start:stop] = grid[np.maximum(best[start:stop] - 1, 0)]
-        b[start:stop] = grid[np.minimum(best[start:stop] + 1, search.grid_points - 1)]
+            key[i:j] = _bracket(s1[i:j], s2[i:j], n, terms, blocks, buf)
+        best = key[start:stop]
+        a[start:stop] = grid[np.maximum(best - 1, 0)]
+        b[start:stop] = grid[np.minimum(best + 1, search.grid_points - 1)]
+        best += runs * search.grid_points
+        runs += 1
 
     # Each batch's iteration count, from its widest bracket.
     span = b - a
@@ -477,33 +532,60 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
     h_row, lo_row = np.repeat(hs, counts), np.repeat(los, counts)
     h2_row = np.repeat([hb ** 2 for hb in hs], counts)
 
-    # Golden-section refinement, run in lockstep across links. Rows whose
-    # batch has taken its steps take their estimates then and leave every
-    # working array.
-    x1 = a + _INVPHI2 * span
-    x2 = a + _INVPHI * span
-    f1 = _loglik(x1, h_row, n, env, s1, s2)
-    f2 = _loglik(x2, h_row, n, env, s1, s2)
+    # Golden-section refinement, run in lockstep across links. `tree` holds
+    # (a, b, x1, x2, h): per search-tree node while rows share nodes, each
+    # row then holding its node's index in `node`; per row after the
+    # switch, when `node` is None. Rows whose batch has taken its steps take
+    # their estimates then and leave every working array.
+    node, roots = _dense_ids(key, runs * search.grid_points)
+    rep = np.empty(roots.size, dtype=np.intp)
+    rep[node] = np.arange(links)
+    a, b, hk = a[rep], b[rep], h_row[rep]
+    span = b - a
+    x1, x2 = a + _INVPHI2 * span, a + _INVPHI * span
+    tree = (a, b, x1, x2, hk)
+    f1 = _loglik_at(x1, hk, node, n, env, s1, s2)
+    f2 = _loglik_at(x2, hk, node, n, env, s1, s2)
     d_hat = np.empty(links)
-    rows, s1k, s2k, hk = np.arange(links), s1, s2, h_row
+    rows, s1k, s2k = np.arange(links), s1, s2
     for t in range(row_iter.max(initial=0)):
         if t in n_iter:
             done = row_iter == t
-            d_hat[rows[done]] = np.where(f1[done] >= f2[done], x1[done], x2[done])
+            x1, x2 = (v[done] if node is None else np.take(v, node[done]) for v in tree[2:4])
+            d_hat[rows[done]] = np.where(f1[done] >= f2[done], x1, x2)
             keep = ~done
-            rows, row_iter, a, b, x1, x2, f1, f2, s1k, s2k, hk = (
-                v[keep] for v in (rows, row_iter, a, b, x1, x2, f1, f2, s1k, s2k, hk))
+            rows, row_iter, f1, f2, s1k, s2k = (
+                v[keep] for v in (rows, row_iter, f1, f2, s1k, s2k))
+            if node is None:
+                tree = tuple(v[keep] for v in tree)
+            else:
+                node = node[keep]
         # All ones where f1 >= f2: ties shrink toward the smaller distance.
         left = np.negative(f1 >= f2, dtype=np.int64)
-        b = _select(left, x2, b)
-        a = _select(left, a, x1)
+        step = left
+        if node is not None:
+            # A child node per (node, side) that some row takes; its key's
+            # low bit is the side.
+            keys = node << 1
+            keys -= left
+            child, keys = _dense_ids(keys, 2 * tree[0].size)
+            if _NODE_SHARE * keys.size > rows.size:
+                tree, node = tuple(np.take(v, node) for v in tree), None
+            else:
+                step = np.negative(keys & 1)
+                keys >>= 1
+                tree = tuple(np.take(v, keys) for v in tree)
+                node = child
+        a, b, x1, x2, hk = tree
+        b = _select(step, x2, b)
+        a = _select(step, a, x1)
         span = b - a
-        x1n = a + _INVPHI2 * span
-        x2n = a + _INVPHI * span
+        x1, x2 = a + _INVPHI2 * span, a + _INVPHI * span
+        tree = (a, b, x1, x2, hk)
         # The other interior point survives on each side; keep its value.
-        f_new = _loglik(_select(left, x1n, x2n), hk, n, env, s1k, s2k)
+        f_new = _loglik_at(_select(step, x1, x2), hk, node, n, env, s1k, s2k)
         f1, f2 = _select(left, f_new, f2), _select(left, f1, f_new)
-        x1, x2 = x1n, x2n
+    x1, x2 = (v if node is None else np.take(v, node) for v in tree[2:4])
     d_hat[rows] = np.where(f1 >= f2, x1, x2)
 
     # Snap to the hard bounds when the refinement hugged an end of the range.

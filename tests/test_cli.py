@@ -12,7 +12,7 @@ import yaml
 import uavloc as u
 from uavloc import cli
 from uavloc.config import COMMANDS
-from uavloc.experiments import CRLB_CSV_HEADER
+from uavloc.experiments import CRLB_CSV_HEADER, MAX_THREADS
 
 
 @pytest.fixture()
@@ -423,13 +423,17 @@ class TestErrorPaths:
         assert code == cli.EXIT_COMPUTE == 4
         assert "computation error: Unable to allocate 22.4 GiB" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["-1", "-8", "x"])
+    @pytest.mark.parametrize("value", ["-1", "-8", "x", "1025", "99999999999999999999"])
     def test_bad_thread_count_exits_2(self, alt_cfg, tmp_path, capsys, value):
+        # Each value is refused while parsing, before a study or a pool starts.
         with pytest.raises(SystemExit) as exc:
             cli.main(["altitude-sweep", "--config", str(alt_cfg),
                       "--out", str(tmp_path / "o.csv"), "--threads", value])
         assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--threads" in err
+        assert value == "x" or f"must be in [0, {MAX_THREADS}]" in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_non_finite_crlb_value_exits_4(self, crlb_cfg, tmp_path, capsys, monkeypatch):
         run_crlb_comparison = cli.run_crlb_comparison

@@ -597,8 +597,61 @@ class TestSearchMatchesReference:
         n_iter = (len(ref_sizes) - 4) // 2
         assert n_iter >= 1 and len(ref_sizes) == 4 + 2 * n_iter
         assert len(sizes) == 1 + 2 + n_iter + 1
-        assert sizes[0] == u.SearchConfig().grid_points
-        assert sizes[1:] == [rows] * (len(sizes) - 1)
+        assert sizes[0] == u.SearchConfig().grid_points and sizes[-1] == rows
+        # Rows on one search-tree node share its evaluation, so neither
+        # starting point nor any step evaluates more points than there are
+        # rows still refining.
+        assert all(1 <= size <= rows for size in sizes[1:-1])
+
+    @pytest.mark.parametrize("distinct", [1, 2])
+    def test_duplicated_rows_share_each_step(self, monkeypatch, distinct):
+        # Copies of one link take the same path down the search tree, so
+        # `distinct` links repeated evaluate at most `distinct` new points
+        # per starting point and per step, and give the reference's bytes.
+        h = 400.0
+        w = np.repeat(ranging_batch(ENV, 12, 5, h, seed=8)[4:4 + distinct], 30, axis=0)
+        sizes = []
+        monkeypatch.setattr(est, "_loglik_terms", counting(est._loglik_terms, sizes))
+        got = u.mle_distance_batch(w, h, ENV)
+        assert sizes[-1] == w.shape[0] and len(sizes) > 4
+        assert all(1 <= size <= distinct for size in sizes[1:-1])
+        assert distinct == 1 or max(sizes[1:-1]) == 2
+        for g, r in zip(got, mle_distance_batch_reference(w, h, ENV)):
+            assert g.tobytes() == r.tobytes()
+        assert np.unique(got[0]).size == distinct
+
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_level_on_the_switch_threshold(self, monkeypatch, short):
+        # Six links, each copied _NODE_SHARE times (less one row when
+        # `short`), in one batch. Once the six have parted, the next level
+        # holds six nodes: _NODE_SHARE x 6 equals the rows, so the steps
+        # stay shared; one row fewer and that level switches to per-row
+        # steps. Both give the reference's bytes.
+        share, h = est._NODE_SHARE, 400.0
+        links = ranging_batch(ENV, 8, 5, h, seed=21)[1:-1]
+        w = np.repeat(links, share, axis=0)[short:]
+        levels = []
+        dense_ids = est._dense_ids
+
+        def spy(keys, size):
+            ids, present = dense_ids(keys, size)
+            levels.append((keys.size, present.size))
+            return ids, present
+
+        monkeypatch.setattr(est, "_dense_ids", spy)
+        got = u.mle_distance_batch(w, h, ENV)
+        steps = levels[1:]  # levels[0] is the roots
+        on_threshold = [share * nodes == rows for rows, nodes in steps]
+        if short:
+            assert share * steps[-1][1] > steps[-1][0] == w.shape[0]
+            assert not any(on_threshold)
+        else:
+            assert steps[-1][1] == 6 and on_threshold[-1]
+            assert len(steps) == golden_steps(w, h)  # shared to the end
+        for g, r in zip(got, mle_distance_batch_reference(w, h, ENV)):
+            assert g.tobytes() == r.tobytes()
+        for g, r in zip(got, u.mle_distance_batch(w[::-1], h, ENV)):
+            assert g.tobytes() == r[::-1].tobytes()
 
 
 class TestPrunedBracketing:
@@ -795,11 +848,16 @@ class TestMultiBatchMatchesAlone:
         grid = u.SearchConfig().grid_points
         # One grid per run of equal altitudes that holds rows (400 m twice,
         # as the empty 700 m batch splits its run, then 1500 m and 50 m), the
-        # two starting points, then each step on the rows whose batch still
-        # refines, and the final value.
+        # two starting points, one evaluation per step, and the final value.
+        # Rows on one search-tree node share its evaluation, so no step
+        # evaluates more points than there are rows whose batch still
+        # refines.
         active = [sum(r for r, s in zip(rows, steps) if r and s > t)
                   for t in range(max(steps))]
-        assert sizes == [grid] * 4 + [total] * 2 + active + [total]
+        assert sizes[:4] == [grid] * 4 and sizes[-1] == total
+        assert len(sizes) == 4 + 2 + len(active) + 1
+        assert all(1 <= size <= total for size in sizes[4:6])
+        assert all(1 <= size <= rows_left for size, rows_left in zip(sizes[6:-1], active))
         assert active[0] == total and active[-1] < total
 
     def test_offsets_validation(self):

@@ -320,6 +320,9 @@ class TestPointErrors:
         # 40 nodes x 3 anchors = 120 rows per (trial, point), points inner:
         # packs cross point and trial boundaries.
         ("altitude", (50.0, 300.0, 900.0, 2000.0), 2, 360, [[360, 360, 240]]),
+        # The real pack size on 40 (trial, point) batches of 120 rows: each
+        # call holds two or more whole batches.
+        ("altitude", (50.0, 300.0, 900.0, 2000.0), 10, None, None),
     ])
     def test_packed_ranging_equals_points_alone(self, monkeypatch, variable, values,
                                                 trials, pack_rows, packs):
@@ -334,7 +337,12 @@ class TestPointErrors:
             return mle_distance_batch(samples_2d, h, env, search, offsets=offsets)
 
         monkeypatch.setattr(ex, "mle_distance_batch", spy)
-        monkeypatch.setattr(ex, "_PACK_ROWS", pack_rows)
+        if pack_rows is None:
+            per_call, batches = ex._PACK_ROWS // 120, trials * len(values)
+            assert per_call >= 2
+            packs = [[120 * min(per_call, batches - i) for i in range(0, batches, per_call)]]
+        else:
+            monkeypatch.setattr(ex, "_PACK_ROWS", pack_rows)
         for idx in ex._sweep_slices(cfg, 1):
             calls.append([])
             slice_values = [values[i] for i in idx]
@@ -470,6 +478,23 @@ class TestSweepRunners:
         # from equality, all science fields must match.
         for threads in (2, 3):
             assert u.run_sweep(cfg, threads=threads) == serial
+
+    @pytest.mark.parametrize("threads", [-1, ex.MAX_THREADS + 1, 99999999999999999999, 1.5,
+                                         True])
+    def test_bad_thread_count_is_refused_before_any_pool(self, monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
+        cfg = tiny_altitude_config(node_count=10)
+        studies = (lambda: u.run_sweep(cfg, threads=threads),
+                   lambda: u.optimize_altitude(cfg, threads=threads),
+                   lambda: u.run_crlb_comparison(cfg, (400.0,), repetitions=20,
+                                                 threads=threads))
+        for study in studies:
+            with pytest.raises(ValueError,
+                               match=rf"threads must be an integer in \[0, {ex.MAX_THREADS}\]"):
+                study()
 
     def test_result_counts_the_workers_used(self):
         cfg = tiny_altitude_config(node_count=10)

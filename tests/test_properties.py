@@ -13,7 +13,8 @@ import uavloc as u  # noqa: E402
 from uavloc import config, estimation as est, localization as loc  # noqa: E402
 from uavloc.config import DEFAULT_GRIDS, grid_from_range  # noqa: E402
 
-from test_estimation import KERNEL_ENVS, ranging_batch, reference_loglik  # noqa: E402
+from test_estimation import (KERNEL_ENVS, mle_distance_batch_reference,  # noqa: E402
+                             ranging_batch, reference_loglik)
 from test_localization import _lm_descend_full_batch, assert_descents_equal  # noqa: E402
 
 ALTITUDES = grid_from_range(*DEFAULT_GRIDS["altitude"])
@@ -36,6 +37,35 @@ def test_multi_batch_ranging_equals_each_batch_alone(batches, n, env, seed):
         for g, want in zip(got, u.mle_distance_batch(w, h, env)):
             assert g.dtype == want.dtype
             assert g[i:j].tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches=st.lists(st.tuples(st.integers(1, 12), st.integers(0, 2), st.integers(1, 3)),
+                        min_size=1, max_size=6),
+       altitudes=st.lists(st.sampled_from(ALTITUDES), min_size=2, max_size=3, unique=True),
+       n=st.sampled_from([1, 5, 30]),
+       env=st.sampled_from([u.URBAN, u.SUBURBAN]),
+       seed=st.integers(0, 2 ** 16))
+@example(batches=[(1, 0, 1)], altitudes=[400.0, 1500.0], n=5, env=u.URBAN, seed=0)
+@example(batches=[(6, 0, 3), (1, 0, 1), (9, 0, 2), (4, 1, 1), (7, 1, 3)],
+         altitudes=[400.0, 1500.0], n=5, env=u.URBAN, seed=1)
+def test_shared_node_ranging_equals_each_batch_alone(batches, altitudes, n, env, seed):
+    # Batches come from two or three altitudes, so adjacent batches often
+    # share a run and its search-tree nodes while leaving at different
+    # steps. Each batch's links are copied 1-3 times in a row; with two or
+    # more links, one is pinned at d = h and one at d_max.
+    ws, hs = [], []
+    for i, (rows, k, copies) in enumerate(batches):
+        h = altitudes[k % len(altitudes)]
+        ws.append(np.repeat(ranging_batch(env, rows, n, h, seed + i), copies, axis=0))
+        hs.append(h)
+    offsets = np.cumsum([0] + [w.shape[0] for w in ws])
+    got = u.mle_distance_batch(np.concatenate(ws), hs, env, offsets=offsets)
+    for w, h, i, j in zip(ws, hs, offsets[:-1], offsets[1:]):
+        for want in (u.mle_distance_batch(w, h, env), mle_distance_batch_reference(w, h, env)):
+            for g, r in zip(got, want):
+                assert g.dtype == r.dtype
+                assert g[i:j].tobytes() == r.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
