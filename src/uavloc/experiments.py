@@ -23,6 +23,12 @@ depends only on its own batch and each fix only on its own row, so neither
 the packing, the slicing, the order of the slices nor the worker count
 changes any result bit.
 
+The bound-versus-estimator table's parallel unit is one altitude: its
+cells, one per r, are ranged together in one call, one batch each, so a
+task holds len(r) x repetitions rows, as a sweep batch holds nodes x
+anchors rows. Each cell draws from its own (r, h) stream, so the grouping
+changes no bit either.
+
 Parallel slices run in worker processes forked from a fork server (fresh
 interpreters where the platform has none, as on Windows). The first parallel
 run starts the server, which imports numpy and uavloc once, and a pool of
@@ -542,25 +548,30 @@ def optimize_altitude(cfg: ExperimentConfig, threads: int = 1) -> AltitudeOptimu
 # ---------------------------------------------------------------------------
 
 
-def _crlb_worker(args) -> CrlbPoint:
-    cfg, r, h, i_r, i_h, repetitions = args
+def _crlb_worker(args) -> list[CrlbPoint]:
+    """The table's cells at altitude `h`, in the order of `rs`, ranged in one
+    call, one batch per cell. `-sigma * z + mu` rounds as `mu - sigma * z`."""
+    cfg, h, i_h, rs, repetitions = args
     env = cfg.environment
-    geom = LinkGeometry(r=float(r), h=float(h))
     s = cfg.samples_per_anchor
-    mu = mean_rss(geom.d, geom.theta, env)
-    sigma = shadowing_sigma(geom.theta, env)
-    z = substream(cfg.seed, TAG_RSS, i_r, i_h).standard_normal((repetitions, s))
-    w = mu - sigma * z
-    d_hat, _, _, boundary = mle_distance_batch(w, geom.h, env, cfg.search)
-    return CrlbPoint(
-        r=float(r),
-        h=float(h),
+    geoms = [LinkGeometry(r=r, h=h) for r in rs]
+    w = np.empty((len(rs), repetitions, s))
+    for i_r, (geom, cell) in enumerate(zip(geoms, w)):
+        substream(cfg.seed, TAG_RSS, i_r, i_h).standard_normal(out=cell)
+        cell *= -shadowing_sigma(geom.theta, env)
+        cell += mean_rss(geom.d, geom.theta, env)
+    d_hat, _, _, boundary = mle_distance_batch(
+        w.reshape(-1, s), h, env, cfg.search, offsets=np.arange(len(rs) + 1) * repetitions)
+    d_hat, boundary = d_hat.reshape(len(rs), -1), boundary.reshape(len(rs), -1)
+    return [CrlbPoint(
+        r=geom.r,
+        h=h,
         crlb_sigma=crlb_sigma(geom, env, n_samples=s),
-        mle_sigma=float(np.std(d_hat, ddof=1)),
-        mle_mean=float(np.mean(d_hat)),
-        boundary_fraction=float(np.mean(boundary)),
+        mle_sigma=float(np.std(d, ddof=1)),
+        mle_mean=float(np.mean(d)),
+        boundary_fraction=float(np.mean(pins)),
         repetitions=int(repetitions),
-    )
+    ) for geom, d, pins in zip(geoms, d_hat, boundary)]
 
 
 def run_crlb_comparison(cfg: ExperimentConfig, r_values,
@@ -571,7 +582,13 @@ def run_crlb_comparison(cfg: ExperimentConfig, r_values,
     For every (r, h) pair — h from the config's altitude grid — draws
     `repetitions` independent sample sets for a single anchor-node link and
     compares the standard deviation of the distance estimates against the
-    bound at the true geometry.
+    bound at the true geometry. Points come r-major: every h for the first
+    r, then for the next.
+
+    The parallel unit is one altitude: its cells are ranged together in
+    one call, one batch each, so a task holds len(r_values) x repetitions
+    rows. Each cell owns its draws and ranges as it would alone, so neither
+    the grouping nor the worker count changes a bit.
     """
     _require_altitude(cfg)
     if not (isinstance(repetitions, Integral) and repetitions >= 2):
@@ -579,10 +596,9 @@ def run_crlb_comparison(cfg: ExperimentConfig, r_values,
     rs = [float(r) for r in r_values]
     if not rs or not all(0.0 < r <= MAX_LENGTH_M for r in rs):
         raise ValueError(f"r_values must be nonempty, finite, positive and <= {MAX_LENGTH_M:g} m")
-    args = [(cfg, r, h, i_r, i_h, repetitions)
-            for i_r, r in enumerate(rs)
-            for i_h, h in enumerate(cfg.sweep.values)]
-    return _map_points(_crlb_worker, args, threads)
+    by_h = _map_points(_crlb_worker, [(cfg, h, i_h, rs, repetitions)
+                                      for i_h, h in enumerate(cfg.sweep.values)], threads)
+    return [cells[i_r] for i_r in range(len(rs)) for cells in by_h]
 
 
 # ---------------------------------------------------------------------------
@@ -676,13 +692,14 @@ def write_crlb_table(points: list[CrlbPoint], cfg: ExperimentConfig, path,
     """Write the bound-versus-estimator table as CSV plus a JSON sidecar.
 
     The sidecar (see `_write_with_sidecar`) leaves out `CRLB_UNREAD_KEYS`
-    and counts workers as `run_crlb_comparison` did at `threads`. A
-    non-finite value raises ValueError before either file is written.
+    and counts workers as `run_crlb_comparison` did at `threads`, with one
+    task per altitude. A non-finite value raises ValueError before either
+    file is written.
     """
     _write_with_sidecar(path, CRLB_CSV_HEADER, [
         (pt.r, pt.h, pt.crlb_sigma, pt.mle_sigma, pt.mle_mean, pt.boundary_fraction,
          pt.repetitions, cfg.seed) for pt in points],
-        cfg, CRLB_UNREAD_KEYS, _pool_size(threads, len(points)))
+        cfg, CRLB_UNREAD_KEYS, _pool_size(threads, len({pt.h for pt in points})))
 
 
 def read_results_csv(path) -> dict[str, np.ndarray]:

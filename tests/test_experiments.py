@@ -805,6 +805,26 @@ class TestCrlbComparison:
         b = u.run_crlb_comparison(cfg, (400.0,), repetitions=200, threads=2)
         assert a == b
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equals_one_call_per_cell(self, threads):
+        # Reference: each cell ranged alone on its own mu - sigma * z draws.
+        cfg = tiny_altitude_config(sweep=u.SweepSpec("altitude", (300.0, 1100.0)))
+        rs, reps, env, s = (150.0, 400.0, 2500.0), 37, cfg.environment, cfg.samples_per_anchor
+        want = []
+        for i_r, r in enumerate(rs):
+            for i_h, h in enumerate(cfg.sweep.values):
+                geom = u.LinkGeometry(r=r, h=h)
+                z = substream(cfg.seed, TAG_RSS, i_r, i_h).standard_normal((reps, s))
+                w = u.mean_rss(geom.d, geom.theta, env) - u.shadowing_sigma(geom.theta, env) * z
+                d_hat, _, _, boundary = u.mle_distance_batch(w, h, env, cfg.search)
+                want.append(u.CrlbPoint(
+                    r=r, h=h, crlb_sigma=u.crlb_sigma(geom, env, n_samples=s),
+                    mle_sigma=float(np.std(d_hat, ddof=1)), mle_mean=float(np.mean(d_hat)),
+                    boundary_fraction=float(np.mean(boundary)), repetitions=reps))
+        got = _bounded(lambda: u.run_crlb_comparison(cfg, rs, repetitions=reps,
+                                                     threads=threads))
+        assert [asdict(pt) for pt in got] == [asdict(pt) for pt in want]
+
     def test_validation(self):
         cfg = tiny_altitude_config()
         for rs in ((), (-5.0,), (400.0, math.nan), (math.inf,)):
@@ -911,6 +931,17 @@ class TestSerialization:
         runtime = json.loads((tmp_path / "sweep.meta.json").read_text())["runtime"]
         assert runtime["workers"] == 2
         assert runtime["start_method"] in multiprocessing.get_all_start_methods()
+
+    def test_crlb_sidecar_counts_one_task_per_altitude(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
+        cfg = tiny_altitude_config(sweep=u.SweepSpec("altitude", (500.0,)))
+        points = u.run_crlb_comparison(cfg, (400.0, 900.0), repetitions=50, threads=2)
+        u.write_crlb_table(points, cfg, tmp_path / "crlb.csv", threads=2)
+        runtime = json.loads((tmp_path / "crlb.meta.json").read_text())["runtime"]
+        assert (runtime["workers"], runtime["start_method"]) == (1, None)
 
     def test_read_rejects_foreign_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
