@@ -192,11 +192,16 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 #: blocks that reach the maximum span about 58 columns. Narrower blocks
 #: bound more tightly but cost more passes.
 _BOUND_COLS = 16
-#: Rows bounded at a time, and the most a dense pass holds: a 512 KiB
-#: (blocks, rows) bound at 256 points and a 512 KiB (16, rows) pass. One
+#: Rows bounded at a time, and the most a dense pass holds: a 1 MiB
+#: (blocks, rows) bound at 256 points and a 1 MiB (16, rows) pass. One
 #: 16-column pass over 4096 rows took 500, 357 and 272 us in chunks of 256,
-#: 1024 and 4096 rows, so a pass is never chunked.
-_BOUND_ROWS = 4096
+#: 1024 and 4096 rows, so a pass is never chunked. Replaying the seed-3
+#: ranging calls of the three benchmark studies on a 2-vCPU Xeon, the time
+#: relative to 8192 rows was 1.076 (crlb-table), 1.090 (count-lowalt) and
+#: 1.019 (altitude-urban) at 4096 rows, 1.001, 0.983 and 0.996 at 16384,
+#: and 0.997 on crlb-table at 32768 (medians of 7-11 interleaved rounds).
+#: Beyond 8192 the gain is within the spread, while both arrays keep growing.
+_BOUND_ROWS = 8192
 #: Golden-section steps evaluate the kernel once per search-tree node while
 #: _NODE_SHARE x the next level's nodes are at most the rows still refining,
 #: and once per row from the first level with more nodes. Replaying the
@@ -222,10 +227,23 @@ def _select(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _suffstats(samples_2d: np.ndarray):
-    """Per-row sufficient statistics (sum, sum of squares) of the samples."""
+    """Per-row sufficient statistics (sum, sum of squares) of the samples.
+
+    They are the bits of `sum(axis=1)` of the samples and of their squares.
+    numpy adds a row of fewer than 8 values in sequence, starting from 0
+    (so a row of -0.0 sums to +0.0), and pairwise from 8 on. Below 8
+    samples the columns are added in that sequence, with no squared copy;
+    from 8 on, `sum(axis=1)` runs.
+    """
     with np.errstate(over="ignore"):  # an overflow gives inf; callers reject it
-        s1 = samples_2d.sum(axis=1)
-        s2 = (samples_2d ** 2).sum(axis=1)
+        if samples_2d.shape[1] >= 8:
+            return samples_2d.sum(axis=1), (samples_2d ** 2).sum(axis=1)
+        cols = samples_2d.T
+        s1, s2 = cols[0] + 0.0, np.square(cols[0])
+        sq = np.empty_like(s2)
+        for col in cols[1:]:
+            s1 += col
+            s2 += np.square(col, out=sq)
     return s1, s2
 
 
@@ -341,13 +359,23 @@ def _grid_terms(h: float, n: int, env: EnvironmentParams, search: SearchConfig):
 def _bounds(terms, n: int):
     """The bound's terms: per block of `_BOUND_COLS` columns (the last one
     ragged) max c0, mu midpoint and half-width and n / max 2 var, as
-    (blocks, 1) columns, and the margin's grid maxima."""
+    (blocks, 1) columns; the margin's grid maxima; and the probe table.
+
+    The table splits -2 mu between its values at the grid's ends into 4 x
+    columns equal bins, and holds the column where `searchsorted` puts
+    each bin's lower edge, clipped to the grid; with it come the lower end
+    and the bins per unit of -2 mu (0 if -2 mu does not rise end to end).
+    """
     c0, two_mu, n_mu2, two_var = terms
     starts = np.arange(0, c0.size, _BOUND_COLS)
     c_b, tm_lo, tm_hi, v2_b = (f.reduceat(t, starts)[:, None] for f, t in (
         (np.maximum, c0), (np.minimum, two_mu), (np.maximum, two_mu), (np.maximum, two_var)))
+    bins, lo, hi = 4 * c0.size, -two_mu[0], -two_mu[-1]
+    edges = np.linspace(lo, hi, bins, endpoint=False)
+    probe = np.minimum(np.searchsorted(-two_mu, edges), c0.size - 1)
     return (c_b, 0.25 * (tm_hi + tm_lo), 0.25 * (tm_hi - tm_lo), n / v2_b,
-            (np.abs(c0).max(), np.abs(two_mu).max(), n_mu2.max(), two_var.min()))
+            (np.abs(c0).max(), np.abs(two_mu).max(), n_mu2.max(), two_var.min()),
+            (probe, lo, bins / (hi - lo) if hi > lo else 0.0))
 
 
 def _dense_argmax(s1, s2, terms, lo: int, hi: int, buf):
@@ -364,11 +392,21 @@ def _dense_argmax(s1, s2, terms, lo: int, hi: int, buf):
     return lo + width - np.multiply(ll == top, rev).max(axis=0).astype(np.intp), top
 
 
+def _probe(m, table):
+    """Each row's stage-1 column: the entry of `_bounds`' probe table for
+    the bin that holds -2 m."""
+    cols, lo, per = table
+    at = m * -2.0
+    at -= lo
+    at *= per
+    np.clip(at, 0, cols.size - 1, out=at)
+    return cols[at.astype(np.intp)]
+
+
 def _bracket(s1, s2, n: int, terms, blocks, buf):
     """Each row's first argmax over the whole grid, from the blocks its
     bound cannot rule out (see `mle_distance_batch`)."""
-    c_b, mu_mid, mu_half, nv_b, (c_abs, tm_abs, nm2_max, tv_min) = blocks
-    two_mu = terms[1]
+    c_b, mu_mid, mu_half, nv_b, (c_abs, tm_abs, nm2_max, tv_min), probe = blocks
     m = s1 / n
     # U = C_b - (S / n + dist(m, mu interval)^2) * n / V2_b, as (blocks, rows).
     ub = m - mu_mid
@@ -379,9 +417,9 @@ def _bracket(s1, s2, n: int, terms, blocks, buf):
     ub += np.maximum(s2 - s1 * m, 0.0) / n
     ub *= nv_b
     np.subtract(c_b, ub, out=ub)
-    # Stage 1: L1, each row's value at its probe column, where mu would
-    # cross m if mu fell along the grid (any column gives a valid L1).
-    at = np.minimum(np.searchsorted(-two_mu, -2.0 * m), two_mu.size - 1)
+    # Stage 1: L1, each row's value at its probe column, about where mu
+    # would cross m if mu fell along the grid (any column gives a valid L1).
+    at = _probe(m, probe)
     low = _log_density([t[at] for t in terms], s1, s2, out=np.empty_like(s1))
     reach = ub >= low - (n + 8) * 2.0 ** -50 * (
         c_abs + (np.abs(s1) * tm_abs + s2 + nm2_max) / tv_min)
@@ -428,12 +466,18 @@ def mle_distance_batch(samples_2d: np.ndarray, h, env: EnvironmentParams,
     mu in [mu_lo, mu_hi] and max 2 var V, every ll is at most
     U = C - (S + n dist(m, [mu_lo, mu_hi])^2) / V, for any order of mu.
     Two certified stages follow. Stage 1 evaluates each row at one probe
-    column, where mu would cross m on a grid of falling mu; the value L1 is
-    a lower bound on the row's maximum L. Stage 2 makes one column-major
-    (block columns, rows) dense pass per block, through one buffer, over
-    the rows whose U is at least L1 - margin (the full pass's operations
-    in its order; s1 * (2 mu) equals 2 * (s1 * mu) bit for bit, as scaling
-    by 2 is exact). Blocks go in column order, and a later block takes a
+    column, near where mu would cross m on a grid of falling mu: -2 m picks
+    one of 4 x grid points equal bins of -2 mu between its end values, and
+    a per-altitude table built with the bounds gives the bin's column (the
+    `searchsorted` column of its lower edge). Whatever the column, its value
+    L1 is a lower bound on the row's maximum L, and L1 only decides which
+    blocks stage 2 evaluates, so no result bit depends on the probe. (At
+    256 points, tables of 256 and 4096 bins ranged the benchmark's seed-3
+    crlb-table calls in 1.023 and 1.005 of the time of 1024.) Stage 2
+    makes one column-major (block columns, rows) dense pass per block,
+    through one buffer, over the rows whose U is at least L1 - margin (the
+    full pass's operations in its order; s1 * (2 mu) equals 2 * (s1 * mu)
+    bit for bit, as scaling by 2 is exact). Blocks go in column order, and a later block takes a
     row only with a larger value. Each block left out has U < L1 - margin
     <= L - margin, so every column outside is below L: the first maximum
     of the blocks evaluated is the grid's first argmax, ties included, and

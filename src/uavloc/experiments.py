@@ -24,10 +24,9 @@ the packing, the slicing, the order of the slices nor the worker count
 changes any result bit.
 
 The bound-versus-estimator table's parallel unit is one altitude: its
-cells, one per r, are ranged together in one call, one batch each, so a
-task holds len(r) x repetitions rows, as a sweep batch holds nodes x
-anchors rows. Each cell draws from its own (r, h) stream, so the grouping
-changes no bit either.
+cells, one per r, are ranged together, one batch each, in calls of up to
+`_CRLB_ROWS` rows; a larger cell ranges alone. Each cell draws from its
+own (r, h) stream, so the grouping changes no bit either.
 
 Parallel slices run in worker processes forked from a fork server (fresh
 interpreters where the platform has none, as on Windows). The first parallel
@@ -548,30 +547,49 @@ def optimize_altitude(cfg: ExperimentConfig, threads: int = 1) -> AltitudeOptimu
 # ---------------------------------------------------------------------------
 
 
+#: Most rows in one ranging call of the crlb table: an altitude's cells are
+#: packed, in r order, into calls of at most this many rows. Rows at one
+#: altitude share golden-section search points, so packing pays on small
+#: cells, but a call's working arrays outgrow the caches on large ones. One
+#: call of three cells (r = 250, 500 and 1000 m, urban, 5 samples) took,
+#: relative to one call per cell on a 2-vCPU Xeon, at h = 100, 500 and
+#: 2000 m: 0.937, 0.913 and 0.875 at 10^4 repetitions (crlb-table's
+#: 3 x 10^4-row calls); 0.997, 1.020 and 0.987 at 2 x 10^4; and 1.23, 1.34
+#: and 1.32 at 10^5 (medians of 5-7 interleaved rounds). This cap is not
+#: `_PACK_ROWS`, which would split crlb-table's calls.
+_CRLB_ROWS = 32768
+
+
 def _crlb_worker(args) -> list[CrlbPoint]:
-    """The table's cells at altitude `h`, in the order of `rs`, ranged in one
-    call, one batch per cell. `-sigma * z + mu` rounds as `mu - sigma * z`."""
+    """The table's cells at altitude `h`, in the order of `rs`, ranged in
+    calls of at most `_CRLB_ROWS` rows, one batch per cell; a larger cell
+    ranges alone. `-sigma * z + mu` rounds as `mu - sigma * z`."""
     cfg, h, i_h, rs, repetitions = args
     env = cfg.environment
     s = cfg.samples_per_anchor
-    geoms = [LinkGeometry(r=r, h=h) for r in rs]
-    w = np.empty((len(rs), repetitions, s))
-    for i_r, (geom, cell) in enumerate(zip(geoms, w)):
-        substream(cfg.seed, TAG_RSS, i_r, i_h).standard_normal(out=cell)
-        cell *= -shadowing_sigma(geom.theta, env)
-        cell += mean_rss(geom.d, geom.theta, env)
-    d_hat, _, _, boundary = mle_distance_batch(
-        w.reshape(-1, s), h, env, cfg.search, offsets=np.arange(len(rs) + 1) * repetitions)
-    d_hat, boundary = d_hat.reshape(len(rs), -1), boundary.reshape(len(rs), -1)
-    return [CrlbPoint(
-        r=geom.r,
-        h=h,
-        crlb_sigma=crlb_sigma(geom, env, n_samples=s),
-        mle_sigma=float(np.std(d, ddof=1)),
-        mle_mean=float(np.mean(d)),
-        boundary_fraction=float(np.mean(pins)),
-        repetitions=int(repetitions),
-    ) for geom, d, pins in zip(geoms, d_hat, boundary)]
+    per_call = max(1, _CRLB_ROWS // repetitions)
+    points = []
+    for first in range(0, len(rs), per_call):
+        geoms = [LinkGeometry(r=r, h=h) for r in rs[first:first + per_call]]
+        w = np.empty((len(geoms), repetitions, s))
+        for i_r, (geom, cell) in enumerate(zip(geoms, w), start=first):
+            substream(cfg.seed, TAG_RSS, i_r, i_h).standard_normal(out=cell)
+            cell *= -shadowing_sigma(geom.theta, env)
+            cell += mean_rss(geom.d, geom.theta, env)
+        d_hat, _, _, boundary = mle_distance_batch(
+            w.reshape(-1, s), h, env, cfg.search,
+            offsets=np.arange(len(geoms) + 1) * repetitions)
+        d_hat, boundary = d_hat.reshape(len(geoms), -1), boundary.reshape(len(geoms), -1)
+        points += [CrlbPoint(
+            r=geom.r,
+            h=h,
+            crlb_sigma=crlb_sigma(geom, env, n_samples=s),
+            mle_sigma=float(np.std(d, ddof=1)),
+            mle_mean=float(np.mean(d)),
+            boundary_fraction=float(np.mean(pins)),
+            repetitions=int(repetitions),
+        ) for geom, d, pins in zip(geoms, d_hat, boundary)]
+    return points
 
 
 def run_crlb_comparison(cfg: ExperimentConfig, r_values,
@@ -585,10 +603,10 @@ def run_crlb_comparison(cfg: ExperimentConfig, r_values,
     bound at the true geometry. Points come r-major: every h for the first
     r, then for the next.
 
-    The parallel unit is one altitude: its cells are ranged together in
-    one call, one batch each, so a task holds len(r_values) x repetitions
-    rows. Each cell owns its draws and ranges as it would alone, so neither
-    the grouping nor the worker count changes a bit.
+    The parallel unit is one altitude: its cells are ranged together, one
+    batch each, in calls of at most `_CRLB_ROWS` rows. Each cell owns its
+    draws and ranges as it would alone, so neither the grouping nor the
+    worker count changes a bit.
     """
     _require_altitude(cfg)
     if not (isinstance(repetitions, Integral) and repetitions >= 2):

@@ -354,6 +354,27 @@ class TestLikelihoodKernel:
         assert est._loglik(d, h, n, env, s1, s2).tobytes() == want.tobytes()
 
 
+class TestSufficientStatistics:
+    """`_suffstats` gives the bits of numpy's row sums, whatever the path."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_numpy_row_sums(self, n):
+        rng = np.random.default_rng(n)
+        w = rng.normal(-100.0, 10.0, (500, n)) * rng.choice([1.0, 1e8, 1e-8], (500, n))
+        w[0] = -0.0  # sums to +0.0, as numpy starts from 0
+        w[1, ::2] = 0.0
+        w[1, 1::2] = -0.0
+        w[2] = 1e200  # the squares overflow to inf
+        w[3, 0], w[3, 1:] = 1e16, 1.0  # differs between orders of addition
+        for samples in (w, np.asfortranarray(w), np.repeat(w, 2, axis=1)[:, ::2]):
+            s1, s2 = est._suffstats(samples)
+            with np.errstate(over="ignore"):
+                want1, want2 = samples.sum(axis=1), (samples ** 2).sum(axis=1)
+            assert s1.dtype == s2.dtype == np.float64 and s1.shape == s2.shape == (500,)
+            assert s1.tobytes() == want1.tobytes() and s2.tobytes() == want2.tobytes()
+        assert s2[2] == math.inf and math.copysign(1.0, s1[0]) == 1.0
+
+
 class TestSearchConfig:
     def test_defaults(self):
         cfg = u.SearchConfig()
@@ -537,7 +558,8 @@ def counting(real, sizes):
 _B = est._BOUND_ROWS
 #: Row counts around powers of two, and at the edges of one bound chunk of
 #: B = _BOUND_ROWS rows, the most a dense pass holds.
-BLOCK_EDGE_ROWS = sorted({1, 255, 256, 257, 519, 1023, 1024, 1025, 2055, _B - 1, _B, _B + 1})
+BLOCK_EDGE_ROWS = sorted({1, 255, 256, 257, 519, 1023, 1024, 1025, 2055, 4095, 4096, 4097,
+                          _B - 1, _B, _B + 1})
 
 
 class TestSearchMatchesReference:

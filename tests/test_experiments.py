@@ -805,9 +805,14 @@ class TestCrlbComparison:
         b = u.run_crlb_comparison(cfg, (400.0,), repetitions=200, threads=2)
         assert a == b
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_equals_one_call_per_cell(self, threads):
+    @pytest.mark.parametrize("threads, cap", [
+        pytest.param(1, None, id="1"), pytest.param(2, None, id="2"),
+        pytest.param(1, 80, id="split")])
+    def test_equals_one_call_per_cell(self, threads, cap, monkeypatch):
         # Reference: each cell ranged alone on its own mu - sigma * z draws.
+        # Under a cap of 80 rows an altitude's cells range as 74 rows, then 37.
+        if cap is not None:
+            monkeypatch.setattr(ex, "_CRLB_ROWS", cap)
         cfg = tiny_altitude_config(sweep=u.SweepSpec("altitude", (300.0, 1100.0)))
         rs, reps, env, s = (150.0, 400.0, 2500.0), 37, cfg.environment, cfg.samples_per_anchor
         want = []
@@ -824,6 +829,30 @@ class TestCrlbComparison:
         got = _bounded(lambda: u.run_crlb_comparison(cfg, rs, repetitions=reps,
                                                      threads=threads))
         assert [asdict(pt) for pt in got] == [asdict(pt) for pt in want]
+
+    @pytest.mark.parametrize("reps, sizes", [
+        (ex._CRLB_ROWS // 3, [3 * (ex._CRLB_ROWS // 3)]),
+        (ex._CRLB_ROWS // 2, [ex._CRLB_ROWS, ex._CRLB_ROWS // 2]),
+        (ex._CRLB_ROWS + 1, [ex._CRLB_ROWS + 1] * 3)])
+    def test_calls_hold_at_most_the_row_cap(self, reps, sizes, monkeypatch):
+        # Cells are packed in r order while the call stays within the cap;
+        # a cell above it ranges alone. The table matches the cells ranged
+        # one per call.
+        calls = []
+        real = ex.mle_distance_batch
+
+        def spy(samples, *args, **kwargs):
+            calls.append(samples.shape[0])
+            return real(samples, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "mle_distance_batch", spy)
+        cfg = tiny_altitude_config(samples_per_anchor=1,
+                                   sweep=u.SweepSpec("altitude", (700.0,)))
+        got = u.run_crlb_comparison(cfg, (200.0, 900.0, 3000.0), repetitions=reps)
+        assert calls == sizes
+        monkeypatch.setattr(ex, "_CRLB_ROWS", 2)
+        assert u.run_crlb_comparison(cfg, (200.0, 900.0, 3000.0), repetitions=reps) == got
+        assert calls[len(sizes):] == [reps] * 3
 
     def test_validation(self):
         cfg = tiny_altitude_config()

@@ -68,31 +68,55 @@ def test_shared_node_ranging_equals_each_batch_alone(batches, altitudes, n, env,
                 assert g[i:j].tobytes() == r.tobytes()
 
 
+#: Stage-1 probe columns for `_bracket`, in place of its table's (None).
+PROBES = {
+    "table": None,
+    "first": lambda m, two_mu: np.zeros(m.size, dtype=np.intp),
+    "last": lambda m, two_mu: np.full(m.size, two_mu.size - 1, dtype=np.intp),
+    # Where -2 m sorts into -2 mu, the column the table approximates.
+    "searchsorted": lambda m, two_mu: np.minimum(np.searchsorted(-two_mu, -2.0 * m),
+                                                 two_mu.size - 1),
+}
+
+
 @settings(max_examples=200, deadline=None)
 @given(h=st.floats(50.0, 3000.0), rows=st.integers(1, 80), n=st.sampled_from([1, 5, 30]),
        env=st.sampled_from([u.URBAN, u.SUBURBAN, u.without_shadowing(u.URBAN)]),
        grid_points=st.sampled_from([3, 37, 255, 256, 257]),
        bound_cols=st.sampled_from([1, 5, 16, 257]),
-       seed=st.integers(0, 2 ** 16))
-@example(h=50.0, rows=40, n=1, env=u.URBAN, grid_points=256, bound_cols=16, seed=0)
+       probe=st.sampled_from(sorted(PROBES)), seed=st.integers(0, 2 ** 16))
+@example(h=50.0, rows=40, n=1, env=u.URBAN, grid_points=256, bound_cols=16, probe="table",
+         seed=0)
 @example(h=3000.0, rows=40, n=30, env=u.without_shadowing(u.URBAN), grid_points=256,
-         bound_cols=16, seed=0)
-def test_pruned_bracket_equals_dense_argmax(h, rows, n, env, grid_points, bound_cols, seed):
+         bound_cols=16, probe="table", seed=0)
+@example(h=50.0, rows=80, n=5, env=u.URBAN, grid_points=256, bound_cols=16, probe="first",
+         seed=1)
+@example(h=50.0, rows=80, n=5, env=u.URBAN, grid_points=256, bound_cols=16, probe="last",
+         seed=1)
+@example(h=50.0, rows=80, n=30, env=u.SUBURBAN, grid_points=256, bound_cols=16,
+         probe="searchsorted", seed=2)
+def test_pruned_bracket_equals_dense_argmax(h, rows, n, env, grid_points, bound_cols, probe,
+                                            seed):
     # With var at the sigma floor (no shadowing) the log-likelihood reaches
     # 1e28, so the certification margin must scale with it. One-column
     # blocks make the bound exact on each column, so stage 2 passes over
     # every column within the margin of the probe's value; one block of
-    # the whole grid (257 >= grid_points) is a single full pass.
+    # the whole grid (257 >= grid_points) is a single full pass. The probe
+    # column only sets L1, and so which blocks are evaluated, so the
+    # result must not depend on it; the examples pin each probe at the
+    # lowest grid altitude, h = 50 m.
     w = ranging_batch(env, rows, n, h, seed)
     s1, s2 = est._suffstats(w)
-    saved = est._BOUND_COLS
+    saved = est._BOUND_COLS, est._probe
     est._BOUND_COLS = bound_cols
     try:
         _, terms, blocks = est._grid_terms(h, n, env, u.SearchConfig(grid_points=grid_points))
+        if PROBES[probe] is not None:
+            est._probe = lambda m, table: PROBES[probe](m, terms[1])
         got = est._bracket(s1, s2, n, terms, blocks,
                            np.empty(rows * min(bound_cols, grid_points)))
     finally:
-        est._BOUND_COLS = saved
+        est._BOUND_COLS, est._probe = saved
     c0, two_mu, n_mu2, two_var = terms
     dense = c0 - ((s2[:, None] - s1[:, None] * two_mu) + n_mu2) / two_var
     assert got.tolist() == np.argmax(dense, axis=1).tolist()
