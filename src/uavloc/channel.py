@@ -127,27 +127,60 @@ class LinkGeometry:
         return math.atan2(self.h, self.r)
 
 
-def _as_theta(theta):
+def _elevation_model(th: np.ndarray, env: EnvironmentParams):
+    """The elevation model, unchecked: (P_LoS, alpha, sigma) at angles `th`,
+    a float array of one dimension or more in [0, pi/2], spent as scratch
+    space. (On numpy scalars `x ** 2` calls pow, which can differ from
+    `np.square` in the last bit, hence the one-dimension minimum.)"""
+    p = np.multiply(th, -env.b_o)
+    np.exp(p, out=p)
+    p *= env.a_o
+    p += 1.0
+    np.divide(1.0, p, out=p)
+    sigma = np.multiply(th, -env.b_los)
+    np.exp(sigma, out=sigma)
+    sigma *= env.a_los
+    sigma *= p
+    np.square(sigma, out=sigma)
+    th *= -env.b_nlos
+    np.exp(th, out=th)
+    th *= env.a_nlos
+    q = np.subtract(1.0, p)
+    th *= q
+    np.square(th, out=th)
+    sigma += th
+    np.sqrt(sigma, out=sigma)
+    alpha = np.multiply(p, env.a_1, out=q)
+    alpha += env.b_1
+    return p, alpha, sigma
+
+
+def _rss_moments(d: np.ndarray, th: np.ndarray, env: EnvironmentParams):
+    """Unchecked `mean_rss` and `shadowing_sigma`, bit for bit, at distances
+    `d` and angles `th` of one shape, from one kernel call that spends `th`.
+    Both must be contiguous: numpy's log10 can round otherwise."""
+    _, mu, sigma = _elevation_model(th, env)
+    mu *= 10.0
+    mu *= np.log10(d, out=th)
+    mu += env.k_ref
+    np.subtract(env.c_offset, mu, out=mu)
+    return mu, sigma
+
+
+def _checked_model(theta, env: EnvironmentParams):
+    """(P_LoS, alpha, sigma) at checked `theta`: floats for a scalar, with
+    the bits of a one-element array."""
     th = np.asarray(theta, dtype=float)
     # The negated comparison also catches NaN.
     if not np.all((th >= 0.0) & (th <= HALF_PI)):
         raise ValueError("elevation angle must lie in [0, pi/2] radians")
-    return th
-
-
-def _maybe_scalar(value: np.ndarray):
-    return float(value) if value.ndim == 0 else value
-
-
-def _p_los(th: np.ndarray, env: EnvironmentParams) -> np.ndarray:
-    """Unchecked P_LoS at elevation angles `th` already passed through `_as_theta`."""
-    return 1.0 / (1.0 + env.a_o * np.exp(-env.b_o * th))
+    out = _elevation_model(np.array(th, ndmin=1), env)
+    return tuple(float(v[0]) for v in out) if th.ndim == 0 else out
 
 
 def prob_los(theta, env: EnvironmentParams):
-    """Line-of-sight probability at elevation `theta`, in (0, 1)."""
-    th = _as_theta(theta)
-    return _maybe_scalar(_p_los(th, env))
+    """Line-of-sight probability 1 / (1 + a_o exp(-b_o theta)), in (0, 1)."""
+    return _checked_model(theta, env)[0]
 
 
 def shadowing_sigma(theta, env: EnvironmentParams):
@@ -156,18 +189,12 @@ def shadowing_sigma(theta, env: EnvironmentParams):
     Mixes the LoS and NLoS deviations with squared probability weights:
     sqrt(P^2 sigma_LoS^2 + (1-P)^2 sigma_NLoS^2).
     """
-    th = _as_theta(theta)
-    p = _p_los(th, env)
-    s_los = env.a_los * np.exp(-env.b_los * th)
-    s_nlos = env.a_nlos * np.exp(-env.b_nlos * th)
-    return _maybe_scalar(np.sqrt((p * s_los) ** 2 + ((1.0 - p) * s_nlos) ** 2))
+    return _checked_model(theta, env)[2]
 
 
 def path_loss_exponent(theta, env: EnvironmentParams):
     """Elevation-dependent path loss exponent a_1 * P_LoS(theta) + b_1."""
-    th = _as_theta(theta)
-    p = _p_los(th, env)
-    return _maybe_scalar(env.a_1 * p + env.b_1)
+    return _checked_model(theta, env)[1]
 
 
 def mean_path_loss(d, theta, env: EnvironmentParams):
@@ -180,12 +207,14 @@ def mean_path_loss(d, theta, env: EnvironmentParams):
         raise ValueError("slant distance d must be finite and >= the reference "
                          f"distance d_o = {REFERENCE_DISTANCE_M} m")
     alpha = path_loss_exponent(theta, env)
-    return _maybe_scalar(env.k_ref + 10.0 * np.asarray(alpha) * np.log10(dd))
+    out = env.k_ref + 10.0 * np.asarray(alpha) * np.log10(dd)
+    return float(out) if out.ndim == 0 else out
 
 
 def mean_rss(d, theta, env: EnvironmentParams):
     """Mean time-averaged received power in dBm: c_offset - mean path loss."""
-    return _maybe_scalar(env.c_offset - np.asarray(mean_path_loss(d, theta, env)))
+    out = env.c_offset - np.asarray(mean_path_loss(d, theta, env))
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_rss(geom: LinkGeometry, env: EnvironmentParams, n: int,

@@ -16,6 +16,7 @@ Inputs are checked where they enter: `log_likelihood`, `score`,
 `crlb_sigma_values` and `mle_distance_batch` reject non-finite or
 out-of-domain values with a `ValueError` naming the cause. The likelihood
 kernel behind `log_likelihood` and the search (`_loglik_terms`, `_loglik`)
+runs the channel's `_elevation_model`, as sampling and the bounds do. It
 checks nothing; its callers guarantee h > 0 and max(h, d_o) <= d < inf.
 """
 
@@ -31,7 +32,9 @@ from .channel import (
     REFERENCE_DISTANCE_M,
     EnvironmentParams,
     LinkGeometry,
-    path_loss_exponent,
+    _checked_model,
+    _elevation_model,
+    mean_rss,
     shadowing_sigma,
 )
 from .geometry import MAX_LENGTH_M
@@ -119,10 +122,9 @@ def crlb_sigma_values(d, theta, env: EnvironmentParams):
         raise ValueError("slant distance d must be finite")
     if np.any(dd < REFERENCE_DISTANCE_M):
         raise ValueError("bound invalid below the reference distance d_o")
-    alpha = np.asarray(path_loss_exponent(theta, env))
+    _, alpha, sigma = _checked_model(theta, env)
     if np.any(alpha <= 0.0):
         raise ValueError("path loss exponent must be positive")
-    sigma = np.asarray(shadowing_sigma(theta, env))
     out = dd * LN10 / 10.0 * sigma / alpha
     return float(out) if out.ndim == 0 else out
 
@@ -146,15 +148,13 @@ def score(w, geom: LinkGeometry, env: EnvironmentParams):
     when `w` equals the model mean. alpha and sigma are held at the true
     theta, matching the closed-form bound.
     """
-    theta = geom.theta
-    alpha = path_loss_exponent(theta, env)
-    sigma = shadowing_sigma(theta, env)
+    _, alpha, sigma = _checked_model(geom.theta, env)
     if sigma <= 0.0:
         raise ValueError("score undefined for a zero-shadowing environment")
     ww = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(ww)):
         raise ValueError("RSS samples must be finite")
-    bracket = -ww - 10.0 * alpha * np.log10(geom.d) - env.k_ref + env.c_offset
+    bracket = mean_rss(geom.d, geom.theta, env) - ww
     out = bracket * 10.0 * alpha / (geom.d * LN10 * sigma ** 2)
     return float(out) if out.ndim == 0 else out
 
@@ -168,11 +168,8 @@ def fisher_information_numeric(geom: LinkGeometry, env: EnvironmentParams,
     """
     if not (isinstance(mc, Integral) and not isinstance(mc, bool) and mc >= 1):
         raise ValueError(f"Monte Carlo draw count mc must be an integer >= 1, got {mc!r}")
-    theta = geom.theta
-    sigma = shadowing_sigma(theta, env)
-    mu = (env.c_offset - env.k_ref
-          - 10.0 * path_loss_exponent(theta, env) * math.log10(geom.d))
-    w = mu - rng.normal(0.0, sigma, size=mc)
+    sigma = shadowing_sigma(geom.theta, env)
+    w = mean_rss(geom.d, geom.theta, env) - rng.normal(0.0, sigma, size=mc)
     return float(np.mean(score(w, geom, env) ** 2))
 
 
@@ -253,57 +250,31 @@ def _loglik_terms(d: np.ndarray, h, n: int, env: EnvironmentParams):
     The joint log-density of samples with sum s1 and sum of squares s2 is
     c0 - ((s2 - 2 mu * s1) + n mu^2) / (2 var), with
     c0 = -n/2 * log(2 pi var), mean RSS mu = (c_offset - k_ref) -
-    10 alpha(theta) * log10(d), var = max(sigma(theta), floor)^2 and
-    theta = asin(h / d).
+    10 alpha(theta) * log10(d), var = max(sigma(theta), floor)^2, theta =
+    asin(h / d) and alpha and sigma from the channel's `_elevation_model`.
 
     Unchecked kernel: `d` is a float array of one dimension or more with
     max(h, d_o) <= d < inf, and `h` > 0 a scalar or an array of d's shape.
-    theta and P_LoS are computed once and shared by alpha and sigma. Every
-    operation is the one `np.arcsin(h / d)`, `path_loss_exponent` and
-    `shadowing_sigma` perform on arrays, applied in the same order, so the
-    terms equal that composition bit for bit. (On numpy scalars `x ** 2`
-    calls pow, which can differ from the square used here in the last bit,
-    hence the one-dimension minimum.)
     """
     th = np.divide(h, d)
     np.arcsin(th, out=th)
-    p = np.multiply(th, -env.b_o)
-    np.exp(p, out=p)
-    p *= env.a_o
-    p += 1.0
-    np.divide(1.0, p, out=p)
-    # var = max(sqrt((P s_los)^2 + ((1 - P) s_nlos)^2), floor)^2
-    var = np.multiply(th, -env.b_los)
-    np.exp(var, out=var)
-    var *= env.a_los
-    var *= p
-    np.square(var, out=var)
-    th *= -env.b_nlos
-    np.exp(th, out=th)
-    th *= env.a_nlos
-    mu = np.subtract(1.0, p)
-    th *= mu
-    np.square(th, out=th)
-    var += th
-    np.sqrt(var, out=var)
+    p, alpha, var = _elevation_model(th, env)
     np.maximum(var, _SIGMA_FLOOR, out=var)
     np.square(var, out=var)
-    # mu = (c_offset - k_ref) - (10 alpha) * log10(d), alpha = a_1 P + b_1
-    p *= env.a_1
-    p += env.b_1
-    p *= 10.0
-    np.log10(d, out=mu)
-    mu *= p
+    # mu = (c_offset - k_ref) - (10 alpha) * log10(d), in the spent theta buffer
+    alpha *= 10.0
+    mu = np.log10(d, out=th)
+    mu *= alpha
     np.subtract(env.c_offset - env.k_ref, mu, out=mu)
-    # The terms, in place: n mu^2 takes the spent theta buffer.
-    np.square(mu, out=th)
-    th *= n
+    # The terms, in place: n mu^2 takes the alpha buffer, c0 the P_LoS one.
+    n_mu2 = np.square(mu, out=alpha)
+    n_mu2 *= n
     mu *= 2.0
-    np.multiply(var, 2.0 * math.pi, out=p)
-    np.log(p, out=p)
-    p *= -0.5 * n
+    c0 = np.multiply(var, 2.0 * math.pi, out=p)
+    np.log(c0, out=c0)
+    c0 *= -0.5 * n
     var *= 2.0
-    return p, mu, th, var
+    return c0, mu, n_mu2, var
 
 
 def _loglik(d: np.ndarray, h, n: int, env: EnvironmentParams, s1, s2) -> np.ndarray:

@@ -64,9 +64,8 @@ from .channel import (
     EnvironmentParams,
     LinkGeometry,
     ENVIRONMENTS,
+    _rss_moments,
     environment_preset,
-    mean_rss,
-    shadowing_sigma,
 )
 from .estimation import SearchConfig, crlb_sigma, mle_distance_batch
 from .geometry import (MAX_ANCHORS, MAX_LENGTH_M, ConstellationSpec, build_constellation,
@@ -325,9 +324,8 @@ def _slice_errors(cfg: ExperimentConfig, values):
 
     def moments(r_true, h):
         """Mean RSS and shadowing spread of each link, as (m, N, 1) arrays."""
-        theta = np.arctan2(h, r_true)
-        return (np.asarray(mean_rss(np.hypot(r_true, h), theta, env))[:, :, None],
-                np.asarray(shadowing_sigma(theta, env))[:, :, None])
+        mu, sigma = _rss_moments(np.hypot(r_true, h), np.arctan2(h, r_true), env)
+        return mu[:, :, None], sigma[:, :, None]
 
     ring = cfg.sweep.variable != "altitude"
     if ring:
@@ -571,11 +569,13 @@ def _crlb_worker(args) -> list[CrlbPoint]:
     points = []
     for first in range(0, len(rs), per_call):
         geoms = [LinkGeometry(r=r, h=h) for r in rs[first:first + per_call]]
+        mus, sigmas = _rss_moments(np.array([g.d for g in geoms]),
+                                   np.array([g.theta for g in geoms]), env)
         w = np.empty((len(geoms), repetitions, s))
-        for i_r, (geom, cell) in enumerate(zip(geoms, w), start=first):
+        for i_r, (cell, mu, sigma) in enumerate(zip(w, mus, sigmas), start=first):
             substream(cfg.seed, TAG_RSS, i_r, i_h).standard_normal(out=cell)
-            cell *= -shadowing_sigma(geom.theta, env)
-            cell += mean_rss(geom.d, geom.theta, env)
+            cell *= -sigma
+            cell += mu
         d_hat, _, _, boundary = mle_distance_batch(
             w.reshape(-1, s), h, env, cfg.search,
             offsets=np.arange(len(geoms) + 1) * repetitions)

@@ -1,9 +1,13 @@
+import ast
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import uavloc as u
+from uavloc import channel as ch
 from uavloc._streams import TAG_RSS, substream
 from uavloc.channel import DEFAULT_FREQUENCY_HZ, REFERENCE_DISTANCE_M, SPEED_OF_LIGHT
 
@@ -251,3 +255,51 @@ class TestPathLossAndRss:
         for bad in (2.5, True):
             with pytest.raises(ValueError, match="n must be an integer"):
                 u.sample_rss(g, u.URBAN, bad, np.random.default_rng(0))
+
+
+class TestOneChannelKernel:
+    """The elevation model is written once, in `channel._elevation_model`,
+    and a scalar argument gives the bits of its one-element array."""
+
+    #: Links whose shadowing sigma once differed in the last bit between a
+    #: scalar elevation and its one-element array (numpy scalars square
+    #: through pow): urban, then suburban.
+    LAST_BIT_LINKS = [(2765.189764244086, 2167.17455353634),
+                      (583.5492839050111, 1367.390240447609)]
+
+    @classmethod
+    def links(cls):
+        rng = np.random.default_rng(1)
+        random = zip(rng.uniform(0.0, 5000.0, 300), rng.uniform(50.0, 3000.0, 300))
+        return [u.LinkGeometry(float(r), float(h)) for r, h in [*cls.LAST_BIT_LINKS, *random]]
+
+    @pytest.mark.parametrize("env", [u.URBAN, u.SUBURBAN], ids=["urban", "suburban"])
+    def test_scalar_equals_one_element_array(self, env):
+        by_theta = (u.prob_los, u.path_loss_exponent, u.shadowing_sigma)
+        by_link = (u.mean_path_loss, u.mean_rss, u.crlb_sigma_values)
+        for g in self.links():
+            th, d = np.array([g.theta]), np.array([g.d])
+            got = [f(g.theta, env) for f in by_theta] + [f(g.d, g.theta, env) for f in by_link]
+            want = [f(th, env)[0] for f in by_theta] + [f(d, th, env)[0] for f in by_link]
+            assert all(type(v) is float for v in got)
+            assert got == want, (g, env)
+            assert u.crlb_sigma(g, env, n_samples=5) == want[-1] / math.sqrt(5)
+
+    @pytest.mark.parametrize("env", [u.URBAN, replace(u.SUBURBAN, c_offset=17.3, k_ref=41.0)],
+                             ids=["urban", "offset"])
+    def test_sampling_moments_equal_public_functions(self, env):
+        # A nonzero c_offset shows the order c - (k + x) of `mean_rss`.
+        links = self.links()
+        d, th = np.array([g.d for g in links]), np.array([g.theta for g in links])
+        mu, sigma = ch._rss_moments(d, th.copy(), env)
+        assert mu.tobytes() == u.mean_rss(d, th, env).tobytes()
+        assert sigma.tobytes() == u.shadowing_sigma(th, env).tobytes()
+
+    def test_only_channel_reads_the_elevation_constants(self):
+        names = {"a_o", "b_o", "a_los", "b_los", "a_nlos", "b_nlos", "a_1", "b_1"}
+        readers = set()
+        for path in Path(u.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr in names:
+                    readers.add(path.name)
+        assert readers == {"channel.py"}

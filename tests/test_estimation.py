@@ -187,9 +187,15 @@ class TestCrlb:
 
 class TestScoreAndFisher:
     def test_score_zero_at_model_mean(self):
-        g = u.LinkGeometry(r=500.0, h=500.0)
-        mu = u.mean_rss(g.d, g.theta, ENV)
-        assert u.score(mu, g, ENV) == 0.0
+        rng = np.random.default_rng(5)
+        links = [(500.0, 500.0), *zip(rng.uniform(0.0, 5000.0, 200),
+                                      rng.uniform(50.0, 3000.0, 200))]
+        for env in (u.URBAN, u.SUBURBAN, OFFSET_ENV):
+            for r, h in links:
+                g = u.LinkGeometry(r=float(r), h=float(h))
+                mu = u.mean_rss(g.d, g.theta, env)
+                assert u.score(mu, g, env) == 0.0, (env, r, h)
+                assert np.all(u.score(np.full(3, mu), g, env) == 0.0)
 
     def test_score_sign(self):
         # Stronger-than-expected power implies a shorter link: d must shrink,
