@@ -21,11 +21,11 @@ def main():
     cfg = u.default_config(
         variable="altitude", seed=0,
         sweep=u.SweepSpec("altitude", (200.0, 500.0, 1000.0, 2000.0)))
-    points = u.run_crlb_comparison(cfg, (500.0,), repetitions=10_000)
+    table = u.run_crlb_comparison(cfg, (500.0,), repetitions=10_000)
 
     print("urban, r = 500 m, 5 samples, 10^4 repetitions per row")
     print("  h (m)   bound (m)   fisher-MC   mle spread   mle mean    d true")
-    for i, pt in enumerate(points):
+    for i, pt in enumerate(table.points):
         geom = u.LinkGeometry(r=pt.r, h=pt.h)
         info = u.fisher_information_numeric(geom, env, 200_000,
                                             substream(1, TAG_FISHER, i))

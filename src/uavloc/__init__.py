@@ -44,6 +44,7 @@ from .experiments import (
     CSV_HEADER,
     AltitudeOptimum,
     CrlbPoint,
+    CrlbTable,
     ExperimentConfig,
     ExperimentResult,
     SweepSpec,

@@ -105,11 +105,12 @@ def dispatch(args: argparse.Namespace) -> int:
                   f"{math.degrees(opt.theta_opt):.1f} deg; "
                   f"wrote {args.out}")
         elif args.command == "crlb":
-            points = run_crlb_comparison(cfg, args.r or (500.0,),
-                                         repetitions=args.repetitions,
-                                         threads=args.threads)
-            write_crlb_table(points, cfg, args.out, threads=args.threads)
-            gaps = [abs(p.mle_sigma - p.crlb_sigma) / p.crlb_sigma for p in points if p.crlb_sigma]
+            table = run_crlb_comparison(cfg, args.r or (500.0,),
+                                        repetitions=args.repetitions,
+                                        threads=args.threads)
+            write_crlb_table(table, args.out)
+            gaps = [abs(p.mle_sigma - p.crlb_sigma) / p.crlb_sigma
+                    for p in table.points if p.crlb_sigma]
             print(f"crlb: max relative gap {max(gaps, default=0.0):.1%} over {len(gaps)} "
                   f"points; wrote {args.out}")
         else:

@@ -1,6 +1,7 @@
 """Monte Carlo studies: altitude, anchor-spacing and anchor-count sweeps
-through one runner, `run_sweep`, the bound-versus-estimator comparison, and
-the altitude optimizer.
+through one runner, `run_sweep`, the bound-versus-estimator table and the
+altitude optimizer. A sweep's `ExperimentResult` and the table's `CrlbTable`
+each carry the config and the worker count that their writers record.
 
 Randomness is addressed, not sequential: every (trial) block of node
 positions and shadowing draws comes from its own counter-derived stream, so
@@ -233,7 +234,17 @@ class CrlbPoint:
     mle_sigma: float
     mle_mean: float
     boundary_fraction: float
+
+
+@dataclass(frozen=True)
+class CrlbTable:
+    """Bound-versus-estimator cells, r-major, plus what produced them;
+    `workers` counts as `ExperimentResult.workers` does, outside equality."""
+
+    config: ExperimentConfig
     repetitions: int
+    points: tuple[CrlbPoint, ...]
+    workers: int = field(compare=False, default=1)
 
 
 def _constellation_at(cfg: ExperimentConfig, value: float) -> ConstellationSpec:
@@ -385,11 +396,6 @@ def _resolve_workers(threads: int) -> int:
 _START_METHOD = "forkserver" if "forkserver" in get_all_start_methods() else "spawn"
 
 
-def _pool_size(threads: int, tasks: int) -> int:
-    """Worker processes `_map_points` uses for `tasks` tasks; 1 is in-process."""
-    return min(_resolve_workers(threads), tasks)
-
-
 #: This process's worker pool as (pid, workers, executor), or None. A child
 #: forked from this process sees the pool under another pid and starts its own.
 _pool = None
@@ -397,9 +403,11 @@ _pool_lock = threading.Lock()
 
 
 def _map_points(worker, args_list, threads: int):
+    """`worker` over `args_list`, in order, and the number of processes that ran the tasks."""
     global _pool
-    if _pool_size(threads, len(args_list)) <= 1:
-        return [worker(a) for a in args_list]
+    pid, workers = os.getpid(), _resolve_workers(threads)
+    if min(workers, len(args_list)) <= 1:
+        return [worker(a) for a in args_list], 1
     # Each task derives its own substreams, so the schedule cannot change
     # any result. The fork server starts on the first parallel run, as a
     # fresh interpreter running no Python threads, and lives as long as the
@@ -412,7 +420,6 @@ def _map_points(worker, args_list, threads: int):
     # workers, each started when a task finds none idle, so a run with fewer
     # tasks reuses it. It serves every later run with the same `threads` and
     # stays, idle, until exit.
-    pid, workers = os.getpid(), _resolve_workers(threads)
     while True:
         submitted = False
         try:
@@ -431,7 +438,7 @@ def _map_points(worker, args_list, threads: int):
                 pool = _pool[2]
                 results = pool.map(worker, args_list)
             submitted = True
-            return list(results)
+            return list(results), min(workers, len(args_list))
         except BrokenProcessPool as exc:
             with _pool_lock:
                 if _pool is not None and _pool[2] is pool:
@@ -486,8 +493,8 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """
     values = cfg.sweep.values
     slices = _sweep_slices(cfg, _resolve_workers(threads))
-    parts = _map_points(_slice_worker,
-                        [(cfg, tuple(values[i] for i in idx)) for idx in slices], threads)
+    parts, workers = _map_points(_slice_worker, [(cfg, tuple(values[i] for i in idx))
+                                                 for idx in slices], threads)
     # Each point's elapsed time is an equal share of its slice's seconds.
     summaries, elapsed = [None] * len(values), [0.0] * len(values)
     for idx, (part, seconds) in zip(slices, parts):
@@ -508,7 +515,7 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         n_trials=cfg.trials,
         seed=cfg.seed,
         elapsed_s=tuple(elapsed),
-        workers=_pool_size(threads, len(slices)),
+        workers=workers,
     )
 
 
@@ -587,21 +594,20 @@ def _crlb_worker(args) -> list[CrlbPoint]:
             mle_sigma=float(np.std(d, ddof=1)),
             mle_mean=float(np.mean(d)),
             boundary_fraction=float(np.mean(pins)),
-            repetitions=int(repetitions),
         ) for geom, d, pins in zip(geoms, d_hat, boundary)]
     return points
 
 
 def run_crlb_comparison(cfg: ExperimentConfig, r_values,
                         repetitions: int = 10_000,
-                        threads: int = 1) -> list[CrlbPoint]:
+                        threads: int = 1) -> CrlbTable:
     """Closed-form ranging bound against the Monte Carlo estimator spread.
 
     For every (r, h) pair — h from the config's altitude grid — draws
     `repetitions` independent sample sets for a single anchor-node link and
     compares the standard deviation of the distance estimates against the
-    bound at the true geometry. Points come r-major: every h for the first
-    r, then for the next.
+    bound at the true geometry. The `CrlbTable`'s points come r-major:
+    every h for the first r, then for the next.
 
     The parallel unit is one altitude: its cells are ranged together, one
     batch each, in calls of at most `_CRLB_ROWS` rows. Each cell owns its
@@ -614,9 +620,10 @@ def run_crlb_comparison(cfg: ExperimentConfig, r_values,
     rs = [float(r) for r in r_values]
     if not rs or not all(0.0 < r <= MAX_LENGTH_M for r in rs):
         raise ValueError(f"r_values must be nonempty, finite, positive and <= {MAX_LENGTH_M:g} m")
-    by_h = _map_points(_crlb_worker, [(cfg, h, i_h, rs, repetitions)
-                                      for i_h, h in enumerate(cfg.sweep.values)], threads)
-    return [cells[i_r] for i_r in range(len(rs)) for cells in by_h]
+    tasks = [(cfg, h, i_h, rs, repetitions) for i_h, h in enumerate(cfg.sweep.values)]
+    by_h, workers = _map_points(_crlb_worker, tasks, threads)
+    return CrlbTable(config=cfg, repetitions=int(repetitions), workers=workers,
+                     points=tuple(cells[i_r] for i_r in range(len(rs)) for cells in by_h))
 
 
 # ---------------------------------------------------------------------------
@@ -705,19 +712,16 @@ def write_results(result: ExperimentResult, path) -> None:
         })
 
 
-def write_crlb_table(points: list[CrlbPoint], cfg: ExperimentConfig, path,
-                     threads: int = 1) -> None:
+def write_crlb_table(table: CrlbTable, path) -> None:
     """Write the bound-versus-estimator table as CSV plus a JSON sidecar.
 
-    The sidecar (see `_write_with_sidecar`) leaves out `CRLB_UNREAD_KEYS`
-    and counts workers as `run_crlb_comparison` did at `threads`, with one
-    task per altitude. A non-finite value raises ValueError before either
-    file is written.
+    The sidecar (see `_write_with_sidecar`) leaves out `CRLB_UNREAD_KEYS`.
+    A non-finite value raises ValueError before either file is written.
     """
     _write_with_sidecar(path, CRLB_CSV_HEADER, [
         (pt.r, pt.h, pt.crlb_sigma, pt.mle_sigma, pt.mle_mean, pt.boundary_fraction,
-         pt.repetitions, cfg.seed) for pt in points],
-        cfg, CRLB_UNREAD_KEYS, _pool_size(threads, len({pt.h for pt in points})))
+         table.repetitions, table.config.seed) for pt in table.points],
+        table.config, CRLB_UNREAD_KEYS, table.workers)
 
 
 def read_results_csv(path) -> dict[str, np.ndarray]:

@@ -43,19 +43,47 @@ def suburban_optimum():
     return u.optimize_altitude(cfg)
 
 
-def test_criterion_1_bound_tightness():
-    # Urban, r = 500 m, h in {200, 500, 1000, 2000}, 5 samples, 10^4 reps:
-    # estimator spread within 15% of the closed-form bound.
+@pytest.fixture(scope="module")
+def bound_table():
+    # Urban, r = 500 m, h in {200, 500, 1000, 2000}, 5 samples, 10^4 reps.
     cfg = u.default_config(
         variable="altitude", seed=SEED,
         sweep=u.SweepSpec("altitude", (200.0, 500.0, 1000.0, 2000.0)))
-    points = u.run_crlb_comparison(cfg, (500.0,), repetitions=10_000)
+    return u.run_crlb_comparison(cfg, (500.0,), repetitions=10_000)
+
+
+@pytest.fixture(scope="module")
+def spacing_sweep():
+    # Urban, h = 1000 m, evaluation ring 650 m from the centroid.
+    cfg = u.default_config(variable="inter_distance", trials=50, seed=SEED)
+    return u.run_sweep(cfg)
+
+
+@pytest.fixture(scope="module")
+def count_sweeps():
+    # Reference: three anchors at 1000 m altitude. Candidates: growing
+    # constellations of 50 m anchors.
+    ref_cfg = u.default_config(variable="anchor_count", trials=50, seed=SEED,
+                               sweep=u.SweepSpec("anchor_count", (3.0,)))
+    low_cfg = u.default_config(variable="anchor_count", trials=50, seed=SEED)
+    low_cfg = replace(low_cfg,
+                      constellation=replace(low_cfg.constellation,
+                                            altitude=50.0))
+    return u.run_sweep(ref_cfg), u.run_sweep(low_cfg)
+
+
+def criterion_1(points):
+    # Estimator spread within 15% of the closed-form bound.
     ratios = {pt.h: pt.mle_sigma / pt.crlb_sigma for pt in points}
     ok = all(abs(q - 1.0) <= 0.15 for q in ratios.values())
     detail = ("sigma_MLE/sigma_CRLB at r=500: "
               + ", ".join(f"h={h:g}: {q:.3f}" for h, q in ratios.items())
               + " (target within [0.85, 1.15])")
-    report(1, ok, detail)
+    return ok, detail
+
+
+def test_criterion_1_bound_tightness(bound_table):
+    report(1, *criterion_1(bound_table.points))
 
 
 def test_criterion_2_bound_vs_fisher_oracle():
@@ -77,8 +105,7 @@ def test_criterion_2_bound_vs_fisher_oracle():
                   f"over 5 random links (target <= 1%)")
 
 
-def test_criterion_3_urban_optimal_altitude(urban_optimum):
-    opt = urban_optimum
+def criterion_3(opt):
     res = opt.result
     errs = np.asarray(res.mean_error)
     baseline = errs[res.sweep_values.index(50.0)]
@@ -86,18 +113,25 @@ def test_criterion_3_urban_optimal_altitude(urban_optimum):
     min_ok = 56.0 <= opt.error_at_opt <= 104.0
     base_ok = baseline > 250.0
     ok = in_band and min_ok and base_ok
-    report(3, ok,
-           f"h_opt = {opt.h_opt:g} m (target [600, 900]), "
-           f"min mean error = {opt.error_at_opt:.1f} m (target [56, 104]), "
-           f"error at h=50 = {baseline:.1f} m (target > 250)")
+    return ok, (f"h_opt = {opt.h_opt:g} m (target [600, 900]), "
+                f"min mean error = {opt.error_at_opt:.1f} m (target [56, 104]), "
+                f"error at h=50 = {baseline:.1f} m (target > 250)")
+
+
+def test_criterion_3_urban_optimal_altitude(urban_optimum):
+    report(3, *criterion_3(urban_optimum))
+
+
+def criterion_4(opt):
+    theta_deg = math.degrees(opt.theta_opt)
+    ok = 43.0 <= theta_deg <= 57.0
+    return ok, (f"theta_opt = {theta_deg:.1f} deg at h_opt = "
+                f"{opt.h_opt:g} m, mean node distance "
+                f"{opt.r_bar:.0f} m (target [43, 57] deg)")
 
 
 def test_criterion_4_urban_optimal_elevation(urban_optimum):
-    theta_deg = math.degrees(urban_optimum.theta_opt)
-    ok = 43.0 <= theta_deg <= 57.0
-    report(4, ok, f"theta_opt = {theta_deg:.1f} deg at h_opt = "
-                  f"{urban_optimum.h_opt:g} m, mean node distance "
-                  f"{urban_optimum.r_bar:.0f} m (target [43, 57] deg)")
+    report(4, *criterion_4(urban_optimum))
 
 
 def test_criterion_5_suburban_improvement(suburban_optimum):
@@ -111,10 +145,7 @@ def test_criterion_5_suburban_improvement(suburban_optimum):
                   f"improvement {gain:.1f} m (target > 100)")
 
 
-def test_criterion_6_spacing_sweep():
-    # Urban, h = 1000 m, evaluation ring 650 m from the centroid.
-    cfg = u.default_config(variable="inter_distance", trials=50, seed=SEED)
-    res = u.run_sweep(cfg)
+def criterion_6(res):
     vals = np.asarray(res.sweep_values)
     errs = np.asarray(res.mean_error)
     e100 = errs[int(np.where(vals == 100.0)[0][0])]
@@ -123,36 +154,62 @@ def test_criterion_6_spacing_sweep():
     min_ok = (450.0 <= vals[k] <= 750.0) and (42.0 <= errs[k] <= 78.0)
     rises_ok = 0 < k < len(vals) - 1 and errs[-1] > errs[k] * 1.02
     ok = start_ok and min_ok and rises_ok
-    report(6, ok,
-           f"error(l=100) = {e100:.1f} m (target [140, 260]), "
-           f"min {errs[k]:.1f} m at l = {vals[k]:g} m "
-           f"(target [42, 78] near 600), "
-           f"rises at large l: {rises_ok} (end {errs[-1]:.1f} m)")
+    return ok, (f"error(l=100) = {e100:.1f} m (target [140, 260]), "
+                f"min {errs[k]:.1f} m at l = {vals[k]:g} m "
+                f"(target [42, 78] near 600), "
+                f"rises at large l: {rises_ok} (end {errs[-1]:.1f} m)")
 
 
-def test_criterion_7_anchor_count_equivalence():
-    # Reference: three anchors at 1000 m altitude. Candidates: growing
-    # constellations of 50 m anchors; smallest count matching the reference
-    # mean error should land in [12, 18].
-    ref_cfg = u.default_config(variable="anchor_count", trials=50, seed=SEED,
-                               sweep=u.SweepSpec("anchor_count", (3.0,)))
-    ref = u.run_sweep(ref_cfg).mean_error[0]
+def test_criterion_6_spacing_sweep(spacing_sweep):
+    report(6, *criterion_6(spacing_sweep))
 
-    low_cfg = u.default_config(variable="anchor_count", trials=50, seed=SEED)
-    low_cfg = replace(low_cfg,
-                      constellation=replace(low_cfg.constellation,
-                                            altitude=50.0))
-    res = u.run_sweep(low_cfg)
+
+def criterion_7(ref_res, res):
+    # The smallest count matching the reference mean error should land in
+    # [12, 18].
+    ref = ref_res.mean_error[0]
     errs = np.asarray(res.mean_error)
     reached = np.nonzero(errs <= ref)[0]
     n_star = res.sweep_values[int(reached[0])] if reached.size else None
     ok = n_star is not None and 12.0 <= n_star <= 18.0
     curve = ", ".join(f"N={int(n)}: {e:.0f}"
                       for n, e in zip(res.sweep_values[:4], errs[:4]))
-    report(7, ok,
-           f"reference error (N=3, h=1000) = {ref:.1f} m; smallest N at "
-           f"h=50 reaching it = {n_star} (target [12, 18]); "
-           f"low-altitude curve starts {curve} m and grows with N")
+    return ok, (f"reference error (N=3, h=1000) = {ref:.1f} m; smallest N at "
+                f"h=50 reaching it = {n_star} (target [12, 18]); "
+                f"low-altitude curve starts {curve} m and grows with N")
+
+
+def test_criterion_7_anchor_count_equivalence(count_sweeps):
+    report(7, *criterion_7(*count_sweeps))
+
+
+#: The printed numbers of the criteria that fail today. They fail until the
+#: program changes, so a moved result would hide behind a failure that was
+#: failing anyway; this pin names it.
+FAILING_DETAILS = {
+    1: "sigma_MLE/sigma_CRLB at r=500: h=200: 0.201, h=500: 0.536, h=1000: 0.854, "
+       "h=2000: 0.815 (target within [0.85, 1.15])",
+    3: "h_opt = 500 m (target [600, 900]), min mean error = 63.6 m (target [56, 104]), "
+       "error at h=50 = 1011.9 m (target > 250)",
+    4: "theta_opt = 36.7 deg at h_opt = 500 m, mean node distance 670 m "
+       "(target [43, 57] deg)",
+    6: "error(l=100) = 116.3 m (target [140, 260]), min 110.1 m at l = 1000 m "
+       "(target [42, 78] near 600), rises at large l: False (end 110.1 m)",
+    7: "reference error (N=3, h=1000) = 116.3 m; smallest N at h=50 reaching it = None "
+       "(target [12, 18]); low-altitude curve starts N=3: 898, N=6: 1390, N=9: 1767, "
+       "N=12: 2085 m and grows with N",
+}
+
+
+def test_failing_criteria_print_pinned_numbers(bound_table, urban_optimum, spacing_sweep,
+                                               count_sweeps):
+    details = {1: criterion_1(bound_table.points)[1],
+               3: criterion_3(urban_optimum)[1],
+               4: criterion_4(urban_optimum)[1],
+               6: criterion_6(spacing_sweep)[1],
+               7: criterion_7(*count_sweeps)[1]}
+    for num, detail in details.items():
+        assert detail == FAILING_DETAILS[num], f"criterion {num} moved"
 
 
 def test_criterion_8_property_suite():

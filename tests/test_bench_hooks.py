@@ -3,11 +3,16 @@
 `perfbench/study.py` traces by replacing module globals and skips a name
 that is missing without a word, so a rename in `src/` would make its
 per-layer counts read 0. One traced, 1-worker study per command shape
-checks that every layer still reports. And every config the benchmark
-writes must load for its command, or its studies would fail.
+checks that every layer still reports. Every config the benchmark writes
+must load for its command, or its studies would fail. And the seed-0 study
+of each workload, run in process at 1 worker, must pass the benchmark's
+output checks and hash as `perfbench/reference.json` records, so a change
+of any benchmark result fails tier-1 too.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -61,8 +66,9 @@ def test_every_layer_is_traced(traced, command, layer):
     study = traced[command]
     assert study["exit_code"] == 0 and study["error"] is None
     names = {span[0] for span in study["spans"]}
-    assert {"config.load_config", "estimation.mle_distance_batch", layer} <= names
-    assert names & {"experiments.write_results", "experiments.write_crlb_table"}
+    # Each command's own writer, so that the benchmark's write time sees it.
+    writer = "experiments.write_crlb_table" if command == "crlb" else "experiments.write_results"
+    assert {"config.load_config", "estimation.mle_distance_batch", layer, writer} <= names
     assert any(name.startswith("channel.") for name in names)
 
 
@@ -89,3 +95,24 @@ def test_workload_configs_load_for_their_command(tmp_path, name, size):
         PERFBENCH.write_config(workload, seed, path)
         cfg = load_config(path, command=workload.command)
         assert cfg.seed == seed and cfg.sweep.values == tuple(workload.grid)
+
+
+REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(PERFBENCH.WORKLOADS))
+def test_seed0_study_matches_the_benchmark_reference(tmp_path, name):
+    from uavloc import cli
+
+    workload = PERFBENCH.WORKLOADS[name]
+    config, out = tmp_path / "config.yaml", tmp_path / "out.csv"
+    PERFBENCH.write_config(workload, 0, config)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = cli.main(workload.argv(config, out) + ["--threads", "1"])
+    study = {"exit_code": code, "error": None, "stdout": printed.getvalue(),
+             "csv": out.read_text(encoding="utf-8"),
+             "meta": out.with_suffix(".meta.json").read_text(encoding="utf-8")}
+    cols, problems = PERFBENCH.check_outputs(workload, 0, study)
+    assert problems == []
+    assert PERFBENCH.science_hash(cols) == REFERENCE["workloads"][name]["0"]["hash"]

@@ -148,8 +148,7 @@ class TestDispatch:
                          "--repetitions", "50"]) == cli.EXIT_OK
         want = tmp_path / "want.csv"
         config = u.load_config(cfg)
-        u.write_crlb_table(u.run_crlb_comparison(config, (500.0,), repetitions=50),
-                           config, want)
+        u.write_crlb_table(u.run_crlb_comparison(config, (500.0,), repetitions=50), want)
         assert out.read_bytes() == want.read_bytes()
         assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == \
             ["0.0", "0.0"]
@@ -439,8 +438,9 @@ class TestErrorPaths:
         run_crlb_comparison = cli.run_crlb_comparison
 
         def spoiled(*args, **kwargs):
-            points = run_crlb_comparison(*args, **kwargs)
-            return points[:-1] + [replace(points[-1], mle_sigma=math.nan)]
+            table = run_crlb_comparison(*args, **kwargs)
+            return replace(table, points=table.points[:-1]
+                           + (replace(table.points[-1], mle_sigma=math.nan),))
 
         monkeypatch.setattr(cli, "run_crlb_comparison", spoiled)
         out = tmp_path / "o.csv"

@@ -512,7 +512,7 @@ class TestSweepRunners:
                         reason="platform has no fork server")
     def test_parallel_runs_fork_workers_from_one_server(self):
         parents = _bounded(lambda: [pid for _ in range(2)
-                                    for pid in ex._map_points(_parent_pid, range(6), 2)])
+                                    for pid in ex._map_points(_parent_pid, range(6), 2)[0]])
         assert len(parents) == 12
         assert len(set(parents)) == 1
         assert parents[0] != os.getpid()
@@ -609,14 +609,14 @@ class TestWorkerPool:
 
     def test_parallel_runs_reuse_the_workers(self):
         first, second = _bounded(
-            lambda: [ex._map_points(_worker_pid, range(8), 2) for _ in range(2)])
+            lambda: [ex._map_points(_worker_pid, range(8), 2)[0] for _ in range(2)])
         assert os.getpid() not in first
         assert set(first) & set(second)
         assert len(set(first) | set(second)) <= 2
 
     def test_another_worker_count_replaces_the_workers(self):
         two, three, three_again, two_again = _bounded(
-            lambda: [ex._map_points(_worker_pid, range(9), t) for t in (2, 3, 3, 2)])
+            lambda: [ex._map_points(_worker_pid, range(9), t)[0] for t in (2, 3, 3, 2)])
         assert set(three) & set(three_again)
         assert len(set(three) | set(three_again)) <= 3
         assert not set(two) & set(three)
@@ -624,7 +624,8 @@ class TestWorkerPool:
         assert not set(two) & set(two_again)
 
     def test_run_with_fewer_tasks_reuses_the_workers(self):
-        full, few = _bounded(lambda: [ex._map_points(_worker_pid, range(n), 3) for n in (24, 2)])
+        full, few = _bounded(lambda: [ex._map_points(_worker_pid, range(n), 3)[0]
+                                      for n in (24, 2)])
         assert os.getpid() not in few
         assert set(few) <= set(full)
 
@@ -632,7 +633,7 @@ class TestWorkerPool:
         def runs():
             with pytest.raises(u.WorkerPoolError, match="__name__"):
                 ex._map_points(_exit_worker, range(4), 2)
-            return [ex._map_points(_worker_pid, range(8), 2) for _ in range(2)]
+            return [ex._map_points(_worker_pid, range(8), 2)[0] for _ in range(2)]
 
         after, again = _bounded(runs)
         assert set(after) & set(again)
@@ -641,10 +642,10 @@ class TestWorkerPool:
     @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
     def test_worker_killed_while_idle_is_replaced(self):
         def runs():
-            first = ex._map_points(_worker_pid, range(8), 2)
+            first = ex._map_points(_worker_pid, range(8), 2)[0]
             os.kill(first[0], signal.SIGKILL)
             _wait_until_broken(ex._pool[2])
-            return first, ex._map_points(_worker_pid, range(8), 2)
+            return first, ex._map_points(_worker_pid, range(8), 2)[0]
 
         first, second = _bounded(runs)
         assert len(second) == 8
@@ -669,7 +670,7 @@ class TestWorkerPool:
         saved = ex._pool
         ex._pool = (os.getppid(), 2, Foreign())
         try:
-            pids = _bounded(lambda: ex._map_points(_worker_pid, range(4), 2))
+            pids = _bounded(lambda: ex._map_points(_worker_pid, range(4), 2)[0])
             assert ex._pool[:2] == (os.getpid(), 2)
             assert os.getpid() not in pids
         finally:
@@ -682,7 +683,7 @@ class TestWorkerPool:
         # another size than its last: every run replaces the pool that the
         # other threads' runs may be using.
         def run(k):
-            return [ex._map_points(_square, range(6), 2 + (k + i) % 2) for i in range(4)]
+            return [ex._map_points(_square, range(6), 2 + (k + i) % 2)[0] for i in range(4)]
 
         def all_threads():
             results = [None] * 4
@@ -715,6 +716,7 @@ class TestWorkerPool:
         runs = _bounded(lambda: [u.run_crlb_comparison(cfg, [250.0, 1000.0], repetitions=40,
                                                        threads=2) for _ in range(2)])
         assert runs == [serial, serial]
+        assert [r.workers for r in runs] == [2, 2]
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
                         reason="reads process states from /proc")
@@ -787,7 +789,9 @@ class TestCrlbComparison:
     def test_table_contents(self):
         cfg = tiny_altitude_config(sweep=u.SweepSpec("altitude",
                                                      (500.0, 1500.0)))
-        points = u.run_crlb_comparison(cfg, (400.0, 900.0), repetitions=300)
+        table = u.run_crlb_comparison(cfg, (400.0, 900.0), repetitions=300)
+        assert (table.config, table.repetitions) == (cfg, 300)
+        points = table.points
         assert len(points) == 4
         for pt in points:
             geom = u.LinkGeometry(r=pt.r, h=pt.h)
@@ -795,7 +799,6 @@ class TestCrlbComparison:
                 u.crlb_sigma(geom, cfg.environment,
                              n_samples=cfg.samples_per_anchor), rel=1e-12)
             assert 0.0 <= pt.boundary_fraction <= 1.0
-            assert pt.repetitions == 300
             assert math.isfinite(pt.mle_sigma) and pt.mle_sigma > 0.0
             assert math.isfinite(pt.mle_mean)
         assert [(pt.r, pt.h) for pt in points] == \
@@ -828,10 +831,10 @@ class TestCrlbComparison:
                 want.append(u.CrlbPoint(
                     r=r, h=h, crlb_sigma=u.crlb_sigma(geom, env, n_samples=s),
                     mle_sigma=float(np.std(d_hat, ddof=1)), mle_mean=float(np.mean(d_hat)),
-                    boundary_fraction=float(np.mean(boundary)), repetitions=reps))
+                    boundary_fraction=float(np.mean(boundary))))
         got = _bounded(lambda: u.run_crlb_comparison(cfg, rs, repetitions=reps,
                                                      threads=threads))
-        assert [asdict(pt) for pt in got] == [asdict(pt) for pt in want]
+        assert [asdict(pt) for pt in got.points] == [asdict(pt) for pt in want]
 
     @pytest.mark.parametrize("reps, sizes", [
         (ex._CRLB_ROWS // 3, [3 * (ex._CRLB_ROWS // 3)]),
@@ -970,10 +973,21 @@ class TestSerialization:
 
         monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
         cfg = tiny_altitude_config(sweep=u.SweepSpec("altitude", (500.0,)))
-        points = u.run_crlb_comparison(cfg, (400.0, 900.0), repetitions=50, threads=2)
-        u.write_crlb_table(points, cfg, tmp_path / "crlb.csv", threads=2)
+        table = u.run_crlb_comparison(cfg, (400.0, 900.0), repetitions=50, threads=2)
+        u.write_crlb_table(table, tmp_path / "crlb.csv")
         runtime = json.loads((tmp_path / "crlb.meta.json").read_text())["runtime"]
         assert (runtime["workers"], runtime["start_method"]) == (1, None)
+
+    def test_crlb_table_records_its_own_run(self, tmp_path):
+        # The writer reads the workers and the seed from the table alone.
+        cfg = tiny_altitude_config(seed=5, sweep=u.SweepSpec("altitude", (300.0, 500.0)))
+        table = u.run_crlb_comparison(cfg, (400.0,), repetitions=50, threads=2)
+        assert table.workers == 2
+        u.write_crlb_table(table, tmp_path / "crlb.csv")
+        runtime = json.loads((tmp_path / "crlb.meta.json").read_text())["runtime"]
+        assert (runtime["workers"], runtime["start_method"]) == (2, ex._START_METHOD)
+        rows = (tmp_path / "crlb.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[7]) for row in rows] == [table.config.seed] * 2 == [5, 5]
 
     def test_read_rejects_foreign_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -1023,15 +1037,15 @@ class TestSerialization:
 
     def test_crlb_table_csv(self, tmp_path):
         cfg = tiny_altitude_config(sweep=u.SweepSpec("altitude", (500.0,)))
-        points = u.run_crlb_comparison(cfg, (400.0,), repetitions=200)
+        table = u.run_crlb_comparison(cfg, (400.0,), repetitions=200)
         out = tmp_path / "crlb.csv"
-        u.write_crlb_table(points, cfg, out)
+        u.write_crlb_table(table, out)
         lines = out.read_text().splitlines()
         assert lines[0] == CRLB_CSV_HEADER
         cells = lines[1].split(",")
         assert float(cells[0]) == 400.0
         assert float(cells[1]) == 500.0
-        assert float(cells[2]) == points[0].crlb_sigma
+        assert float(cells[2]) == table.points[0].crlb_sigma
         assert int(cells[6]) == 200
         assert int(cells[7]) == cfg.seed
 
@@ -1040,8 +1054,8 @@ class TestSerialization:
         # table does not read, and what ran it; no per-cell block. A
         # non-finite cell writes neither file.
         cfg = tiny_altitude_config(sweep=u.SweepSpec("altitude", (300.0, 500.0)))
-        points = u.run_crlb_comparison(cfg, (400.0,), repetitions=50)
-        u.write_crlb_table(points, cfg, tmp_path / "crlb.csv")
+        table = u.run_crlb_comparison(cfg, (400.0,), repetitions=50)
+        u.write_crlb_table(table, tmp_path / "crlb.csv")
         meta = json.loads((tmp_path / "crlb.meta.json").read_text())
         assert set(meta) == {"library", "config", "runtime"}
         assert meta["library"] == {"name": "uavloc", "version": u.__version__}
@@ -1054,5 +1068,6 @@ class TestSerialization:
         assert meta["runtime"]["workers"] == 1 and meta["runtime"]["start_method"] is None
         out = tmp_path / "bad.csv"
         with pytest.raises(ValueError):
-            u.write_crlb_table(points[:-1] + [replace(points[-1], mle_mean=math.inf)], cfg, out)
+            u.write_crlb_table(replace(table, points=table.points[:-1] + (
+                replace(table.points[-1], mle_mean=math.inf),)), out)
         assert not out.exists() and not (tmp_path / "bad.meta.json").exists()
