@@ -35,6 +35,10 @@ def free_space_reference_loss(frequency_hz: float = DEFAULT_FREQUENCY_HZ,
 #: Reference loss at d = 1 m for the default 2 GHz carrier (~38.46 dB).
 DEFAULT_REFERENCE_LOSS_DB = free_space_reference_loss()
 
+#: Largest magnitude of a channel's dB amplitudes and exponent constants: far
+#: above any physical channel, it keeps every sample and sum finite.
+_MAX_CONSTANT = 1.0e6
+
 
 @dataclass(frozen=True)
 class EnvironmentParams:
@@ -64,6 +68,9 @@ class EnvironmentParams:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
+        for name in ("a_los", "a_nlos", "a_1", "b_1", "k_ref", "c_offset"):
+            if abs(getattr(self, name)) > _MAX_CONSTANT:
+                raise ValueError(f"{name} must lie in [-{_MAX_CONSTANT:g}, {_MAX_CONSTANT:g}]")
         # a_los/a_nlos may be zero to model a shadowing-free diagnostic
         # environment; negative amplitudes are meaningless.
         if self.a_los < 0.0 or self.a_nlos < 0.0:

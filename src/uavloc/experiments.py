@@ -14,20 +14,15 @@ and the evaluation ring are all centred on the origin.
 The parallel unit is a slice of sweep points that share one anchor layout.
 `_sweep_slices` alone cuts a sweep into slices: an altitude sweep into one
 per worker, or more under a memory bound, any other into one per point.
-Slices are submitted largest first. Each (trial, point) pair of a slice is
-one ranging batch. Consecutive batches are packed into ranging calls of up
-to `_PACK_ROWS` rows, five 3000-link altitudes per call in a 1000-node,
-3-anchor altitude sweep; each batch keeps its own golden-section iteration
-count, and rows at one altitude share the search points they have in
-common. All of the slice's nodes are fixed in one solver call. Each range
-depends only on its own batch and each fix only on its own row, so neither
-the packing, the slicing, the order of the slices nor the worker count
-changes any result bit.
-
-The bound-versus-estimator table's parallel unit is one altitude: its
-cells, one per r, are ranged together, one batch each, in calls of up to
-`_CRLB_ROWS` rows; a larger cell ranges alone. Each cell draws from its
-own (r, h) stream, so the grouping changes no bit either.
+Slices are submitted largest first, and all of a slice's nodes are fixed in
+one solver call. The bound-versus-estimator table's parallel unit is one
+altitude. Both studies range through `_range_batches`: its batches, a
+sweep's (trial, point) pairs or the table's cells, share ranging calls of
+at most `_PACK_ROWS` rows in a sweep (five 3000-link altitudes per call in
+a 1000-node, 3-anchor altitude sweep) and `_CRLB_ROWS` in the table. Each
+batch draws from its own stream and ranges as it would alone, and each fix
+depends only on its own row, so neither the packing, the slicing, the order
+of the slices nor the worker count changes any result bit.
 
 Parallel slices run in worker processes forked from a fork server (fresh
 interpreters where the platform has none, as on Windows). The first parallel
@@ -44,6 +39,7 @@ therefore start a parallel run under `if __name__ == "__main__":`.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -271,17 +267,47 @@ def _trial_nodes(cfg: ExperimentConfig, trial: int) -> np.ndarray:
     return out
 
 
-#: Most links ranged in one call. Consecutive (trial, point) batches of a
-#: slice are packed up to this many rows, so the per-call cost of the
-#: golden-section steps is paid once per pack, not once per small batch, and
-#: each shared search point is evaluated once for more rows; a larger batch
-#: is ranged on its own. Replaying the 60 seed-3 altitude-urban batches of
-#: 3000 rows on a 2-vCPU Xeon, ranging took, relative to 4096 rows (one batch
-#: per call), 0.833 at 8192 rows (2 batches per call), 0.815 at 16384 (5),
-#: 0.810 at 24576 (8) and 0.808 at 49152 (16), medians of 16 interleaved
-#: rounds. Beyond 16384 the gain is within the spread, while the pack's
-#: working arrays keep growing.
+#: Most links in one ranging call of a sweep (see `_range_batches`).
+#: Packing pays the per-call cost of the golden-section steps once per call,
+#: not once per small batch, and evaluates each shared search point once for
+#: more rows. Replaying the 60 seed-3 altitude-urban batches of 3000 rows on
+#: a 2-vCPU Xeon, ranging took, relative to 4096 rows (one batch per call),
+#: 0.833 at 8192 rows (2 batches per call), 0.815 at 16384 (5), 0.810 at
+#: 24576 (8) and 0.808 at 49152 (16), medians of 16 interleaved rounds.
+#: Beyond 16384 the gain is within the spread, while the call's working
+#: arrays keep growing.
 _PACK_ROWS = 16384
+
+
+def _range_batches(batches, rows, cap, env, search):
+    """(d_hat, r_hat, boundary) of each batch of `rows` links, in order.
+
+    A batch (h, mu, sigma, z) holds the samples mu - sigma * z of links at
+    altitude h, z reshaping to `rows` rows. Consecutive batches share a
+    ranging call of at most `cap` rows, written into one buffer a batch at
+    a time as mu + (-sigma * z), which rounds as mu - sigma * z; a larger
+    batch ranges alone. Each batch keeps its own golden-section iteration
+    count, so its ranges equal ranging it alone.
+    """
+    per_call = max(1, cap // rows)
+    batches = iter(batches)
+    w = None
+    while True:
+        hs = []
+        for h, mu, sigma, z in itertools.islice(batches, per_call):
+            if w is None:
+                w = np.empty((per_call * rows, z.shape[-1]))
+            cell = w[len(hs) * rows:(len(hs) + 1) * rows].reshape(z.shape)
+            np.multiply(z, -sigma, out=cell)
+            cell += mu
+            hs.append(h)
+        if not hs:
+            return
+        del z  # the last draws, which would raise the call's peak memory
+        d_hat, r_hat, _, boundary = mle_distance_batch(
+            w[:len(hs) * rows], hs, env, search, offsets=np.arange(len(hs) + 1) * rows)
+        for i in range(0, len(hs) * rows, rows):
+            yield d_hat[i:i + rows], r_hat[i:i + rows], boundary[i:i + rows]
 
 
 def _slice_errors(cfg: ExperimentConfig, values):
@@ -291,14 +317,11 @@ def _slice_errors(cfg: ExperimentConfig, values):
     being the norm of each node's per-anchor range errors. Shadowing draws
     depend on the trial only, and so do node positions and true ranges in
     an altitude sweep, so every point of the slice uses the same ones. A
-    ring sweep scores the same ring in every trial, so its true ranges and
-    each point's channel moments are computed once per slice.
-    Each (trial, point) pair is one ranging batch; consecutive batches,
-    trial by trial and point by point, are packed into calls of at most
-    `_PACK_ROWS` rows, and only one pack's samples are held at a time. Every
-    batch keeps its own golden-section iteration count, so its ranges equal
-    ranging it alone. All points' fixes go through one solver call; each fix
-    depends only on its own row, so the results equal one call per point.
+    ring sweep scores the same ring in every trial, so each point's channel
+    moments are computed once per slice. Each (trial, point) pair, trial by
+    trial and point by point, is one `_range_batches` batch. All points'
+    fixes go through one solver call; each fix depends only on its own row,
+    so the results equal one call per point.
     """
     env = cfg.environment
     axy = build_constellation(_constellation_at(cfg, values[0]))
@@ -308,54 +331,37 @@ def _slice_errors(cfg: ExperimentConfig, values):
     trial_pts = [_trial_nodes(cfg, trial) for trial in range(cfg.trials)]
     m = trial_pts[0].shape[0]
     pts = np.concatenate(trial_pts)
-    rows = m * n_anchors
+    r_true = np.linalg.norm(pts.reshape(cfg.trials, m, 1, 2) - axy, axis=3)
 
-    r_hat_all = np.empty((len(values), pts.shape[0], n_anchors))
-    xi = np.empty((len(values), pts.shape[0]))
-    n_boundary = [0] * len(values)
-    pack = []  # (point, trial, samples, true ranges) per batch
-
-    def range_pack():
-        _, r_hat, _, boundary = mle_distance_batch(
-            np.concatenate([w for _, _, w, _ in pack]), [heights[k] for k, _, _, _ in pack],
-            env, cfg.search, offsets=np.arange(len(pack) + 1) * rows)
-        # Both reductions run per row along the anchor axis, so they equal
-        # one call per batch bit for bit.
-        r_hat = r_hat.reshape(len(pack), m, n_anchors)
-        errors = np.linalg.norm(r_hat - np.stack([r for *_, r in pack]), axis=2)
-        pins = np.count_nonzero(boundary.reshape(len(pack), rows), axis=1)
-        for i, (k, trial, _, _) in enumerate(pack):
-            r_hat_all[k, trial * m:(trial + 1) * m] = r_hat[i]
-            xi[k, trial * m:(trial + 1) * m] = errors[i]
-            n_boundary[k] += int(pins[i])
-        pack.clear()
-
-    def true_ranges(trial):
-        return np.linalg.norm(trial_pts[trial][:, None, :] - axy[None, :, :], axis=2)
-
-    def moments(r_true, h):
+    def moments(r, h):
         """Mean RSS and shadowing spread of each link, as (m, N, 1) arrays."""
-        mu, sigma = _rss_moments(np.hypot(r_true, h), np.arctan2(h, r_true), env)
+        mu, sigma = _rss_moments(np.hypot(r, h), np.arctan2(h, r), env)
         return mu[:, :, None], sigma[:, :, None]
 
     ring = cfg.sweep.variable != "altitude"
     if ring:
-        r_true = true_ranges(0)
-        ring_moments = [moments(r_true, h) for h in heights]
-    for trial in range(cfg.trials):
-        if not ring:
-            r_true = true_ranges(trial)
-        z = substream(cfg.seed, TAG_RSS, trial).standard_normal((m, n_anchors, s))
-        for k, h in enumerate(heights):
-            if pack and (len(pack) + 1) * rows > _PACK_ROWS:
-                range_pack()
-            mu, sigma = ring_moments[k] if ring else moments(r_true, h)
-            pack.append((k, trial, (mu - sigma * z).reshape(rows, s), r_true))
-    range_pack()
+        ring_moments = [moments(r_true[0], h) for h in heights]
+
+    def batches():
+        for trial in range(cfg.trials):
+            z = substream(cfg.seed, TAG_RSS, trial).standard_normal((m, n_anchors, s))
+            for k, h in enumerate(heights):
+                yield (h, *(ring_moments[k] if ring else moments(r_true[trial], h)), z)
+
+    r_hat_all = np.empty((len(values), cfg.trials, m, n_anchors))
+    n_boundary = [0] * len(values)
+    for (trial, k), (_, r_hat, boundary) in zip(
+            itertools.product(range(cfg.trials), range(len(values))),
+            _range_batches(batches(), m * n_anchors, _PACK_ROWS, env, cfg.search)):
+        r_hat_all[k, trial] = r_hat.reshape(m, n_anchors)
+        n_boundary[k] += int(np.count_nonzero(boundary))
 
     p, _, conv = multilaterate_batch(axy, r_hat_all.reshape(-1, n_anchors), cfg.solver)
     p, conv = p.reshape(len(values), -1, 2), conv.reshape(len(values), -1)
-    return [(xi[k], np.linalg.norm(p[k] - pts, axis=1), int(np.count_nonzero(~conv[k])),
+    # The norms run per row along the last axis, so they equal one call per
+    # point and trial bit for bit.
+    return [(np.linalg.norm(r_hat_all[k] - r_true, axis=2).reshape(-1),
+             np.linalg.norm(p[k] - pts, axis=1), int(np.count_nonzero(~conv[k])),
              n_boundary[k]) for k in range(len(values))]
 
 
@@ -552,13 +558,12 @@ def optimize_altitude(cfg: ExperimentConfig, threads: int = 1) -> AltitudeOptimu
 # ---------------------------------------------------------------------------
 
 
-#: Most rows in one ranging call of the crlb table: an altitude's cells are
-#: packed, in r order, into calls of at most this many rows. Rows at one
-#: altitude share golden-section search points, so packing pays on small
-#: cells, but a call's working arrays outgrow the caches on large ones. One
-#: call of three cells (r = 250, 500 and 1000 m, urban, 5 samples) took,
-#: relative to one call per cell on a 2-vCPU Xeon, at h = 100, 500 and
-#: 2000 m: 0.937, 0.913 and 0.875 at 10^4 repetitions (crlb-table's
+#: Most rows in one ranging call of the crlb table (see `_range_batches`).
+#: Rows at one altitude share golden-section search points, so packing pays
+#: on small cells, but a call's working arrays outgrow the caches on large
+#: ones. One call of three cells (r = 250, 500 and 1000 m, urban, 5 samples)
+#: took, relative to one call per cell on a 2-vCPU Xeon, at h = 100, 500
+#: and 2000 m: 0.937, 0.913 and 0.875 at 10^4 repetitions (crlb-table's
 #: 3 x 10^4-row calls); 0.997, 1.020 and 0.987 at 2 x 10^4; and 1.23, 1.34
 #: and 1.32 at 10^5 (medians of 5-7 interleaved rounds). This cap is not
 #: `_PACK_ROWS`, which would split crlb-table's calls.
@@ -566,36 +571,25 @@ _CRLB_ROWS = 32768
 
 
 def _crlb_worker(args) -> list[CrlbPoint]:
-    """The table's cells at altitude `h`, in the order of `rs`, ranged in
-    calls of at most `_CRLB_ROWS` rows, one batch per cell; a larger cell
-    ranges alone. `-sigma * z + mu` rounds as `mu - sigma * z`."""
+    """The table's cells at altitude `h`, in the order of `rs`: one
+    `_range_batches` batch per cell, under `_CRLB_ROWS`."""
     cfg, h, i_h, rs, repetitions = args
     env = cfg.environment
     s = cfg.samples_per_anchor
-    per_call = max(1, _CRLB_ROWS // repetitions)
-    points = []
-    for first in range(0, len(rs), per_call):
-        geoms = [LinkGeometry(r=r, h=h) for r in rs[first:first + per_call]]
-        mus, sigmas = _rss_moments(np.array([g.d for g in geoms]),
-                                   np.array([g.theta for g in geoms]), env)
-        w = np.empty((len(geoms), repetitions, s))
-        for i_r, (cell, mu, sigma) in enumerate(zip(w, mus, sigmas), start=first):
-            substream(cfg.seed, TAG_RSS, i_r, i_h).standard_normal(out=cell)
-            cell *= -sigma
-            cell += mu
-        d_hat, _, _, boundary = mle_distance_batch(
-            w.reshape(-1, s), h, env, cfg.search,
-            offsets=np.arange(len(geoms) + 1) * repetitions)
-        d_hat, boundary = d_hat.reshape(len(geoms), -1), boundary.reshape(len(geoms), -1)
-        points += [CrlbPoint(
-            r=geom.r,
-            h=h,
-            crlb_sigma=crlb_sigma(geom, env, n_samples=s),
-            mle_sigma=float(np.std(d, ddof=1)),
-            mle_mean=float(np.mean(d)),
-            boundary_fraction=float(np.mean(pins)),
-        ) for geom, d, pins in zip(geoms, d_hat, boundary)]
-    return points
+    geoms = [LinkGeometry(r=r, h=h) for r in rs]
+    mus, sigmas = _rss_moments(np.array([g.d for g in geoms]),
+                               np.array([g.theta for g in geoms]), env)
+    cells = ((h, mu, sigma, substream(cfg.seed, TAG_RSS, i_r, i_h).standard_normal(
+        (repetitions, s))) for i_r, (mu, sigma) in enumerate(zip(mus, sigmas)))
+    return [CrlbPoint(
+        r=geom.r,
+        h=h,
+        crlb_sigma=crlb_sigma(geom, env, n_samples=s),
+        mle_sigma=float(np.std(d, ddof=1)),
+        mle_mean=float(np.mean(d)),
+        boundary_fraction=float(np.mean(pins)),
+    ) for geom, (d, _, pins) in zip(
+        geoms, _range_batches(cells, repetitions, _CRLB_ROWS, env, cfg.search))]
 
 
 def run_crlb_comparison(cfg: ExperimentConfig, r_values,
@@ -609,10 +603,9 @@ def run_crlb_comparison(cfg: ExperimentConfig, r_values,
     bound at the true geometry. The `CrlbTable`'s points come r-major:
     every h for the first r, then for the next.
 
-    The parallel unit is one altitude: its cells are ranged together, one
-    batch each, in calls of at most `_CRLB_ROWS` rows. Each cell owns its
-    draws and ranges as it would alone, so neither the grouping nor the
-    worker count changes a bit.
+    The parallel unit is one altitude, whose cells range through
+    `_range_batches`. Each cell owns its draws and ranges as it would
+    alone, so neither the grouping nor the worker count changes a bit.
     """
     _require_altitude(cfg)
     if not (isinstance(repetitions, Integral) and repetitions >= 2):

@@ -34,7 +34,6 @@ row-major (L, N, 2) arrays that sums with `np.einsum`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -78,8 +77,8 @@ class SolverConfig:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not 0.0 < self.step_tol <= MAX_LENGTH_M:
             raise ValueError(f"step_tol must be finite, positive and <= {MAX_LENGTH_M:g} m")
-        if not (math.isfinite(self.damping0) and self.damping0 > 0.0):
-            raise ValueError("damping0 must be finite and positive")
+        if not 0.0 < self.damping0 <= _DAMPING_MAX:
+            raise ValueError(f"damping0 must be finite, positive and <= {_DAMPING_MAX:g}")
 
 
 @dataclass(frozen=True)

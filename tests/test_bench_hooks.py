@@ -70,6 +70,13 @@ def test_every_layer_is_traced(traced, command, layer):
     writer = "experiments.write_crlb_table" if command == "crlb" else "experiments.write_results"
     assert {"config.load_config", "estimation.mle_distance_batch", layer, writer} <= names
     assert any(name.startswith("channel.") for name in names)
+    if command == "crlb":
+        # Cells range inside the traced worker, so the benchmark's
+        # `experiments.self_s` (a span's time minus its children's) keeps
+        # its meaning.
+        spans, offset = study["spans"], study["span_offset"]
+        assert {spans[s[3] - offset][0] if s[3] >= offset else None for s in spans
+                if s[0] == "estimation.mle_distance_batch"} == {"experiments.crlb_cell"}
 
 
 def _perfbench_run():

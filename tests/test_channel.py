@@ -59,10 +59,28 @@ class TestEnvironmentPresets:
             ("b_o", -1.0),
             ("a_1", 0.5),     # must be negative
             ("b_1", 1.0),     # overhead exponent would drop below 2
+            ("a_nlos", 1.0e300),  # dB amplitudes and exponents within 1e6
+            ("b_1", 1.0e300),
+            ("a_1", -1.0e7),
+            ("a_los", np.nextafter(1.0e6, 2.0e6)),
+            ("k_ref", -2.0e6),
+            ("c_offset", 1.0e7),
         ]:
             params = {**ok, field: bad}
             with pytest.raises(ValueError):
                 u.EnvironmentParams(**params)
+
+    def test_extreme_accepted_constants_stay_finite(self):
+        # At the 1e6 bound, samples 40 sigma out and their sums of squares
+        # stay finite at any slant distance a config can set.
+        env = u.EnvironmentParams(a_los=1.0e6, b_los=2.5, a_nlos=1.0e6, b_nlos=1.7, a_o=45.0,
+                                  b_o=10.0, a_1=2.0 - 1.0e6, b_1=1.0e6, k_ref=-1.0e6,
+                                  c_offset=1.0e6)
+        theta = np.linspace(0.0, HALF_PI, 9)
+        for d in (1.0, math.sqrt(2.0) * 1.0e7):
+            mu, sigma = u.mean_rss(d, theta, env), u.shadowing_sigma(theta, env)
+            w = np.concatenate([mu - 40.0 * sigma, mu + 40.0 * sigma])
+            assert np.all(np.isfinite(w)) and math.isfinite(np.sum(w * w))
 
     def test_reference_distance_fixed_at_one_metre(self):
         # d_o is a module constant, not a parameter an environment can move.

@@ -281,6 +281,14 @@ class TestErrorPaths:
                      id="count-altitude-above-d_max"),
         pytest.param("crlb", {"search": {"d_max": 600.0}},
                      "search.d_max = 600 m must exceed", id="crlb-altitude-above-d_max"),
+        # Channel constants and the initial damping are bounded too: once
+        # accepted, these failed later as an overflow (exit 1) or as
+        # non-finite samples (exit 4).
+        *(pytest.param(command, {"environment": {"preset": "urban", key: 1.0e+300}},
+                       f"{key} must lie in [-1e+06, 1e+06]", id=f"{command}-{key}-1e300")
+          for command in ("altitude-sweep", "crlb") for key in ("a_nlos", "b_1")),
+        pytest.param("altitude-sweep", {"solver": {"damping0": 1.0e+300}},
+                     "damping0 must be finite, positive and <= 1e+12", id="damping0-1e300"),
     ])
     def test_huge_length_exits_3(self, tmp_path, capsys, command, override, message):
         body = {"sweep": {"values": [300.0, 900.0]}, **override}

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import multiprocessing
@@ -324,6 +325,8 @@ class TestPointErrors:
         # The real pack size on 40 (trial, point) batches of 120 rows: each
         # call holds two or more whole batches.
         ("altitude", (50.0, 300.0, 900.0, 2000.0), 10, None, None),
+        # 120-row batches above a cap of 100 rows: each ranges alone.
+        ("altitude", (50.0, 300.0, 900.0, 2000.0), 2, 100, [[120] * 8]),
     ])
     def test_packed_ranging_equals_points_alone(self, monkeypatch, variable, values,
                                                 trials, pack_rows, packs):
@@ -351,6 +354,18 @@ class TestPointErrors:
             for v, got in zip(slice_values, errors):
                 _assert_same_errors(got, _point_errors_reference(cfg, v))
         assert calls == packs
+
+    def test_one_ranging_call_in_the_module(self):
+        # Sweeps and the crlb table range through `_range_batches` alone.
+        tree = ast.parse(Path(ex.__file__).read_text(encoding="utf-8"))
+
+        def calls(node):
+            return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id == "mle_distance_batch" for n in ast.walk(node))
+
+        assert calls(tree) == 1
+        assert [f.name for f in tree.body
+                if isinstance(f, ast.FunctionDef) and calls(f)] == ["_range_batches"]
 
     def test_one_descent_per_call_not_per_point(self, monkeypatch):
         cfg = tiny_altitude_config(trials=2)  # 3 points x 2 trials x 40 nodes

@@ -106,6 +106,16 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             u.SolverConfig(damping0=-1.0)
 
+    def test_damping0_at_most_the_cap(self):
+        # A row starting above the cap would be given up after one step, and
+        # a rejected step from 1e300 overflows.
+        for bad in (np.nextafter(loc._DAMPING_MAX, math.inf), 1.0e300, math.inf, math.nan):
+            with pytest.raises(ValueError, match="damping0 must be finite, positive and <= 1e"):
+                u.SolverConfig(damping0=bad)
+        axy = triangle_anchors()
+        rhat = np.array([true_ranges(axy, (100.0, -50.0)), true_ranges(axy, (9e3, 9e3))])
+        u.multilaterate_batch(axy, rhat + 30.0, u.SolverConfig(damping0=loc._DAMPING_MAX))
+
     @pytest.mark.parametrize("bad", [2.5, 5.5, True])
     def test_rejects_non_integral_max_iter(self, bad):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
